@@ -54,9 +54,9 @@ def main():
         if not state.converged:
             raise SystemExit("fixed point stalled on %dx%d: %r"
                              % (nx, ny, state))
-        rep = postproc.error_report(fields, problem.exact)
-        reports.append(rep)
         div, jump = postproc.divergence_diagnostic(fields)
+        reports.append(postproc.error_report(fields, problem.exact,
+                                             div_h=div))
         print("%3dx%-3d  %2d iterations  %6.1fs  element div %.2e, "
               "face jump %.2e" % (nx, ny, state.iterations, elapsed,
                                   div, jump))

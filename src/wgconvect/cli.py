@@ -14,13 +14,19 @@ import argparse
 import os
 import sys
 
-# thread count for the BLAS backing numpy/scipy; must be set before the
-# numeric stack loads, so this runs at import time of the entry module
-_threads = os.environ.get("WGCONVECT_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                 "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
+
+def _pin_blas_threads(environ):
+    """Set the BLAS thread count to WGCONVECT_THREADS, or to 1 when that is
+    unset: the sparse factorizations that dominate a solve are
+    single-threaded, and a second BLAS thread only burns CPU.  A thread
+    variable already set in `environ` wins."""
+    threads = environ.get("WGCONVECT_THREADS") or "1"
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        environ.setdefault(var, threads)
+
+
+# must run before the numeric stack loads, so at import of the entry module
+_pin_blas_threads(os.environ)
 
 import numpy as np
 
@@ -98,7 +104,8 @@ def _mean_pressure(fields):
 
 
 def _check_invariants(fields):
-    """(ok, message) for the divergence and mean-pressure contracts."""
+    """(ok, message, div_h) for the divergence and mean-pressure
+    contracts; div_h is passed on to error reports."""
     div_h, jump = postproc.divergence_diagnostic(fields)
     mean_p = _mean_pressure(fields)
     scale = max(postproc.pressure_l2(fields), 1.0)
@@ -106,7 +113,7 @@ def _check_invariants(fields):
         and abs(mean_p) <= MEAN_P_TOL * scale
     msg = ("divergence %.3e, face jump %.3e, mean pressure %.3e -> %s"
            % (div_h, jump, mean_p, "PASS" if ok else "FAIL"))
-    return ok, msg
+    return ok, msg, div_h
 
 
 def _solve_case(mesh, params, problem, sopts, condense):
@@ -159,12 +166,13 @@ def cmd_converge(args):
                                      problem.fluid_rect)
         fields, state = _solve_case(mesh, params, problem, sopts,
                                     args.condense)
-        inv_ok, msg = _check_invariants(fields)
+        inv_ok, msg, div_h = _check_invariants(fields)
         print("%dx%d: %s in %d iterations; %s"
               % (nx, ny, "converged" if state.converged else "NOT converged",
                  state.iterations, msg))
         ok = ok and state.converged and inv_ok
-        reports.append(postproc.error_report(fields, problem.exact))
+        reports.append(postproc.error_report(fields, problem.exact,
+                                             div_h=div_h))
 
     print()
     _print_convergence_table(meshes, reports)
@@ -211,7 +219,7 @@ def cmd_cavity(args):
               % (problem.ra, "converged" if state.converged else
                  "NOT converged", state.iterations))
 
-    inv_ok, msg = _check_invariants(fields)
+    inv_ok, msg, _ = _check_invariants(fields)
     print(msg)
     rep = postproc.cavity_report(fields)
     for name in ("u1_max", "u2_max", "nu_bar", "nu_max", "nu_min",
@@ -239,11 +247,11 @@ def cmd_solve(args):
     print("%s in %d iterations"
           % ("converged" if state.converged else "NOT converged",
              state.iterations))
-    inv_ok, msg = _check_invariants(fields)
+    inv_ok, msg, div_h = _check_invariants(fields)
     print(msg)
 
     if problem.exact is not None:
-        rep = postproc.error_report(fields, problem.exact)
+        rep = postproc.error_report(fields, problem.exact, div_h=div_h)
         for name in postproc.ErrorReport.FIELDS:
             print("%-10s %.5g" % (name, getattr(rep, name)))
         postproc.write_convergence_csv(
@@ -277,7 +285,8 @@ def build_parser():
         prog="wgconvect",
         description="Weak Galerkin solver for stationary natural "
                     "convection with exactly divergence-free velocity.",
-        epilog="Set WGCONVECT_THREADS to pin the BLAS thread count.")
+        epilog="The BLAS runs one thread; set WGCONVECT_THREADS to change "
+               "that.")
     sub = ap.add_subparsers(dest="command", required=True)
 
     conv = sub.add_parser("converge",

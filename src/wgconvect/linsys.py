@@ -18,16 +18,17 @@ Each linearized step freezes the advecting velocity w and solves
     a(u,v) + c(w;u,v) + b(v,p) - b(u,q) - d(T,v) = (f, v0)
     abar(T,s) + cbar(w;T,s) = (g, s0)
 
-for (u, p, T) simultaneously; Dirichlet data is lifted to the right-hand
-side.  The temperature rows do not involve (u, p), so the coupled matrix is
-block triangular in that ordering, but it is assembled and solved as one
-sparse system.
+for (u, p, T); Dirichlet data is lifted to the right-hand side.  The
+temperature rows do not involve (u, p), so the step matrix is block lower
+triangular: it is assembled as one sparse system, and solve_sparse solves
+the temperature block first and then the flow block (velocity, pressure and
+the multiplier) with the buoyancy d(T, v) moved to the right-hand side.
 
-solve_sparse factors each system once and refines the solution against the
-original matrix with that factor.  Its 1e-10 residual check is relative to
-the whole right-hand side, so on its own it does not bound the divergence
-rows b(u,q) = 0, whose right side is zero; the refinement is what makes
-the velocity divergence free to rounding.
+solve_sparse factors each block once and refines its solution against that
+block with the same factor.  Its 1e-10 residual check is relative to the
+whole right-hand side, so on its own it does not bound the divergence rows
+b(u,q) = 0, whose right side is zero; the refinement is what makes the
+velocity divergence free to rounding.
 """
 
 import numpy as np
@@ -218,15 +219,27 @@ class GlobalSystem:
     border_index/ground_index mark the mean-pressure multiplier row and a
     pressure DOF that can ground the constant mode; solve_sparse uses them
     to factor around the dense constraint row (see _bordered_inverse).
+
+    flow_index lists the flow block: the free velocity and pressure DOFs,
+    which come first in the free ordering, then the multiplier.  The free
+    temperature DOFs fill the range between them, flow_size:border_index,
+    and their rows have no entry in the flow columns.  None means the
+    system is solved whole.
     """
 
     def __init__(self, matrix, rhs, dofmap, border_index=None,
-                 ground_index=None):
+                 ground_index=None, flow_index=None):
         self.matrix = matrix
         self.rhs = rhs
         self.dofmap = dofmap
         self.border_index = border_index
         self.ground_index = ground_index
+        self.flow_index = flow_index
+
+    @property
+    def flow_size(self):
+        """Number of free velocity and pressure DOFs, or None."""
+        return None if self.flow_index is None else len(self.flow_index) - 1
 
     @property
     def dim(self):
@@ -328,6 +341,11 @@ class StepAssembler:
         self._vloc = vloc
         self._sloc = sloc
 
+        # free DOFs keep the global block order, so the free flow DOFs are
+        # the first flow_size ones and the multiplier follows the rest
+        flow_size = int(np.sum(~dm.fixed_mask[:dm.offset["t_int"]]))
+        self._flow_index = np.append(np.arange(flow_size), dm.n_free)
+
     def _convection_triplets(self, w_full):
         mesh, params = self.mesh, self.params
         dm = self.dofmap
@@ -402,7 +420,8 @@ class StepAssembler:
               np.concatenate([c_free[keep], con_r, np.full(len(con_r), n)]))),
             shape=(n + 1, n + 1)).tocsr()
         return GlobalSystem(mat, np.append(rhs, 0.0), dm,
-                            border_index=n, ground_index=int(con_r[0]))
+                            border_index=n, ground_index=int(con_r[0]),
+                            flow_index=self._flow_index)
 
 
 def assemble_oseen_step(mesh, params, problem, w_prev=None, dofmap=None):
@@ -471,39 +490,79 @@ def _refined(mat, rhs, apply_inverse):
     return x
 
 
-def solve_sparse(system, factor=None):
+def _block_solve(system):
+    """Solve a block lower triangular step: the temperature block with
+    splu, then the flow block through _bordered_inverse with the buoyancy
+    coupling moved to its right-hand side.  Each block is refined with its
+    own factor.  Returns None when either factorization fails."""
+    mat, rhs = system.matrix, system.rhs
+    flow = system.flow_index
+    f, n = system.flow_size, system.border_index
+    temp_mat = mat[f:n, f:n]
+    try:
+        temp_lu = spla.splu(temp_mat.tocsc())
+    except RuntimeError:
+        return None
+    x_temp = _refined(temp_mat, rhs[f:n], temp_lu.solve)
+    flow_rows = mat[flow]
+    flow_mat = flow_rows[:, flow]
+    flow_inverse = _bordered_inverse(flow_mat, f, system.ground_index)
+    if flow_inverse is None:
+        return None
+    x = np.empty_like(rhs)
+    x[f:n] = x_temp
+    x[flow] = _refined(flow_mat, rhs[flow] - flow_rows[:, f:n] @ x_temp,
+                       flow_inverse)
+    return x
+
+
+def _whole_bordered_solve(system):
+    inverse = _bordered_inverse(system.matrix, system.border_index,
+                                system.ground_index)
+    if inverse is None:
+        return None
+    return _refined(system.matrix, system.rhs, inverse)
+
+
+def solve_sparse(system):
     """Direct sparse solve with iterative refinement and a residual guarantee.
 
     Returns the solution of system.matrix @ x = system.rhs; raises with the
     factorization diagnostic if the matrix is singular, and raises if the
-    relative residual exceeds 1e-10.  Systems carrying a mean-constraint
-    border are factored through _bordered_inverse (same answer, much less
-    factorization fill), others by splu, or by `factor` when one is given.
+    relative residual exceeds 1e-10.  A step that records its flow block
+    (GlobalSystem.flow_index) is solved block by block (_block_solve): the
+    temperature block is a small factor, and the flow block's factor has
+    less fill than the whole matrix's.  Other systems carrying a
+    mean-constraint border are factored whole through _bordered_inverse
+    (same answer, much less fill than a plain factorization), and the rest
+    by splu.
 
     Whatever the factor, the solution is refined REFINE_STEPS times against
-    the original system.matrix, reusing the factor.  The residual check is
+    the matrix it factors, reusing the factor.  The residual check is
     relative to the whole right-hand side, which the momentum and
     temperature rows dominate; it does not bound the divergence rows, whose
     right side is zero, and an unrefined Woodbury solve leaves them at
     1e-9..1e-8 on fine cavity meshes.  Refinement brings the element
     divergence and face jumps down to rounding.  The residual check always
-    runs against the original matrix, and a bordered solve that fails it
-    falls back to the plain factorization.
+    runs against the whole system.matrix; a block solve that fails it falls
+    back to the whole bordered solve, and that to the plain factorization.
     """
     mat, rhs = system.matrix, system.rhs
     bnorm = np.linalg.norm(rhs)
     floor = max(bnorm, 1.0)
     n = getattr(system, "border_index", None)
     q = getattr(system, "ground_index", None)
-    if factor is None and n is not None and q is not None and n != q:
-        inverse = _bordered_inverse(mat, n, q)
-        if inverse is not None:
-            x = _refined(mat, rhs, inverse)
-            if np.linalg.norm(mat @ x - rhs) <= 1e-10 * floor:
-                return x
+    attempts = []
+    if n is not None and q is not None and n != q:
+        if getattr(system, "flow_index", None) is not None:
+            attempts.append(_block_solve)
+        attempts.append(_whole_bordered_solve)
+    for attempt in attempts:
+        x = attempt(system)
+        if x is not None and np.linalg.norm(mat @ x - rhs) <= 1e-10 * floor:
+            return x
     try:
-        lu = factor if factor is not None else spla.splu(mat.tocsc())
-        x = _refined(mat, rhs, lu.solve)
+        x = _refined(mat, rhs, spla.splu(mat.tocsc()).solve)
     except RuntimeError as err:
         raise RuntimeError("sparse factorization failed (%s); the system is "
                            "singular or near-singular" % err) from err

@@ -243,8 +243,12 @@ class ErrorReport:
                    self.l2_t, self.div_h))
 
 
-def error_report(fields, exact, quad_degree=None):
-    """Relative L2 and broken-gradient errors against exact fields."""
+def error_report(fields, exact, quad_degree=None, div_h=None):
+    """Relative L2 and broken-gradient errors against exact fields.
+
+    div_h is the first value of divergence_diagnostic(fields), for a caller
+    that has already computed it; None computes it here.
+    """
     mesh, params = fields.mesh, fields.params
     if quad_degree is None:
         quad_degree = max(2 * params.degree + 4, 16)
@@ -291,7 +295,8 @@ def error_report(fields, exact, quad_degree=None):
                      gu_ref)
     grad_t_rec = rel(integ(all_e, np.sum((gth_rec - gte) ** 2, axis=-1)),
                      gt_ref)
-    div_h, _ = divergence_diagnostic(fields)
+    if div_h is None:
+        div_h, _ = divergence_diagnostic(fields)
     from .mesh import mesh_size
     return ErrorReport(grad_u, l2_u, l2_p, grad_t, l2_t, div_h,
                        mesh_size(mesh), grad_u_rec=grad_u_rec,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from wgconvect import cli
+from wgconvect import postproc
 from wgconvect import problems
 
 
@@ -68,6 +69,34 @@ def test_converge_writes_csv_with_healthy_orders(tmp_path):
     assert float(orders["order_grad_u"]) >= 0.9
     assert float(orders["order_l2_u"]) >= 1.8
     assert float(orders["div_h"]) < 1e-10
+
+
+def test_divergence_is_diagnosed_once_per_mesh(tmp_path, monkeypatch):
+    calls = []
+    diagnostic = postproc.divergence_diagnostic
+
+    def counting(fields, *args, **kwargs):
+        calls.append(fields.mesh.n_elems)
+        return diagnostic(fields, *args, **kwargs)
+
+    monkeypatch.setattr(postproc, "divergence_diagnostic", counting)
+    assert run(["converge", "--meshes", "4x2,8x4", "-o",
+                tmp_path / "conv"]) == 0
+    assert calls == [16, 64]
+    calls.clear()
+    assert run(["solve", "--problem", "manufactured", "--mesh", "4x2",
+                "-o", tmp_path / "solve"]) == 0
+    assert calls == [16]
+
+
+def test_blas_threads_default_to_one_and_user_settings_win():
+    names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    for env, expect in (({}, ["1", "1", "1"]),
+                        ({"WGCONVECT_THREADS": "2"}, ["2", "2", "2"]),
+                        ({"WGCONVECT_THREADS": "2",
+                          "OPENBLAS_NUM_THREADS": "3"}, ["2", "3", "2"])):
+        cli._pin_blas_threads(env)
+        assert [env[v] for v in names] == expect
 
 
 def test_converge_rejects_problem_without_exact(tmp_path, capsys):

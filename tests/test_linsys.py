@@ -153,7 +153,11 @@ def test_heat_rows_do_not_touch_flow_unknowns():
         dm.free_index[dm.p_interior(mesh.fluid_elems).ravel()],
         dm.free_index[dm.p_trace(mesh.fluid_faces).ravel()]]))
     flow_cols = flow_cols[flow_cols >= 0]
-    assert system.matrix[t_rows][:, flow_cols].nnz == 0
+    # the split recorded at assembly is the one the DOF map defines
+    assert np.array_equal(t_rows, np.arange(system.flow_size,
+                                            system.border_index))
+    assert np.array_equal(system.flow_index, np.append(flow_cols, dm.n_free))
+    assert system.matrix[t_rows][:, system.flow_index].nnz == 0
     # while momentum rows do feel the temperature through buoyancy
     u_rows = dm.free_index[dm.u_interior(mesh.fluid_elems)[:, 1, :].ravel()]
     t_cols = dm.free_index[dm.t_interior(mesh.fluid_elems).ravel()]
@@ -236,32 +240,92 @@ def test_solve_reports_singular():
         linsys.solve_sparse(system)
 
 
+def counting_factorizations(monkeypatch):
+    """List that records the shape of every splu factorization."""
+    shapes = []
+    splu = spla.splu
+
+    def counting_splu(*args, **kwargs):
+        shapes.append(args[0].shape)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    return shapes
+
+
 def test_refined_bordered_solve_is_divergence_free(monkeypatch):
     # a Stokes step of the Ra=1e5 cavity meets the residual contract before
     # refinement but leaves the zero-rhs divergence rows at ~8e-10; the
-    # refinement must reuse the one grounded factorization
+    # refinement must reuse the one factorization of each diagonal block
     prob = problems.cavity(1e5)
     mesh = build_structured_mesh(12, 12, prob.domain, prob.fluid_rect)
     params = forms.MethodParams.from_variant("wg1", 1)
     asm = linsys.StepAssembler(mesh, params, prob)
     system = asm.assemble(None)
 
-    factorizations = []
-    splu = spla.splu
-
-    def counting_splu(*args, **kwargs):
-        factorizations.append(args[0].shape)
-        return splu(*args, **kwargs)
-
-    monkeypatch.setattr(spla, "splu", counting_splu)
+    factorizations = counting_factorizations(monkeypatch)
     x = linsys.solve_sparse(system)
-    assert factorizations == [system.matrix.shape]
+    n_temp = system.border_index - system.flow_size
+    n_flow = system.flow_size + 1               # the multiplier included
+    assert factorizations == [(n_temp, n_temp), (n_flow, n_flow)]
 
     full, lam = system.expand(x)
     fields = postproc.WgFields(mesh, params, asm.dofmap, full, lam)
     div_h, jump = postproc.divergence_diagnostic(fields)
     assert div_h <= 1e-10
     assert jump <= 1e-10
+
+
+def advected_step(variant, degree):
+    """A step of the conjugate manufactured problem (fluid plus solid)
+    assembled at a nonzero advecting velocity."""
+    prob, mesh, params = manufactured_setup(8, 4, degree, variant)
+    asm = linsys.StepAssembler(mesh, params, prob)
+    first = asm.assemble(None)
+    w, _ = first.expand(linsys.solve_sparse(first))
+    return asm.assemble(w)
+
+
+@pytest.mark.parametrize("variant,degree", [("wg1", 1), ("wg3", 2)])
+def test_block_solve_matches_whole_matrix_solve(monkeypatch, variant,
+                                                degree):
+    system = advected_step(variant, degree)
+    factorizations = counting_factorizations(monkeypatch)
+    x_block = linsys.solve_sparse(system)
+    assert len(factorizations) == 2             # served by the block solve
+    x_whole = spla.splu(system.matrix.tocsc()).solve(system.rhs)
+    assert np.linalg.norm(x_block - x_whole) \
+        <= 1e-10 * np.linalg.norm(x_whole)
+
+
+def test_block_solve_that_misses_the_contract_falls_back(monkeypatch):
+    # a temperature row that sees the flow breaks the block triangular
+    # split, so the block answer fails the whole-matrix residual check
+    prob, mesh, params = manufactured_setup(4, 2)
+    system = linsys.assemble_oseen_step(mesh, params, prob)
+    f = system.flow_size
+    coupled = system.matrix.tolil()
+    coupled[f, 0] = coupled[f, f]
+    broken = linsys.GlobalSystem(coupled.tocsr(), system.rhs, system.dofmap,
+                                 border_index=system.border_index,
+                                 ground_index=system.ground_index,
+                                 flow_index=system.flow_index)
+    factorizations = counting_factorizations(monkeypatch)
+    x = linsys.solve_sparse(broken)
+    assert factorizations[2:] == [broken.matrix.shape]  # whole, bordered
+    resid = np.linalg.norm(broken.matrix @ x - broken.rhs)
+    assert resid <= 1e-10 * np.linalg.norm(broken.rhs)
+
+
+def test_system_without_flow_block_is_factored_whole(monkeypatch):
+    prob, mesh, params = manufactured_setup(4, 2)
+    system = linsys.assemble_oseen_step(mesh, params, prob)
+    cond = linsys.condense(system, system.dofmap)
+    factorizations = counting_factorizations(monkeypatch)
+    xt = linsys.solve_sparse(cond)
+    assert factorizations == [cond.matrix.shape]
+    resid = np.linalg.norm(cond.matrix @ xt - cond.rhs)
+    assert resid <= 1e-10 * np.linalg.norm(cond.rhs)
 
 
 def test_solve_is_deterministic():

@@ -114,7 +114,7 @@ def test_bad_arguments_rejected():
 def test_linear_solve_failure_names_the_iteration(monkeypatch):
     prob, mesh, params = manufactured_setup(4, 2)
 
-    def boom(system, factor=None):
+    def boom(system):
         raise RuntimeError("factorization exploded")
 
     monkeypatch.setattr(linsys, "solve_sparse", boom)
