@@ -25,7 +25,7 @@ from wgconvect import forms, postproc, problems, solver
 from wgconvect.mesh import build_structured_mesh
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--degree", "-k", type=int, default=1,
                     help="interior polynomial degree (default 1)")
@@ -34,7 +34,7 @@ def main():
                     help="discrete space combination (default wg1)")
     ap.add_argument("--levels", type=int, default=3,
                     help="number of mesh refinements (default 3)")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     problem = problems.manufactured_convection()
     params = forms.MethodParams.from_variant(args.variant, args.degree)
@@ -76,7 +76,7 @@ def main():
         nx, ny = 8 * 2 ** i, 4 * 2 ** i
         row = "%-8s" % ("%dx%d" % (nx, ny))
         for name in postproc.ErrorReport.FIELDS:
-            order = " (%.2f)" % orders[name][i] if i else "       "
+            order = " (%.2f)" % orders[name][i - 1] if i else "       "
             row += "  %.4E%s" % (columns[name][i], order)
         print(row)
 

@@ -116,19 +116,17 @@ def _check_invariants(fields):
     return ok, msg, div_h
 
 
-def _solve_case(mesh, params, problem, sopts, condense):
+def _solve_case(mesh, params, problem, sopts):
     """One solve honoring the solver options; a config-declared Rayleigh
     ramp runs relaxed and reports its final stage."""
     targets = sopts.get("ramp")
     if targets:
         fields, states = solver.ramp_rayleigh(
             mesh, params, problem, targets, tol=sopts["tol"],
-            max_iter=sopts["max_iter"], use_condensation=condense,
-            relaxation="aitken")
+            max_iter=sopts["max_iter"], relaxation="aitken")
         return fields, states[-1]
     fields, state = solver.oseen_solve(
-        mesh, params, problem, tol=sopts["tol"], max_iter=sopts["max_iter"],
-        use_condensation=condense)
+        mesh, params, problem, tol=sopts["tol"], max_iter=sopts["max_iter"])
     return fields, state
 
 
@@ -164,8 +162,7 @@ def cmd_converge(args):
     for nx, ny in meshes:
         mesh = build_structured_mesh(nx, ny, problem.domain,
                                      problem.fluid_rect)
-        fields, state = _solve_case(mesh, params, problem, sopts,
-                                    args.condense)
+        fields, state = _solve_case(mesh, params, problem, sopts)
         inv_ok, msg, div_h = _check_invariants(fields)
         print("%dx%d: %s in %d iterations; %s"
               % (nx, ny, "converged" if state.converged else "NOT converged",
@@ -207,14 +204,12 @@ def cmd_cavity(args):
         targets = sopts.get("ramp") or _default_ramp(problem.ra)
         fields, states = solver.ramp_rayleigh(
             mesh, params, problem, targets, tol=sopts["tol"],
-            max_iter=sopts["max_iter"], use_condensation=args.condense,
-            relaxation="aitken")
+            max_iter=sopts["max_iter"], relaxation="aitken")
         state = states[-1]
         for ra, st in zip(targets, states):
             print("Ra=%g: converged in %d iterations" % (ra, st.iterations))
     else:
-        fields, state = _solve_case(mesh, params, problem, sopts,
-                                    args.condense)
+        fields, state = _solve_case(mesh, params, problem, sopts)
         print("Ra=%g: %s in %d iterations"
               % (problem.ra, "converged" if state.converged else
                  "NOT converged", state.iterations))
@@ -243,7 +238,7 @@ def cmd_solve(args):
     mesh = build_structured_mesh(nx, ny, problem.domain, problem.fluid_rect)
     os.makedirs(args.outdir, exist_ok=True)
 
-    fields, state = _solve_case(mesh, params, problem, sopts, args.condense)
+    fields, state = _solve_case(mesh, params, problem, sopts)
     print("%s in %d iterations"
           % ("converged" if state.converged else "NOT converged",
              state.iterations))
@@ -274,8 +269,6 @@ def _add_common(sub):
                      help="fixed-point relative tolerance")
     sub.add_argument("--max-iter", type=int, default=None,
                      help="fixed-point iteration cap")
-    sub.add_argument("--condense", action="store_true",
-                     help="solve the statically condensed trace system")
     sub.add_argument("-o", "--outdir", default="out",
                      help="directory for CSV/VTK artifacts")
 

@@ -20,15 +20,19 @@ Each linearized step freezes the advecting velocity w and solves
 
 for (u, p, T); Dirichlet data is lifted to the right-hand side.  The
 temperature rows do not involve (u, p), so the step matrix is block lower
-triangular: it is assembled as one sparse system, and solve_sparse solves
-the temperature block first and then the flow block (velocity, pressure and
-the multiplier) with the buoyancy d(T, v) moved to the right-hand side.
+triangular: it is assembled as one sparse system, and solve_sparse, the one
+solve path, solves the temperature block first and then the flow block
+(velocity, pressure and the multiplier) with the buoyancy d(T, v) moved to
+the right-hand side.  The whole matrix is singular exactly when one of its
+diagonal blocks is, so nothing is factored whole.
 
 solve_sparse factors each block once and refines its solution against that
 block with the same factor.  Its 1e-10 residual check is relative to the
 whole right-hand side, so on its own it does not bound the divergence rows
 b(u,q) = 0, whose right side is zero; the refinement is what makes the
-velocity divergence free to rounding.
+velocity divergence free to rounding.  A singular block factor, a singular
+capacitance matrix of the bordered flow factor, or a residual above 1e-10
+raises RuntimeError naming the block.
 """
 
 import numpy as np
@@ -37,7 +41,7 @@ import scipy.sparse.linalg as spla
 
 from . import forms
 from . import polybasis as pb
-from .mesh import FLUID, OUTER
+from .mesh import OUTER
 
 
 class DofMap:
@@ -173,14 +177,6 @@ class DofMap:
             out[:, nkm1 + lf * ntp: nkm1 + (lf + 1) * ntp] = pt[:, lf]
         return out
 
-    def interior_dofs_of_element(self, elem):
-        """All interior DOFs of one element (the statically condensable set)."""
-        ids = [self.t_interior([elem]).ravel()]
-        if self.mesh.elem_subdomain[elem] == FLUID:
-            ids = [self.u_interior([elem]).ravel(),
-                   self.p_interior([elem]).ravel()] + ids
-        return np.concatenate(ids)
-
 
 def apply_nonhomogeneous_dirichlet(dofmap, problem, quad_degree=None):
     """Fix temperature traces on Dirichlet walls to face-projected data.
@@ -223,12 +219,11 @@ class GlobalSystem:
     flow_index lists the flow block: the free velocity and pressure DOFs,
     which come first in the free ordering, then the multiplier.  The free
     temperature DOFs fill the range between them, flow_size:border_index,
-    and their rows have no entry in the flow columns.  None means the
-    system is solved whole.
+    and their rows have no entry in the flow columns.
     """
 
-    def __init__(self, matrix, rhs, dofmap, border_index=None,
-                 ground_index=None, flow_index=None):
+    def __init__(self, matrix, rhs, dofmap, border_index, ground_index,
+                 flow_index):
         self.matrix = matrix
         self.rhs = rhs
         self.dofmap = dofmap
@@ -238,8 +233,8 @@ class GlobalSystem:
 
     @property
     def flow_size(self):
-        """Number of free velocity and pressure DOFs, or None."""
-        return None if self.flow_index is None else len(self.flow_index) - 1
+        """Number of free velocity and pressure DOFs."""
+        return len(self.flow_index) - 1
 
     @property
     def dim(self):
@@ -432,6 +427,15 @@ def assemble_oseen_step(mesh, params, problem, w_prev=None, dofmap=None):
 REFINE_STEPS = 1
 
 
+def _factor(mat, block):
+    """splu of one diagonal block; a failure raises naming the block."""
+    try:
+        return spla.splu(mat.tocsc())
+    except RuntimeError as err:
+        raise RuntimeError("%s factorization failed (%s); the block is "
+                           "singular or near-singular" % (block, err)) from err
+
+
 def _bordered_inverse(mat, n, q, beta=1.0):
     """Factor a system whose row/column n is dense (the mean constraint).
 
@@ -440,9 +444,8 @@ def _bordered_inverse(mat, n, q, beta=1.0):
     the difference as a rank-3 correction (Woodbury).  Returns a function
     applying the approximate inverse of mat: each call costs two triangular
     solves and one 3x3 product, so solve_sparse can refine against mat
-    without refactoring.  Returns None when the grounded factorization or
-    the 3x3 capacitance matrix is singular; the caller then falls back to a
-    plain factorization.
+    without refactoring.  Raises when the grounded factorization or the 3x3
+    capacitance matrix is singular.
     """
     coo = mat.tocoo()
     keep = (coo.row != n) & (coo.col != n)
@@ -451,11 +454,8 @@ def _bordered_inverse(mat, n, q, beta=1.0):
         (np.concatenate([coo.data[keep], [1.0, beta]]),
          (np.concatenate([coo.row[keep], [n, q]]),
           np.concatenate([coo.col[keep], [n, q]]))),
-        shape=mat.shape).tocsc()
-    try:
-        lu = spla.splu(grounded)
-    except RuntimeError:
-        return None
+        shape=mat.shape)
+    lu = _factor(grounded, "grounded flow block")
     col = np.asarray(mat[:, n].todense()).ravel()
     row = np.asarray(mat[n].todense()).ravel()
     diag = col[n]
@@ -471,8 +471,10 @@ def _bordered_inverse(mat, n, q, beta=1.0):
     Z = lu.solve(U)
     try:
         small_inv = np.linalg.inv(np.eye(3) + W.T @ Z)
-    except np.linalg.LinAlgError:
-        return None
+    except np.linalg.LinAlgError as err:
+        raise RuntimeError("flow block: the 3x3 capacitance matrix of the "
+                           "mean-pressure border is singular (%s)"
+                           % err) from err
 
     def apply(r):
         y = lu.solve(r)
@@ -490,199 +492,52 @@ def _refined(mat, rhs, apply_inverse):
     return x
 
 
-def _block_solve(system):
-    """Solve a block lower triangular step: the temperature block with
-    splu, then the flow block through _bordered_inverse with the buoyancy
-    coupling moved to its right-hand side.  Each block is refined with its
-    own factor.  Returns None when either factorization fails."""
+def solve_sparse(system):
+    """Solve one assembled step block by block, with a residual guarantee.
+
+    The temperature block matrix[f:n, f:n] (f = flow_size, n =
+    border_index) is factored with splu and solved first.  The flow block,
+    rows and columns flow_index, is then solved through _bordered_inverse
+    with the buoyancy columns times the temperature moved to its right-hand
+    side.  Each block is refined REFINE_STEPS times against its own matrix
+    with its own factor, so a call makes exactly two factorizations.
+
+    The 1e-10 residual check is relative to the whole right-hand side and
+    runs against the whole system.matrix; it also catches a temperature row
+    that touches the flow, which the block split would ignore.  On its own
+    it does not bound the divergence rows, whose right side is zero: an
+    unrefined Woodbury solve leaves them at 1e-9..1e-8 on fine cavity
+    meshes, and refinement brings the element divergence and face jumps
+    down to rounding.
+
+    Every failure raises RuntimeError naming the block: a singular
+    temperature or grounded flow factorization, a singular 3x3 capacitance
+    matrix, or a residual (NaN included) above 1e-10, reported with the
+    residual of the temperature rows and of the flow rows.
+    """
     mat, rhs = system.matrix, system.rhs
     flow = system.flow_index
     f, n = system.flow_size, system.border_index
     temp_mat = mat[f:n, f:n]
-    try:
-        temp_lu = spla.splu(temp_mat.tocsc())
-    except RuntimeError:
-        return None
-    x_temp = _refined(temp_mat, rhs[f:n], temp_lu.solve)
+    x_temp = _refined(temp_mat, rhs[f:n],
+                      _factor(temp_mat, "temperature block").solve)
     flow_rows = mat[flow]
     flow_mat = flow_rows[:, flow]
     flow_inverse = _bordered_inverse(flow_mat, f, system.ground_index)
-    if flow_inverse is None:
-        return None
     x = np.empty_like(rhs)
     x[f:n] = x_temp
     x[flow] = _refined(flow_mat, rhs[flow] - flow_rows[:, f:n] @ x_temp,
                        flow_inverse)
+
+    r = mat @ x - rhs
+    resid, bnorm = np.linalg.norm(r), np.linalg.norm(rhs)
+    if not resid <= 1e-10 * max(bnorm, 1.0):     # a NaN residual fails too
+        raise RuntimeError(
+            "block solve residual %.3e exceeds the 1e-10 contract (rhs norm "
+            "%.3e; temperature block rows %.3e, flow block rows %.3e)"
+            % (resid, bnorm, np.linalg.norm(r[f:n]),
+               np.linalg.norm(r[flow])))
     return x
-
-
-def _whole_bordered_solve(system):
-    inverse = _bordered_inverse(system.matrix, system.border_index,
-                                system.ground_index)
-    if inverse is None:
-        return None
-    return _refined(system.matrix, system.rhs, inverse)
-
-
-def solve_sparse(system):
-    """Direct sparse solve with iterative refinement and a residual guarantee.
-
-    Returns the solution of system.matrix @ x = system.rhs; raises with the
-    factorization diagnostic if the matrix is singular, and raises if the
-    relative residual exceeds 1e-10.  A step that records its flow block
-    (GlobalSystem.flow_index) is solved block by block (_block_solve): the
-    temperature block is a small factor, and the flow block's factor has
-    less fill than the whole matrix's.  Other systems carrying a
-    mean-constraint border are factored whole through _bordered_inverse
-    (same answer, much less fill than a plain factorization), and the rest
-    by splu.
-
-    Whatever the factor, the solution is refined REFINE_STEPS times against
-    the matrix it factors, reusing the factor.  The residual check is
-    relative to the whole right-hand side, which the momentum and
-    temperature rows dominate; it does not bound the divergence rows, whose
-    right side is zero, and an unrefined Woodbury solve leaves them at
-    1e-9..1e-8 on fine cavity meshes.  Refinement brings the element
-    divergence and face jumps down to rounding.  The residual check always
-    runs against the whole system.matrix; a block solve that fails it falls
-    back to the whole bordered solve, and that to the plain factorization.
-    """
-    mat, rhs = system.matrix, system.rhs
-    bnorm = np.linalg.norm(rhs)
-    floor = max(bnorm, 1.0)
-    n = getattr(system, "border_index", None)
-    q = getattr(system, "ground_index", None)
-    attempts = []
-    if n is not None and q is not None and n != q:
-        if getattr(system, "flow_index", None) is not None:
-            attempts.append(_block_solve)
-        attempts.append(_whole_bordered_solve)
-    for attempt in attempts:
-        x = attempt(system)
-        if x is not None and np.linalg.norm(mat @ x - rhs) <= 1e-10 * floor:
-            return x
-    try:
-        x = _refined(mat, rhs, spla.splu(mat.tocsc()).solve)
-    except RuntimeError as err:
-        raise RuntimeError("sparse factorization failed (%s); the system is "
-                           "singular or near-singular" % err) from err
-    resid = np.linalg.norm(mat @ x - rhs)
-    if not resid <= 1e-10 * floor:               # a NaN residual fails too
-        raise RuntimeError("direct solve residual %.3e exceeds the 1e-10 "
-                           "contract (rhs norm %.3e)" % (resid, bnorm))
-    return x
-
-
-# ----------------------------------------------------------------------
-# static condensation
-
-
-class CondensedSystem:
-    """Schur complement of a step onto trace DOFs plus the multiplier."""
-
-    def __init__(self, matrix, rhs, retained, recovery, dofmap,
-                 border_index=None, ground_index=None):
-        self.matrix = matrix
-        self.rhs = rhs
-        self.retained = retained          # free-system indices kept
-        self._recovery = recovery         # per element: (ids, lu, A_it, cols)
-        self.dofmap = dofmap
-        self.border_index = border_index
-        self.ground_index = ground_index
-
-    def recover(self, xt):
-        """Full free-DOF solution (plus multiplier) from the trace solution."""
-        n = self.dofmap.n_free + 1
-        x = np.zeros(n)
-        x[self.retained] = xt
-        for ids, inv, a_it, cols, b_i in self._recovery:
-            x[ids] = inv @ (b_i - a_it @ x[cols])
-        return x
-
-
-def condense(system, dofmap):
-    """Eliminate all element-interior DOFs from an assembled step.
-
-    Interiors only couple within their own element, so the Schur complement
-    is exact and elementwise.  Returns a CondensedSystem whose matrix runs
-    over the retained DOFs (traces and the multiplier, in ascending
-    free-index order).
-    """
-    mesh = dofmap.mesh
-    n = dofmap.n_free + 1
-    interior = np.zeros(n, dtype=bool)
-    elem_ids = []
-    for e in range(mesh.n_elems):
-        ids = dofmap.free_index[dofmap.interior_dofs_of_element(e)]
-        if np.any(ids < 0):
-            raise AssertionError("interior DOFs must never be fixed")
-        elem_ids.append(ids)
-        interior[ids] = True
-    retained = np.flatnonzero(~interior)
-    ret_pos = np.full(n, -1, dtype=np.int64)
-    ret_pos[retained] = np.arange(len(retained))
-
-    A = system.matrix.tocsr()
-    rhs_t = system.rhs[retained].copy()
-    S_rows, S_cols, S_vals = [], [], []
-    recovery = []
-    A_csc = system.matrix.tocsc()
-
-    for e, ids in enumerate(elem_ids):
-        block = A[ids]                                 # (ni, n) sparse
-        sub = block.tocoo()
-        col_ids = np.unique(sub.col)
-        own = np.isin(col_ids, ids)
-        ext_cols = col_ids[~own]
-        dense = np.asarray(block[:, col_ids].todense())
-        pos = {int(c): i for i, c in enumerate(col_ids)}
-        Aii = np.zeros((len(ids), len(ids)))
-        for i, c in enumerate(ids):
-            if int(c) in pos:               # absent means structurally zero
-                Aii[:, i] = dense[:, pos[int(c)]]
-        Ait = dense[:, [pos[int(c)] for c in ext_cols]]
-        try:
-            inv = np.linalg.inv(Aii)
-        except np.linalg.LinAlgError:
-            raise ValueError("interior block of element %d is singular; "
-                             "check the element geometry and degrees" % e)
-        gap = np.max(np.abs(Aii @ inv - np.eye(len(ids))))
-        if not np.isfinite(gap) or gap > 1e-6:
-            raise ValueError("interior block of element %d is numerically "
-                             "singular (inverse defect %.2e)" % (e, gap))
-        b_i = system.rhs[ids]
-        X = inv @ Ait                                  # (ni, next)
-        # rows of retained equations that touch this element's interiors
-        Ati = A_csc[:, ids].tocoo()      # columns renumbered to 0..ni-1
-        t_mask = ret_pos[Ati.row] >= 0
-        t_entries = sps.coo_matrix(
-            (Ati.data[t_mask], (ret_pos[Ati.row[t_mask]], Ati.col[t_mask])),
-            shape=(len(retained), len(ids))).tocsr()
-        contrib = t_entries @ X                        # sparse x dense
-        contrib = np.asarray(contrib)
-        nz_rows = np.flatnonzero(np.abs(contrib).sum(axis=1))
-        for r in nz_rows:
-            S_rows.append(np.full(len(ext_cols), r))
-            S_cols.append(ret_pos[ext_cols])
-            S_vals.append(-contrib[r])
-        rhs_t -= np.asarray(t_entries @ (inv @ b_i)).ravel()
-        recovery.append((ids, inv, Ait, ext_cols, b_i))
-
-    S_tt = A[retained][:, retained]
-    if S_rows:
-        S_fill = sps.coo_matrix(
-            (np.concatenate(S_vals),
-             (np.concatenate(S_rows), np.concatenate(S_cols))),
-            shape=S_tt.shape)
-        S = (S_tt + S_fill).tocsr()
-    else:
-        S = S_tt.tocsr()
-    border = int(ret_pos[dofmap.n_free])        # multiplier is never interior
-    p0 = int(dofmap.free_index[dofmap.offset["p_tr"]])
-    ground = int(ret_pos[p0]) if p0 >= 0 else -1
-    return CondensedSystem(S, rhs_t, retained, recovery, dofmap,
-                           border_index=border if border >= 0 else None,
-                           ground_index=ground if ground >= 0 else None)
 
 
 # ----------------------------------------------------------------------

@@ -102,8 +102,7 @@ def _coeffs_of(initial_velocity, dofmap):
 
 
 def oseen_solve(mesh, params, problem, tol=1e-9, max_iter=100,
-                initial_velocity=None, use_condensation=False,
-                relaxation=None):
+                initial_velocity=None, relaxation=None):
     """Iterate linearized steps to a fixed point.
 
     Returns (fields, state); state.converged is False when max_iter ran out
@@ -133,12 +132,8 @@ def oseen_solve(mesh, params, problem, tol=1e-9, max_iter=100,
         t0 = time.perf_counter()
         system = asm.assemble(w)
         try:
-            if use_condensation:
-                cond = linsys.condense(system, dm)
-                x = cond.recover(linsys.solve_sparse(cond))
-            else:
-                x = linsys.solve_sparse(system)
-        except (RuntimeError, ValueError) as err:
+            x = linsys.solve_sparse(system)
+        except RuntimeError as err:
             raise RuntimeError("linear solve failed at iteration %d: %s"
                                % (n, err)) from err
         full, lam = system.expand(x)
@@ -172,7 +167,7 @@ def oseen_solve(mesh, params, problem, tol=1e-9, max_iter=100,
 
 
 def ramp_rayleigh(mesh, params, problem, targets, tol=1e-9, max_iter=100,
-                  use_condensation=False, relaxation=None):
+                  relaxation=None):
     """Solve a sequence of increasing Rayleigh numbers, warm-starting each
     stage from the previous solution.
 
@@ -192,8 +187,7 @@ def ramp_rayleigh(mesh, params, problem, targets, tol=1e-9, max_iter=100,
         stage = problem.with_rayleigh(ra)
         fields, state = oseen_solve(
             mesh, params, stage, tol=tol, max_iter=max_iter,
-            initial_velocity=fields, use_condensation=use_condensation,
-            relaxation=relaxation)
+            initial_velocity=fields, relaxation=relaxation)
         states.append(state)
         if not state.converged:
             raise RuntimeError(

@@ -424,17 +424,4 @@ def test_criterion_7_property_suites():
         if np.max(np.abs(tr - tr2)) > 1e-11:
             failures.append("face projection depends on the quadrature")
 
-    # static condensation agrees with the direct solve
-    prob = problems.manufactured_convection()
-    params = forms.MethodParams.from_variant("wg1", 1)
-    mesh84 = build_structured_mesh(8, 4, prob.domain, prob.fluid_rect)
-    f_direct, _ = solver.oseen_solve(mesh84, params, prob, tol=1e-10)
-    f_cond, _ = solver.oseen_solve(mesh84, params, prob, tol=1e-10,
-                                   use_condensation=True)
-    scale = np.max(np.abs(f_direct.coeffs))
-    diff = np.max(np.abs(f_direct.coeffs - f_cond.coeffs))
-    if diff > 1e-9 * scale:
-        failures.append("condensed solve differs from direct by %.2e "
-                        "(relative)" % (diff / scale))
-
     _report_line("7 (property suites)", failures, time.time() - t0)

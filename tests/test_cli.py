@@ -179,15 +179,3 @@ def test_reruns_are_byte_identical(tmp_path):
                     "-o", out]) == 0
     assert (a / "errors.csv").read_bytes() == (b / "errors.csv").read_bytes()
     assert (a / "fields.vtk").read_bytes() == (b / "fields.vtk").read_bytes()
-
-
-def test_condensed_cli_solve_matches_direct(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert run(["solve", "--problem", "manufactured", "--mesh", "4x2",
-                "-o", a]) == 0
-    assert run(["solve", "--problem", "manufactured", "--mesh", "4x2",
-                "--condense", "-o", b]) == 0
-    ra = (a / "errors.csv").read_text().splitlines()[1].split(",")
-    rb = (b / "errors.csv").read_text().splitlines()[1].split(",")
-    for va, vb in zip(ra[:6], rb[:6]):
-        assert float(va) == pytest.approx(float(vb), rel=1e-8)

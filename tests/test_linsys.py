@@ -1,3 +1,4 @@
+import re
 import types
 
 import numpy as np
@@ -220,24 +221,25 @@ def test_dirichlet_lifting_moves_data_to_rhs():
 # ---------------------------------------------------------------- solving
 
 
-def test_solve_identity():
-    mat = sps.identity(5, format="csr")
-    rhs = np.arange(5.0)
-    system = types.SimpleNamespace(matrix=mat, rhs=rhs)
-    assert np.allclose(linsys.solve_sparse(system), rhs, atol=1e-15)
-
-
-def test_solve_tiny_saddle():
-    mat = sps.csr_matrix(np.array([[1.0, 1.0], [1.0, 0.0]]))
-    system = types.SimpleNamespace(matrix=mat, rhs=np.array([2.0, 1.0]))
-    assert np.allclose(linsys.solve_sparse(system), [1.0, 1.0], atol=1e-14)
-
-
 def test_solve_reports_singular():
-    mat = sps.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
-    system = types.SimpleNamespace(matrix=mat, rhs=np.array([1.0, 1.0]))
-    with pytest.raises(RuntimeError, match="singular"):
-        linsys.solve_sparse(system)
+    # a zero temperature row, a zero velocity row, then a zero multiplier
+    # row, which the grounded flow factor replaces but the 3x3 capacitance
+    # matrix does not: each must fail and the error must name the block
+    prob, mesh, params = manufactured_setup(4, 2)
+    system = linsys.assemble_oseen_step(mesh, params, prob)
+    for row, block in ((system.flow_size, "temperature block"),
+                       (0, "grounded flow block"),
+                       (system.border_index, "flow block: the 3x3")):
+        scale = np.ones(system.dim)
+        scale[row] = 0.0
+        mat = (sps.diags(scale) @ system.matrix).tocsr()
+        mat.eliminate_zeros()
+        broken = linsys.GlobalSystem(mat, system.rhs, system.dofmap,
+                                     system.border_index,
+                                     system.ground_index, system.flow_index)
+        with pytest.raises(RuntimeError, match="singular") as info:
+            linsys.solve_sparse(broken)
+        assert block in str(info.value)
 
 
 def counting_factorizations(monkeypatch):
@@ -298,7 +300,7 @@ def test_block_solve_matches_whole_matrix_solve(monkeypatch, variant,
         <= 1e-10 * np.linalg.norm(x_whole)
 
 
-def test_block_solve_that_misses_the_contract_falls_back(monkeypatch):
+def test_block_solve_that_misses_the_contract_raises(monkeypatch):
     # a temperature row that sees the flow breaks the block triangular
     # split, so the block answer fails the whole-matrix residual check
     prob, mesh, params = manufactured_setup(4, 2)
@@ -311,21 +313,14 @@ def test_block_solve_that_misses_the_contract_falls_back(monkeypatch):
                                  ground_index=system.ground_index,
                                  flow_index=system.flow_index)
     factorizations = counting_factorizations(monkeypatch)
-    x = linsys.solve_sparse(broken)
-    assert factorizations[2:] == [broken.matrix.shape]  # whole, bordered
-    resid = np.linalg.norm(broken.matrix @ x - broken.rhs)
-    assert resid <= 1e-10 * np.linalg.norm(broken.rhs)
-
-
-def test_system_without_flow_block_is_factored_whole(monkeypatch):
-    prob, mesh, params = manufactured_setup(4, 2)
-    system = linsys.assemble_oseen_step(mesh, params, prob)
-    cond = linsys.condense(system, system.dofmap)
-    factorizations = counting_factorizations(monkeypatch)
-    xt = linsys.solve_sparse(cond)
-    assert factorizations == [cond.matrix.shape]
-    resid = np.linalg.norm(cond.matrix @ xt - cond.rhs)
-    assert resid <= 1e-10 * np.linalg.norm(cond.rhs)
+    with pytest.raises(RuntimeError, match="exceeds the 1e-10") as info:
+        linsys.solve_sparse(broken)
+    assert len(factorizations) == 2             # nothing is factored whole
+    found = re.search(r"residual (\S+) .*temperature block rows (\S+), "
+                      r"flow block rows (\S+)\)", str(info.value))
+    resid, temp_resid, flow_resid = map(float, found.groups())
+    limit = 1e-10 * np.linalg.norm(broken.rhs)
+    assert resid > limit and temp_resid > limit and flow_resid <= limit
 
 
 def test_solve_is_deterministic():
@@ -410,62 +405,6 @@ def test_oseen_iterates_approach_exact_fields():
     err = np.sqrt(np.sum(mesh.det_b[fe][:, None] * qr.weights
                          * np.sum((uh - uex) ** 2, axis=-1)))
     assert err <= 8e-4          # second-order accurate at h = sqrt(2)/4
-
-
-# ---------------------------------------------------------- condensation
-
-
-def test_condense_matches_direct_solve():
-    prob, mesh, params = manufactured_setup(8, 4)
-    asm = linsys.StepAssembler(mesh, params, prob)
-    x0 = linsys.solve_sparse(asm.assemble(None))
-    w, _ = asm.assemble(None).expand(x0)
-    system = asm.assemble(w)
-    x_direct = linsys.solve_sparse(system)
-    cond = linsys.condense(system, asm.dofmap)
-    x_cond = cond.recover(linsys.solve_sparse(cond))
-    scale = np.linalg.norm(x_direct)
-    assert np.max(np.abs(x_direct - x_cond)) <= 1e-9 * scale
-
-
-def test_condense_dimension_drops_all_interiors():
-    prob, mesh, params = manufactured_setup(2, 1, degree=2)
-    system = linsys.assemble_oseen_step(mesh, params, prob)
-    dm = system.dofmap
-    n_interior = sum(len(dm.interior_dofs_of_element(e))
-                     for e in range(mesh.n_elems))
-    cond = linsys.condense(system, dm)
-    assert cond.matrix.shape[0] == dm.n_free + 1 - n_interior
-    # fluid element interiors: two velocity components, pressure, temperature
-    nk, nkm1 = params.interior_dim, params.pressure_interior_dim
-    per_fluid = 2 * nk + nkm1 + nk
-    expect = per_fluid * len(mesh.fluid_elems) + nk * len(mesh.solid_elems)
-    assert n_interior == expect
-
-
-def test_condense_zero_forcing_zero_interiors():
-    prob = zero_data_problem()
-    mesh = build_structured_mesh(4, 2, prob.domain, prob.fluid_rect)
-    params = forms.MethodParams.from_variant("wg1", 1)
-    system = linsys.assemble_oseen_step(mesh, params, prob)
-    cond = linsys.condense(system, system.dofmap)
-    assert np.max(np.abs(cond.rhs)) <= 1e-14
-    x = cond.recover(np.zeros(cond.matrix.shape[0]))
-    assert np.max(np.abs(x)) <= 1e-14
-
-
-def test_condense_reports_singular_element():
-    prob, mesh, params = manufactured_setup(4, 2)
-    system = linsys.assemble_oseen_step(mesh, params, prob)
-    dm = system.dofmap
-    ids = dm.free_index[dm.interior_dofs_of_element(3)]
-    lil = system.matrix.tolil()
-    for i in ids:
-        for j in ids:
-            lil[i, j] = 0.0
-    broken = linsys.GlobalSystem(lil.tocsr(), system.rhs, dm)
-    with pytest.raises(ValueError, match="element 3"):
-        linsys.condense(broken, dm)
 
 
 # ------------------------------------------------------------- inf-sup

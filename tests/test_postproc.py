@@ -209,6 +209,27 @@ def test_divergence_diagnostic_of_identity_field():
     assert jump == pytest.approx(0.25, rel=1e-12)
 
 
+def test_divergence_diagnostic_of_interior_face_jumps():
+    # u = (3, 0) on the cells of [1/4, 1/2] x [1/4, 3/4], (1, 0) on those
+    # of [1/2, 3/4] x [1/4, 3/4] and zero elsewhere: elementwise constant,
+    # so div_h = 0, and zero on the boundary.  Normal jumps times face
+    # length h_e = 1/4: |3 - 0| / 4 at x = 1/4, |3 - 1| / 4 at x = 1/2 and
+    # |1 - 0| / 4 at x = 3/4; the worst is 3/4, on interior faces only
+    mesh = build_structured_mesh(4, 4, UNIT, UNIT)
+    params = forms.MethodParams.from_variant("wg1", 1)
+
+    def u(x, y):
+        rows = (y > 0.25) & (y < 0.75)
+        ux = np.where(rows & (x > 0.25) & (x < 0.5), 3.0,
+                      np.where(rows & (x > 0.5) & (x < 0.75), 1.0, 0.0))
+        return np.stack([ux, np.zeros_like(ux)], axis=-1)
+
+    fields = fields_from_callables(mesh, params, u=u)
+    div_h, jump = postproc.divergence_diagnostic(fields)
+    assert div_h <= 1e-13
+    assert jump == pytest.approx(0.75, rel=1e-12)
+
+
 def test_observed_order_values_and_rejections():
     orders = postproc.observed_order([1.0, 0.5, 0.25])
     assert np.allclose(orders, [1.0, 1.0])

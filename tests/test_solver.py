@@ -77,16 +77,6 @@ def test_max_iter_exhaustion_reports_not_converged():
     assert fields is not None
 
 
-def test_condensed_solve_matches_direct():
-    prob, mesh, params = manufactured_setup(8, 4)
-    f_direct, s_direct = solver.oseen_solve(mesh, params, prob, tol=1e-10)
-    f_cond, s_cond = solver.oseen_solve(mesh, params, prob, tol=1e-10,
-                                        use_condensation=True)
-    assert s_direct.iterations == s_cond.iterations
-    scale = np.max(np.abs(f_direct.coeffs))
-    assert np.max(np.abs(f_direct.coeffs - f_cond.coeffs)) < 1e-9 * scale
-
-
 def test_interpolant_warm_start_does_not_iterate_longer():
     prob, mesh, params = manufactured_setup(8, 4)
     dm = linsys.DofMap(mesh, params)
