@@ -30,7 +30,6 @@ import numpy as np
 
 from . import polybasis as pb
 from . import weakops as wo
-from .mesh import FLUID
 
 VARIANTS = {"wg1": "WG-I", "wg2": "WG-II", "wg3": "WG-III",
             "wg-i": "WG-I", "wg-ii": "WG-II", "wg-iii": "WG-III"}
@@ -118,25 +117,7 @@ class MethodParams:
 
 
 # ----------------------------------------------------------------------
-# batched builders (the assembly path)
-
-
-def gradient_matrix(mesh, elems, interior_degree, trace_degree, target_degree):
-    """Weak gradient as one matrix per element, (E, 2*dim_r, ns) over the
-    scalar local layout [interior | face traces]."""
-    elems = np.atleast_1d(np.asarray(elems, dtype=np.int64))
-    M_int, M_face = wo.scalar_gradient_blocks(mesh, elems, interior_degree,
-                                              trace_degree, target_degree)
-    ne = len(elems)
-    dim_r = pb.tri_dim(target_degree)
-    dim_k = pb.tri_dim(interior_degree)
-    nt = trace_degree + 1
-    G = np.zeros((ne, 2 * dim_r, dim_k + 3 * nt))
-    G[:, :, :dim_k] = M_int.reshape(ne, 2 * dim_r, dim_k)
-    for lf in range(3):
-        c0 = dim_k + lf * nt
-        G[:, :, c0:c0 + nt] = M_face[:, lf].reshape(ne, 2 * dim_r, nt)
-    return G
+# local blocks, batched over elements
 
 
 def face_projection_matrix(mesh, elems, interior_degree, trace_degree):
@@ -154,7 +135,7 @@ def scalar_laplacian_blocks(mesh, elems, params):
     """Weak-gradient mass plus h^-1 jump stabilization, (E, ns, ns)."""
     elems = np.atleast_1d(np.asarray(elems, dtype=np.int64))
     k, l, m = params.degree, params.trace_degree, params.grad_degree
-    G = gradient_matrix(mesh, elems, k, l, m)
+    G = wo.gradient_matrix(mesh, elems, k, l, m)
     S = np.einsum("e,eia,eib->eab", mesh.det_b[elems], G, G)
 
     P = face_projection_matrix(mesh, elems, k, l)
@@ -195,7 +176,7 @@ def pressure_blocks(mesh, elems, params):
     weak gradient tested against the component-d interior velocity basis."""
     elems = np.atleast_1d(np.asarray(elems, dtype=np.int64))
     k = params.degree
-    Gq = gradient_matrix(mesh, elems, k - 1, k, k)          # (E, 2*nk, np)
+    Gq = wo.gradient_matrix(mesh, elems, k - 1, k, k)       # (E, 2*nk, np)
     nk = params.interior_dim
     ne = len(elems)
     return (mesh.det_b[elems][:, None, None, None]
@@ -246,65 +227,3 @@ def skew_convection_blocks(mesh, elems, params, w_interior, w_traces):
                          wn[:, lf] * FS[:, lf], FS[:, lf], F[lf])
         B[:, r0:r0 + nt, :nk] = rows
     return 0.5 * (np.swapaxes(B, 1, 2) - B)
-
-
-# ----------------------------------------------------------------------
-# per-element reference interface
-
-
-def _require_fluid(mesh, elem, what):
-    if mesh.elem_subdomain[elem] != FLUID:
-        raise ValueError("%s is only defined on fluid elements; element %d "
-                         "is solid" % (what, elem))
-
-
-def local_viscous(mesh, elem, params, pr):
-    _require_fluid(mesh, elem, "the momentum diffusion block")
-    return viscous_blocks(mesh, [elem], params, pr)[0]
-
-
-def local_conduction(mesh, elem, params, kappa):
-    return conduction_blocks(mesh, [elem], params, kappa)[0]
-
-
-def local_pressure(mesh, elem, params):
-    """Full velocity-rows by pressure-columns block (trace rows are zero)."""
-    _require_fluid(mesh, elem, "the pressure coupling block")
-    blk = pressure_blocks(mesh, [elem], params)[0]         # (2, nk, np)
-    ns = params.scalar_size
-    nk = params.interior_dim
-    out = np.zeros((params.velocity_size, params.pressure_size))
-    out[:nk] = blk[0]
-    out[ns:ns + nk] = blk[1]
-    return out
-
-
-def local_buoyancy(mesh, elem, params, pr, ra):
-    """Velocity-rows by temperature-interior block of Pr Ra (T0 j, v0)."""
-    _require_fluid(mesh, elem, "the buoyancy block")
-    nk = params.interior_dim
-    ns = params.scalar_size
-    out = np.zeros((params.velocity_size, nk))
-    out[ns:ns + nk] = buoyancy_factor(mesh, [elem], pr, ra)[0] * np.eye(nk)
-    return out
-
-
-def local_convection(mesh, elem, params, w_interior, w_traces):
-    """Velocity-velocity skew transport block, (2ns, 2ns)."""
-    _require_fluid(mesh, elem, "the momentum transport block")
-    S = skew_convection_blocks(mesh, [elem], params,
-                               w_interior[None], w_traces[None])
-    return _blockdiag2(S)[0]
-
-
-def local_heat_convection(mesh, elem, params, w_interior, w_traces):
-    """Temperature-temperature skew transport block, (ns, ns).
-
-    On solid elements the advecting field is identically zero, so the block
-    is zero regardless of the supplied coefficients.
-    """
-    if mesh.elem_subdomain[elem] != FLUID:
-        ns = params.scalar_size
-        return np.zeros((ns, ns))
-    return skew_convection_blocks(mesh, [elem], params,
-                                  w_interior[None], w_traces[None])[0]

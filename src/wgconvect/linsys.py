@@ -250,14 +250,6 @@ class GlobalSystem:
         full[dm.free_dofs] = x[:dm.n_free]
         return full, float(x[dm.n_free])
 
-    def dump(self, path):
-        """Coordinate-format text dump (row col value per line)."""
-        coo = self.matrix.tocoo()
-        with open(path, "w") as fh:
-            fh.write("%d %d %d\n" % (coo.shape[0], coo.shape[1], coo.nnz))
-            for r, c, v in zip(coo.row, coo.col, coo.data):
-                fh.write("%d %d %.17g\n" % (r, c, v))
-
 
 class StepAssembler:
     """Assembles Oseen steps, reusing everything that does not depend on the
@@ -436,10 +428,10 @@ def _factor(mat, block):
                            "singular or near-singular" % (block, err)) from err
 
 
-def _bordered_inverse(mat, n, q, beta=1.0):
+def _bordered_inverse(mat, n, q):
     """Factor a system whose row/column n is dense (the mean constraint).
 
-    Clears row/column n, puts 1 at (n, n) and beta at (q, q) to ground the
+    Clears row/column n, puts 1 at (n, n) and 1 at (q, q) to ground the
     constant-pressure mode, factors that sparse matrix once, and restores
     the difference as a rank-3 correction (Woodbury).  Returns a function
     applying the approximate inverse of mat: each call costs two triangular
@@ -451,7 +443,7 @@ def _bordered_inverse(mat, n, q, beta=1.0):
     keep = (coo.row != n) & (coo.col != n)
     size = mat.shape[0]
     grounded = sps.coo_matrix(
-        (np.concatenate([coo.data[keep], [1.0, beta]]),
+        (np.concatenate([coo.data[keep], [1.0, 1.0]]),
          (np.concatenate([coo.row[keep], [n, q]]),
           np.concatenate([coo.col[keep], [n, q]]))),
         shape=mat.shape)
@@ -467,7 +459,7 @@ def _bordered_inverse(mat, n, q, beta=1.0):
     W[n, 0] = 1.0
     W[:, 1] = row
     W[n, 1] -= diag + 1.0
-    W[q, 2] = -beta
+    W[q, 2] = -1.0
     Z = lu.solve(U)
     try:
         small_inv = np.linalg.inv(np.eye(3) + W.T @ Z)
@@ -538,58 +530,3 @@ def solve_sparse(system):
             % (resid, bnorm, np.linalg.norm(r[f:n]),
                np.linalg.norm(r[flow])))
     return x
-
-
-# ----------------------------------------------------------------------
-# saddle-point sanity
-
-
-def pressure_schur_smallest(mesh, params, problem):
-    """Two smallest generalized eigenvalues of the pressure Schur block.
-
-    The block is B A^-1 B^T over free pressure DOFs, measured against the
-    discrete pressure norm (interior L2 plus weak-gradient seminorm).  The
-    smallest eigenvalue is the known constant-pressure null mode (should be
-    ~0); the second is the squared inf-sup constant, which must not collapse
-    under refinement.
-    """
-    dm = apply_nonhomogeneous_dirichlet(DofMap(mesh, params), problem)
-    system = StepAssembler(mesh, params, problem, dm).assemble(None)
-    A = system.matrix.tocsr()
-
-    fe = mesh.fluid_elems
-    u_dofs = np.concatenate([
-        dm.free_index[dm.u_interior(fe).ravel()],
-        dm.free_index[dm.u_trace(mesh.fluid_faces).ravel()]])
-    u_dofs = np.unique(u_dofs[u_dofs >= 0])
-    p_dofs = np.unique(np.concatenate([
-        dm.free_index[dm.p_interior(fe).ravel()],
-        dm.free_index[dm.p_trace(mesh.fluid_faces).ravel()]]))
-
-    Auu = A[u_dofs][:, u_dofs].tocsc()
-    Bpu = A[p_dofs][:, u_dofs].tocsr()
-    lu = spla.splu(Auu)
-    rhsm = np.asarray(Bpu.todense()).T                  # (nu, np)
-    S = Bpu @ lu.solve(rhsm)
-
-    # pressure norm Gram matrix in the same DOF order: interior L2 mass plus
-    # the h-scaled weak-gradient seminorm (the scaling that makes the inf-sup
-    # constant mesh-uniform)
-    k = params.degree
-    ploc = dm.pressure_local(fe)
-    G = forms.gradient_matrix(mesh, fe, k - 1, k, k)
-    wgt = mesh.det_b[fe] * mesh.h_K[fe] ** 2
-    N_el = np.einsum("e,eia,eib->eab", wgt, G, G)
-    nkm1 = params.pressure_interior_dim
-    N_el[:, :nkm1, :nkm1] += mesh.det_b[fe][:, None, None] * np.eye(nkm1)
-    rowsN = np.repeat(ploc[:, :, None], ploc.shape[1], axis=2).ravel()
-    colsN = np.repeat(ploc[:, None, :], ploc.shape[1], axis=1).ravel()
-    Nfull = sps.coo_matrix(
-        (N_el.ravel(), (dm.free_index[rowsN], dm.free_index[colsN])),
-        shape=(dm.n_free, dm.n_free)).tocsr()
-    N = np.asarray(Nfull[p_dofs][:, p_dofs].todense())
-
-    import scipy.linalg as sla
-    vals = sla.eigh((S + S.T) / 2, N, eigvals_only=True,
-                    subset_by_index=[0, 1])
-    return float(vals[0]), float(vals[1])

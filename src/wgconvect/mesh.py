@@ -216,20 +216,6 @@ class Mesh:
         return (np.einsum("eij,qj->eqi", self.B[elems], ref_points)
                 + self.elem_origin[elems][:, None, :])
 
-    def dump(self, path):
-        """Plain-text node/element/face listing for debugging."""
-        with open(path, "w") as fh:
-            fh.write("# vertices %d\n" % self.n_vertices)
-            for i, (x, y) in enumerate(self.vertices):
-                fh.write("v %d %.17g %.17g\n" % (i, x, y))
-            fh.write("# elements %d\n" % self.n_elems)
-            for i, tri in enumerate(self.triangles):
-                fh.write("e %d %d %d %d %d\n"
-                         % (i, tri[0], tri[1], tri[2], self.elem_subdomain[i]))
-            fh.write("# faces %d\n" % self.n_faces)
-            for i, (a, b) in enumerate(self.faces):
-                fh.write("f %d %d %d %d\n" % (i, a, b, self.face_tag[i]))
-
 
 def _grid_index(value, start, step, n, name):
     """Index of `value` on the grid start + i*step, or raise naming the culprit."""

@@ -18,15 +18,6 @@ from numpy.polynomial import legendre as npleg
 from scipy.special import eval_jacobi, roots_jacobi, roots_legendre
 
 
-def tri_monomial_powers(degree):
-    """Exponent pairs (a, b) of x^a y^b with a + b <= degree, by total degree."""
-    powers = []
-    for d in range(degree + 1):
-        for b in range(d + 1):
-            powers.append((d - b, b))
-    return np.array(powers, dtype=np.int64)
-
-
 def tri_dim(degree):
     return (degree + 1) * (degree + 2) // 2
 
@@ -215,14 +206,6 @@ def project_interior(mesh, elems, degree, f, quad_degree):
     return np.einsum("q,eq,qd->ed", quad.weights, vals, phi)
 
 
-def eval_interior(mesh, elems, coeffs, ref_points):
-    """Evaluate interior polynomials at reference points; (E, Q)."""
-    elems = np.atleast_1d(np.asarray(elems, dtype=np.int64))
-    degree = _degree_from_tri_dim(coeffs.shape[-1])
-    phi = scalar_basis(degree, "triangle").eval(ref_points)
-    return np.einsum("ed,qd->eq", coeffs, phi)
-
-
 def project_face(mesh, fids, degree, f, quad_degree):
     """Coefficients of the facewise L2 projection of f onto P_degree(e).
 
@@ -235,167 +218,3 @@ def project_face(mesh, fids, degree, f, quad_degree):
     vals = f(pts[..., 0], pts[..., 1])                   # (F, Q)
     psi = basis.eval(quad.points)                        # (Q, dim)
     return np.einsum("q,fq,qd->fd", quad.weights, vals, psi)
-
-
-def eval_face(mesh, fids, coeffs, t):
-    """Evaluate face polynomials at arc parameters t; (F, Q)."""
-    psi = scalar_basis(coeffs.shape[-1] - 1, "edge").eval(np.asarray(t, dtype=float))
-    return np.einsum("fd,qd->fq", coeffs, psi)
-
-
-def _degree_from_tri_dim(dim):
-    d = int(round((math.sqrt(8 * dim + 1) - 3) / 2))
-    if tri_dim(d) != dim:
-        raise ValueError("coefficient array does not match a triangle basis")
-    return d
-
-
-# ----------------------------------------------------------------------
-# Raviart-Thomas utilities (used to verify the projection/gradient
-# commuting identities, not in the solver itself)
-
-
-class RtBasis:
-    """Monomial basis of RT_j = [P_j]^2 + x Ptilde_j in local coordinates.
-
-    Fields are expressed in centred, h-scaled coordinates xi = (x - c) / h;
-    the spanned space is the same as with raw physical monomials, but the
-    projection system stays well conditioned under mesh refinement.
-    """
-
-    def __init__(self, degree):
-        self.degree = degree
-        self.scalar_powers = tri_monomial_powers(degree)
-        nj = len(self.scalar_powers)
-        self.homog_powers = np.array(
-            [(degree - b, b) for b in range(degree + 1)], dtype=np.int64)
-        self.dim = 2 * nj + len(self.homog_powers)
-        assert self.dim == (degree + 1) * (degree + 3)
-
-    def eval(self, xi):
-        """Field values at local points; (npts, dim, 2)."""
-        xi = np.asarray(xi, dtype=float)
-        q = len(xi)
-        nj = len(self.scalar_powers)
-        mono = (xi[:, 0:1] ** self.scalar_powers[:, 0]
-                * xi[:, 1:2] ** self.scalar_powers[:, 1])        # (q, nj)
-        hom = (xi[:, 0:1] ** self.homog_powers[:, 0]
-               * xi[:, 1:2] ** self.homog_powers[:, 1])          # (q, j+1)
-        out = np.zeros((q, self.dim, 2))
-        out[:, :nj, 0] = mono
-        out[:, nj:2 * nj, 1] = mono
-        out[:, 2 * nj:, 0] = xi[:, 0:1] * hom
-        out[:, 2 * nj:, 1] = xi[:, 1:2] * hom
-        return out
-
-    def div(self, xi):
-        """Divergence with respect to the local coordinates; (npts, dim)."""
-        xi = np.asarray(xi, dtype=float)
-        q = len(xi)
-        nj = len(self.scalar_powers)
-        a = self.scalar_powers[:, 0]
-        b = self.scalar_powers[:, 1]
-        x = xi[:, 0:1]
-        y = xi[:, 1:2]
-        out = np.zeros((q, self.dim))
-        out[:, :nj] = a * x ** np.maximum(a - 1, 0) * y ** b
-        out[:, nj:2 * nj] = b * x ** a * y ** np.maximum(b - 1, 0)
-        hom = (x ** self.homog_powers[:, 0] * y ** self.homog_powers[:, 1])
-        out[:, 2 * nj:] = (self.degree + 2) * hom
-        return out
-
-
-class RtField:
-    """A projected RT field on one element, in local coordinates."""
-
-    def __init__(self, basis, elem, center, scale, coeffs):
-        self.basis = basis
-        self.elem = elem
-        self.center = center
-        self.scale = scale
-        self.coeffs = coeffs
-
-    def _local(self, pts):
-        return (np.asarray(pts, dtype=float) - self.center) / self.scale
-
-    def eval(self, pts):
-        """Values at physical points; (npts, 2)."""
-        vals = self.basis.eval(self._local(pts))
-        return np.einsum("i,qid->qd", self.coeffs, vals)
-
-    def div(self, pts):
-        """Divergence at physical points; (npts,)."""
-        d = self.basis.div(self._local(pts))
-        return np.einsum("i,qi->q", self.coeffs, d) / self.scale
-
-
-def rt_project(mesh, elem, degree, v, quad_degree=None):
-    """Project a vector field into RT_degree on one element.
-
-    The projection matches face-normal moments against P_degree on each of
-    the three faces and, for degree >= 1, interior moments against
-    [P_{degree-1}]^2.  `v` is called as v(x, y) -> (..., 2).
-    """
-    j = degree
-    if quad_degree is None:
-        quad_degree = 2 * j + 4
-    basis = RtBasis(j)
-    center = mesh.vertices[mesh.triangles[elem]].mean(axis=0)
-    scale = mesh.h_K[elem]
-
-    rows = np.zeros((basis.dim, basis.dim))
-    rhs = np.zeros(basis.dim)
-    edge_quad = quad_rule(quad_degree, "edge")
-    edge_basis = scalar_basis(j, "edge")
-    psi = edge_basis.eval(edge_quad.points)                      # (Q, j+1)
-    r = 0
-    for lf in range(3):
-        fid = mesh.elem_faces[elem, lf]
-        pts = mesh.face_points(np.array([fid]), edge_quad.points)[0]  # (Q, 2)
-        n = mesh.elem_face_normal[elem, lf]
-        wvals = basis.eval((pts - center) / scale)               # (Q, dim, 2)
-        wn = wvals @ n                                           # (Q, dim)
-        vn = np.asarray(v(pts[:, 0], pts[:, 1])) @ n             # (Q,)
-        scale_f = mesh.elem_face_len[elem, lf]
-        rows[r:r + j + 1] = scale_f * np.einsum("q,qg,qi->gi",
-                                                edge_quad.weights, psi, wn)
-        rhs[r:r + j + 1] = scale_f * np.einsum("q,qg,q->g",
-                                               edge_quad.weights, psi, vn)
-        r += j + 1
-    if j >= 1:
-        tri_quad = quad_rule(quad_degree, "triangle")
-        chi = scalar_basis(j - 1, "triangle").eval(tri_quad.points)  # (Q, njm1)
-        pts = mesh.map_points(np.array([elem]), tri_quad.points)[0]
-        wvals = basis.eval((pts - center) / scale)
-        vvals = np.asarray(v(pts[:, 0], pts[:, 1]))
-        det = mesh.det_b[elem]
-        for d in range(2):
-            nb = chi.shape[1]
-            rows[r:r + nb] = det * np.einsum("q,qb,qi->bi",
-                                             tri_quad.weights, chi, wvals[:, :, d])
-            rhs[r:r + nb] = det * np.einsum("q,qb,q->b",
-                                            tri_quad.weights, chi, vvals[:, d])
-            r += nb
-    coeffs = np.linalg.solve(rows, rhs)
-    return RtField(basis, elem, center, scale, coeffs)
-
-
-def divergence_moment_check(mesh, elem, degree, v, div_v, quad_degree=None):
-    """Residual of the divergence moment identity of the RT projection.
-
-    For w = rt_project(v), the moments of div(w) against P_degree must equal
-    those of div(v).  Returns the max moment residual divided by the size of
-    the div(v) moments (or 1 if those vanish).
-    """
-    if quad_degree is None:
-        quad_degree = 2 * degree + 6
-    field = rt_project(mesh, elem, degree, v, quad_degree)
-    quad = quad_rule(quad_degree, "triangle")
-    chi = scalar_basis(degree, "triangle").eval(quad.points)
-    pts = mesh.map_points(np.array([elem]), quad.points)[0]
-    det = mesh.det_b[elem]
-    mom_w = det * np.einsum("q,qb,q->b", quad.weights, chi, field.div(pts))
-    mom_v = det * np.einsum("q,qb,q->b", quad.weights, chi,
-                            np.asarray(div_v(pts[:, 0], pts[:, 1])))
-    scale = max(np.abs(mom_v).max(), 1.0)
-    return np.abs(mom_w - mom_v).max() / scale

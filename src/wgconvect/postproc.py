@@ -11,6 +11,7 @@ import scipy.sparse.linalg as spla
 
 from . import forms
 from . import polybasis as pb
+from . import weakops as wo
 from .mesh import OUTER
 
 
@@ -34,23 +35,8 @@ class WgFields:
 
     # -- coefficient views ----------------------------------------------
 
-    def u_interior(self):
-        """(Ef, 2, nk) over mesh.fluid_elems."""
-        return self.coeffs[self.dofmap.u_interior(self.mesh.fluid_elems)]
-
-    def u_traces(self):
-        """(Ff, 2, nt) over mesh.fluid_faces."""
-        return self.coeffs[self.dofmap.u_trace(self.mesh.fluid_faces)]
-
     def p_interior(self):
         return self.coeffs[self.dofmap.p_interior(self.mesh.fluid_elems)]
-
-    def t_interior(self):
-        return self.coeffs[self.dofmap.t_interior(
-            np.arange(self.mesh.n_elems))]
-
-    def t_traces(self):
-        return self.coeffs[self.dofmap.t_trace(np.arange(self.mesh.n_faces))]
 
     # -- pointwise evaluation (elems are raw element ids) ----------------
 
@@ -86,8 +72,8 @@ class WgFields:
     def _weak_gradient_at(self, elems, ref_points, interior, traces):
         """Reconstructed weak gradient of one scalar component, (E, q, 2)."""
         mesh, params = self.mesh, self.params
-        G = forms.gradient_matrix(mesh, elems, params.degree,
-                                  params.trace_degree, params.grad_degree)
+        G = wo.gradient_matrix(mesh, elems, params.degree,
+                               params.trace_degree, params.grad_degree)
         vec = np.concatenate([interior, traces.reshape(len(elems), -1)],
                              axis=1)
         g = np.einsum("eis,es->ei", G, vec).reshape(len(elems), 2, -1)
@@ -163,7 +149,7 @@ def _scalar_triple_sq(mesh, elems, params, interior, traces):
     nk, nt = params.interior_dim, params.trace_dim
     vec = np.concatenate([interior, traces.reshape(len(elems), 3 * nt)],
                          axis=1)
-    G = forms.gradient_matrix(mesh, elems, k, l, m)
+    G = wo.gradient_matrix(mesh, elems, k, l, m)
     g = np.einsum("eis,es->ei", G, vec)
     total = np.einsum("e,ei,ei->", mesh.det_b[elems], g, g)
     P = forms.face_projection_matrix(mesh, elems, k, l)
@@ -231,10 +217,6 @@ class ErrorReport:
         self.h = h
         self.grad_u_rec = grad_u_rec
         self.grad_t_rec = grad_t_rec
-
-    def as_row(self):
-        return [self.h, self.grad_u, self.l2_u, self.l2_p,
-                self.grad_t, self.l2_t, self.div_h]
 
     def __repr__(self):
         return ("ErrorReport(grad_u=%.4e, l2_u=%.4e, l2_p=%.4e, "
@@ -313,16 +295,16 @@ def observed_order(errors):
     return np.log2(errors[:-1] / errors[1:])
 
 
-def divergence_diagnostic(fields, quad_degree=None):
+def divergence_diagnostic(fields):
     """(max_K h_K^-1 ||div u0||_K, max_e integral of |[u0 . n]| per face).
 
     The jump scan covers interior fluid faces (two-sided) and fluid
-    boundary faces, where the trace datum is zero.
+    boundary faces, where the trace datum is zero.  The element term uses
+    the triangle rule of degree 2k+2, which integrates |div u0|^2 (degree
+    2k-2) exactly; the face term uses the edge rule of degree 2k+2.
     """
     mesh, params = fields.mesh, fields.params
-    if quad_degree is None:
-        quad_degree = 2 * params.degree + 2
-    qr = pb.QuadratureRule.triangle(quad_degree)
+    qr = pb.QuadratureRule.triangle(2 * params.degree + 2)
     basis = pb.scalar_basis(params.degree)
     fe = mesh.fluid_elems
     ui = fields.coeffs[fields.dofmap.u_interior(fe)]

@@ -90,7 +90,6 @@ class ExactSolution:
         self._du = [[_lambdify(sp.diff(e[ui], v)) for v in (_X, _Y)]
                     for ui in ("u1", "u2")]
         self._dT = [_lambdify(sp.diff(e["T"], v)) for v in (_X, _Y)]
-        self._dp = [_lambdify(sp.diff(e["p"], v)) for v in (_X, _Y)]
         self._f1 = _lambdify(f1)
         self._f2 = _lambdify(f2)
         self._g_fluid = _lambdify(g_fluid)
@@ -111,9 +110,6 @@ class ExactSolution:
 
     def p(self, x, y):
         return self._p(x, y)
-
-    def grad_p(self, x, y):
-        return np.stack([self._dp[0](x, y), self._dp[1](x, y)], axis=-1)
 
     def T(self, x, y):
         return self._T(x, y)

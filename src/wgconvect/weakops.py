@@ -1,18 +1,18 @@
-"""Discrete weak gradient and weak divergence as local matrices.
+"""Reference tables and the batched discrete weak gradient.
 
 A weak function on an element is a pair (interior polynomial, one trace
 polynomial per face).  Its weak gradient of target degree r is the field in
 [P_r(K)]^2 whose moments against every test field reproduce the
 integration-by-parts formula
 
-    (grad_w v, tau)_K = -(v0, div tau)_K + <vb, tau . n>_{dK},
+    (grad_w v, tau)_K = -(v0, div tau)_K + <vb, tau . n>_{dK}.
 
-and the weak divergence of a vector-valued weak function is defined the same
-way with the roles of scalar/vector swapped.  Because all bases are
-orthonormal pullbacks, both operators reduce to dense matrices built from a
-handful of reference-element tables that only depend on the degrees, not on
-the element: the geometry enters through inv(B)^T, det(B), face lengths,
-outward normals, and the face-orientation flips.
+Because all bases are orthonormal pullbacks, it reduces to one dense matrix
+per element built from a handful of reference-element tables that only
+depend on the degrees, not on the element: the geometry enters through
+inv(B)^T, det(B), face lengths, outward normals, and the face-orientation
+flips.  gradient_matrix builds those matrices for a batch of elements; the
+forms, the norms and the error reports all take the weak gradient from it.
 
 Face-trace coefficients are always taken in the global face orientation
 (from the face's lower-index vertex to the higher one); the orientation flip
@@ -97,22 +97,18 @@ def conv_face_table(interior_degree, trace_degree):
 
 
 # ----------------------------------------------------------------------
-# batched geometry-dependent blocks
+# the batched weak gradient
 
 
-def scalar_gradient_blocks(mesh, elems, interior_degree, trace_degree,
-                           target_degree):
-    """Weak-gradient coefficient maps for a batch of elements.
+def gradient_matrix(mesh, elems, interior_degree, trace_degree,
+                    target_degree):
+    """Weak gradient as one matrix per element, (E, 2*dim_r, ns).
 
-    Returns
-    -------
-    M_int : (E, 2, dim_r, dim_k)
-        Applied to interior coefficients.
-    M_face : (E, 3, 2, dim_r, l+1)
-        Applied to global-orientation trace coefficients of each local face.
-
-    The weak gradient of (v0, vb) has coefficients
-    g[d, a] = sum_b M_int[d, a, b] v0[b] + sum_{lf, g} M_face[lf, d, a, g] vb[lf, g].
+    Columns follow the scalar local layout [interior | face 0 | face 1 |
+    face 2] of length ns = dim_k + 3 (l+1), with traces in the global face
+    orientation; rows are component-major [P_r]^2 coefficients.  The weak
+    gradient of the local vector v has coefficients
+    g[d * dim_r + a] = sum_s G[d * dim_r + a, s] v[s].
     """
     elems = np.atleast_1d(np.asarray(elems, dtype=np.int64))
     D = deriv_table(target_degree, interior_degree)
@@ -124,162 +120,13 @@ def scalar_gradient_blocks(mesh, elems, interior_degree, trace_degree,
                   signs[None, None, :], 1.0)                       # (E, 3, l+1)
     M_face = np.einsum("el,eld,lag,elg->eldag", fac,
                        mesh.elem_face_normal[elems], E, FS)
-    return M_int, M_face
-
-
-class WeakGradientOperator:
-    """Weak gradient on one element as dense coefficient matrices.
-
-    M_int maps interior P_k coefficients to [P_r]^2 coefficients (flattened
-    component-major, length 2*dim_r); M_face[lf] does the same for the trace
-    coefficients of local face lf (global face orientation).
-    """
-
-    def __init__(self, elem, target_degree, M_int, M_face):
-        self.elem = elem
-        self.target_degree = target_degree
-        self.M_int = M_int
-        self.M_face = M_face
-
-    def apply(self, interior, traces):
-        """Gradient coefficients (2, dim_r) of the weak function."""
-        out = self.M_int @ interior
-        for lf in range(3):
-            out = out + self.M_face[lf] @ traces[lf]
-        dim_r = pb.tri_dim(self.target_degree)
-        return out.reshape(2, dim_r)
-
-
-class WeakDivergenceOperator:
-    """Weak divergence of vector weak functions on one element.
-
-    Interior coefficients are component-major (component 0 block then
-    component 1); each face carries a full vector trace, also
-    component-major, in the global face orientation.
-    """
-
-    def __init__(self, elem, target_degree, M_int, M_face):
-        self.elem = elem
-        self.target_degree = target_degree
-        self.M_int = M_int
-        self.M_face = M_face
-
-    def apply(self, interior, traces):
-        """Divergence coefficients (dim_r,) of the vector weak function."""
-        out = self.M_int @ interior
-        for lf in range(3):
-            out = out + self.M_face[lf] @ traces[lf]
-        return out
-
-
-def build_weak_gradient(mesh, elem, interior_degree, trace_degree,
-                        target_degree):
-    M_int, M_face = scalar_gradient_blocks(mesh, [elem], interior_degree,
-                                           trace_degree, target_degree)
-    dim_r = pb.tri_dim(target_degree)
-    dim_k = pb.tri_dim(interior_degree)
-    return WeakGradientOperator(
-        elem, target_degree,
-        M_int[0].reshape(2 * dim_r, dim_k),
-        [M_face[0, lf].reshape(2 * dim_r, trace_degree + 1) for lf in range(3)])
-
-
-def build_weak_divergence(mesh, elem, interior_degree, trace_degree,
-                          target_degree):
-    M_int, M_face = scalar_gradient_blocks(mesh, [elem], interior_degree,
-                                           trace_degree, target_degree)
+    ne = len(elems)
     dim_r = pb.tri_dim(target_degree)
     dim_k = pb.tri_dim(interior_degree)
     nt = trace_degree + 1
-    # div coefficients contract the component-d gradient block with the
-    # component-d input; lay the inputs out component-major
-    Mi = np.empty((dim_r, 2 * dim_k))
-    Mi[:, :dim_k] = M_int[0, 0]
-    Mi[:, dim_k:] = M_int[0, 1]
-    Mf = []
+    G = np.zeros((ne, 2 * dim_r, dim_k + 3 * nt))
+    G[:, :, :dim_k] = M_int.reshape(ne, 2 * dim_r, dim_k)
     for lf in range(3):
-        blk = np.empty((dim_r, 2 * nt))
-        blk[:, :nt] = M_face[0, lf, 0]
-        blk[:, nt:] = M_face[0, lf, 1]
-        Mf.append(blk)
-    return WeakDivergenceOperator(elem, target_degree, Mi, Mf)
-
-
-class OperatorCache:
-    """Memoised per-element weak operators for one mesh."""
-
-    def __init__(self, mesh):
-        self.mesh = mesh
-        self._store = {}
-
-    def gradient(self, elem, interior_degree, trace_degree, target_degree):
-        key = ("grad", elem, interior_degree, trace_degree, target_degree)
-        if key not in self._store:
-            self._store[key] = build_weak_gradient(
-                self.mesh, elem, interior_degree, trace_degree, target_degree)
-        return self._store[key]
-
-    def divergence(self, elem, interior_degree, trace_degree, target_degree):
-        key = ("div", elem, interior_degree, trace_degree, target_degree)
-        if key not in self._store:
-            self._store[key] = build_weak_divergence(
-                self.mesh, elem, interior_degree, trace_degree, target_degree)
-        return self._store[key]
-
-
-# ----------------------------------------------------------------------
-# commuting-diagram verification
-
-
-def commutativity_check(mesh, v, grad_v, interior_degree, trace_degree,
-                        target_degree, kind="vector", quad_degree=None):
-    """Max elementwise residual of the projection/weak-gradient commutation.
-
-    For kind="vector" the interior slot holds the RT projection of v (its
-    moments against P_k, which is all the weak gradient sees) and the trace
-    slot the facewise projection; the weak gradient must reproduce the
-    elementwise projection of grad v onto [P_m]^2 componentwise.  For
-    kind="scalar" the interior slot is the plain elementwise projection.
-
-    v(x, y) -> (..., 2) and grad_v(x, y) -> (..., 2, 2) with
-    grad_v[..., i, d] = d_d v_i for vectors; scalars drop the i axis.
-    """
-    k, l, m = interior_degree, trace_degree, target_degree
-    if quad_degree is None:
-        quad_degree = 2 * k + 6
-    ncomp = 2 if kind == "vector" else 1
-    dim_m = pb.tri_dim(m)
-    worst = 0.0
-    for e in range(mesh.n_elems):
-        op = build_weak_gradient(mesh, e, k, l, m)
-        if kind == "vector":
-            rt = pb.rt_project(mesh, e, k, v, quad_degree)
-        resid2 = 0.0
-        for i in range(ncomp):
-            if kind == "vector":
-                def fi(x, y, _i=i):
-                    pts = np.column_stack([np.ravel(x), np.ravel(y)])
-                    return rt.eval(pts)[:, _i].reshape(np.shape(x))
-
-                def vi(x, y, _i=i):
-                    return np.asarray(v(x, y))[..., _i]
-
-                def gi(x, y, _i=i):
-                    return np.asarray(grad_v(x, y))[..., _i, :]
-            else:
-                fi = vi = v
-
-                def gi(x, y):
-                    return np.asarray(grad_v(x, y))
-            interior = pb.project_interior(mesh, [e], k, fi, quad_degree)[0]
-            traces = [pb.project_face(mesh, [mesh.elem_faces[e, lf]], l, vi,
-                                      quad_degree)[0] for lf in range(3)]
-            got = op.apply(interior, traces)
-            want = np.stack([
-                pb.project_interior(mesh, [e], m,
-                                    lambda x, y, d=d: gi(x, y)[..., d],
-                                    quad_degree)[0]
-                for d in range(2)])
-            resid2 += np.sum((got - want) ** 2)
-        worst = max(worst, np.sqrt(mesh.det_b[e] * resid2))
-    return worst
+        c0 = dim_k + lf * nt
+        G[:, :, c0:c0 + nt] = M_face[:, lf].reshape(ne, 2 * dim_r, nt)
+    return G

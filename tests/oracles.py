@@ -1,0 +1,289 @@
+"""Verification oracles shared by the tests; the solver does not use them.
+
+* Raviart-Thomas projection on one element (RtBasis, RtField, rt_project)
+  and its divergence moment identity;
+* the commuting diagram of the weak gradient with the projections;
+* the inf-sup constant of the pressure Schur block.
+"""
+
+import numpy as np
+import scipy.linalg as sla
+import scipy.sparse as sps
+import scipy.sparse.linalg as spla
+
+from wgconvect import linsys
+from wgconvect import polybasis as pb
+from wgconvect import weakops as wo
+
+
+def tri_monomial_powers(degree):
+    """Exponent pairs (a, b) of x^a y^b with a + b <= degree, by total degree."""
+    powers = []
+    for d in range(degree + 1):
+        for b in range(d + 1):
+            powers.append((d - b, b))
+    return np.array(powers, dtype=np.int64)
+
+
+# ----------------------------------------------------------------------
+# Raviart-Thomas utilities
+
+
+class RtBasis:
+    """Monomial basis of RT_j = [P_j]^2 + x Ptilde_j in local coordinates.
+
+    Fields are expressed in centred, h-scaled coordinates xi = (x - c) / h;
+    the spanned space is the same as with raw physical monomials, but the
+    projection system stays well conditioned under mesh refinement.
+    """
+
+    def __init__(self, degree):
+        self.degree = degree
+        self.scalar_powers = tri_monomial_powers(degree)
+        nj = len(self.scalar_powers)
+        self.homog_powers = np.array(
+            [(degree - b, b) for b in range(degree + 1)], dtype=np.int64)
+        self.dim = 2 * nj + len(self.homog_powers)
+        assert self.dim == (degree + 1) * (degree + 3)
+
+    def eval(self, xi):
+        """Field values at local points; (npts, dim, 2)."""
+        xi = np.asarray(xi, dtype=float)
+        q = len(xi)
+        nj = len(self.scalar_powers)
+        mono = (xi[:, 0:1] ** self.scalar_powers[:, 0]
+                * xi[:, 1:2] ** self.scalar_powers[:, 1])        # (q, nj)
+        hom = (xi[:, 0:1] ** self.homog_powers[:, 0]
+               * xi[:, 1:2] ** self.homog_powers[:, 1])          # (q, j+1)
+        out = np.zeros((q, self.dim, 2))
+        out[:, :nj, 0] = mono
+        out[:, nj:2 * nj, 1] = mono
+        out[:, 2 * nj:, 0] = xi[:, 0:1] * hom
+        out[:, 2 * nj:, 1] = xi[:, 1:2] * hom
+        return out
+
+    def div(self, xi):
+        """Divergence with respect to the local coordinates; (npts, dim)."""
+        xi = np.asarray(xi, dtype=float)
+        q = len(xi)
+        nj = len(self.scalar_powers)
+        a = self.scalar_powers[:, 0]
+        b = self.scalar_powers[:, 1]
+        x = xi[:, 0:1]
+        y = xi[:, 1:2]
+        out = np.zeros((q, self.dim))
+        out[:, :nj] = a * x ** np.maximum(a - 1, 0) * y ** b
+        out[:, nj:2 * nj] = b * x ** a * y ** np.maximum(b - 1, 0)
+        hom = (x ** self.homog_powers[:, 0] * y ** self.homog_powers[:, 1])
+        out[:, 2 * nj:] = (self.degree + 2) * hom
+        return out
+
+
+class RtField:
+    """A projected RT field on one element, in local coordinates."""
+
+    def __init__(self, basis, elem, center, scale, coeffs):
+        self.basis = basis
+        self.elem = elem
+        self.center = center
+        self.scale = scale
+        self.coeffs = coeffs
+
+    def _local(self, pts):
+        return (np.asarray(pts, dtype=float) - self.center) / self.scale
+
+    def eval(self, pts):
+        """Values at physical points; (npts, 2)."""
+        vals = self.basis.eval(self._local(pts))
+        return np.einsum("i,qid->qd", self.coeffs, vals)
+
+    def div(self, pts):
+        """Divergence at physical points; (npts,)."""
+        d = self.basis.div(self._local(pts))
+        return np.einsum("i,qi->q", self.coeffs, d) / self.scale
+
+
+def rt_project(mesh, elem, degree, v, quad_degree=None):
+    """Project a vector field into RT_degree on one element.
+
+    The projection matches face-normal moments against P_degree on each of
+    the three faces and, for degree >= 1, interior moments against
+    [P_{degree-1}]^2.  `v` is called as v(x, y) -> (..., 2).
+    """
+    j = degree
+    if quad_degree is None:
+        quad_degree = 2 * j + 4
+    basis = RtBasis(j)
+    center = mesh.vertices[mesh.triangles[elem]].mean(axis=0)
+    scale = mesh.h_K[elem]
+
+    rows = np.zeros((basis.dim, basis.dim))
+    rhs = np.zeros(basis.dim)
+    edge_quad = pb.quad_rule(quad_degree, "edge")
+    edge_basis = pb.scalar_basis(j, "edge")
+    psi = edge_basis.eval(edge_quad.points)                      # (Q, j+1)
+    r = 0
+    for lf in range(3):
+        fid = mesh.elem_faces[elem, lf]
+        pts = mesh.face_points(np.array([fid]), edge_quad.points)[0]  # (Q, 2)
+        n = mesh.elem_face_normal[elem, lf]
+        wvals = basis.eval((pts - center) / scale)               # (Q, dim, 2)
+        wn = wvals @ n                                           # (Q, dim)
+        vn = np.asarray(v(pts[:, 0], pts[:, 1])) @ n             # (Q,)
+        scale_f = mesh.elem_face_len[elem, lf]
+        rows[r:r + j + 1] = scale_f * np.einsum("q,qg,qi->gi",
+                                                edge_quad.weights, psi, wn)
+        rhs[r:r + j + 1] = scale_f * np.einsum("q,qg,q->g",
+                                               edge_quad.weights, psi, vn)
+        r += j + 1
+    if j >= 1:
+        tri_quad = pb.quad_rule(quad_degree, "triangle")
+        chi = pb.scalar_basis(j - 1, "triangle").eval(tri_quad.points)
+        pts = mesh.map_points(np.array([elem]), tri_quad.points)[0]
+        wvals = basis.eval((pts - center) / scale)
+        vvals = np.asarray(v(pts[:, 0], pts[:, 1]))
+        det = mesh.det_b[elem]
+        for d in range(2):
+            nb = chi.shape[1]
+            rows[r:r + nb] = det * np.einsum("q,qb,qi->bi",
+                                             tri_quad.weights, chi, wvals[:, :, d])
+            rhs[r:r + nb] = det * np.einsum("q,qb,q->b",
+                                            tri_quad.weights, chi, vvals[:, d])
+            r += nb
+    coeffs = np.linalg.solve(rows, rhs)
+    return RtField(basis, elem, center, scale, coeffs)
+
+
+def divergence_moment_check(mesh, elem, degree, v, div_v, quad_degree=None):
+    """Residual of the divergence moment identity of the RT projection.
+
+    For w = rt_project(v), the moments of div(w) against P_degree must equal
+    those of div(v).  Returns the max moment residual divided by the size of
+    the div(v) moments (or 1 if those vanish).
+    """
+    if quad_degree is None:
+        quad_degree = 2 * degree + 6
+    field = rt_project(mesh, elem, degree, v, quad_degree)
+    quad = pb.quad_rule(quad_degree, "triangle")
+    chi = pb.scalar_basis(degree, "triangle").eval(quad.points)
+    pts = mesh.map_points(np.array([elem]), quad.points)[0]
+    det = mesh.det_b[elem]
+    mom_w = det * np.einsum("q,qb,q->b", quad.weights, chi, field.div(pts))
+    mom_v = det * np.einsum("q,qb,q->b", quad.weights, chi,
+                            np.asarray(div_v(pts[:, 0], pts[:, 1])))
+    scale = max(np.abs(mom_v).max(), 1.0)
+    return np.abs(mom_w - mom_v).max() / scale
+
+
+# ----------------------------------------------------------------------
+# commuting-diagram verification
+
+
+def commutativity_check(mesh, v, grad_v, interior_degree, trace_degree,
+                        target_degree, kind="vector", quad_degree=None):
+    """Max elementwise residual of the projection/weak-gradient commutation.
+
+    For kind="vector" the interior slot holds the RT projection of v (its
+    moments against P_k, which is all the weak gradient sees) and the trace
+    slot the facewise projection; the weak gradient must reproduce the
+    elementwise projection of grad v onto [P_m]^2 componentwise.  For
+    kind="scalar" the interior slot is the plain elementwise projection.
+
+    v(x, y) -> (..., 2) and grad_v(x, y) -> (..., 2, 2) with
+    grad_v[..., i, d] = d_d v_i for vectors; scalars drop the i axis.
+    """
+    k, l, m = interior_degree, trace_degree, target_degree
+    if quad_degree is None:
+        quad_degree = 2 * k + 6
+    ncomp = 2 if kind == "vector" else 1
+    dim_m = pb.tri_dim(m)
+    G = wo.gradient_matrix(mesh, np.arange(mesh.n_elems), k, l, m)
+    worst = 0.0
+    for e in range(mesh.n_elems):
+        if kind == "vector":
+            rt = rt_project(mesh, e, k, v, quad_degree)
+        resid2 = 0.0
+        for i in range(ncomp):
+            if kind == "vector":
+                def fi(x, y, _i=i):
+                    pts = np.column_stack([np.ravel(x), np.ravel(y)])
+                    return rt.eval(pts)[:, _i].reshape(np.shape(x))
+
+                def vi(x, y, _i=i):
+                    return np.asarray(v(x, y))[..., _i]
+
+                def gi(x, y, _i=i):
+                    return np.asarray(grad_v(x, y))[..., _i, :]
+            else:
+                fi = vi = v
+
+                def gi(x, y):
+                    return np.asarray(grad_v(x, y))
+            interior = pb.project_interior(mesh, [e], k, fi, quad_degree)[0]
+            traces = [pb.project_face(mesh, [mesh.elem_faces[e, lf]], l, vi,
+                                      quad_degree)[0] for lf in range(3)]
+            got = G[e] @ np.concatenate([interior, *traces])
+            got = got.reshape(2, dim_m)
+            want = np.stack([
+                pb.project_interior(mesh, [e], m,
+                                    lambda x, y, d=d: gi(x, y)[..., d],
+                                    quad_degree)[0]
+                for d in range(2)])
+            resid2 += np.sum((got - want) ** 2)
+        worst = max(worst, np.sqrt(mesh.det_b[e] * resid2))
+    return worst
+
+
+# ----------------------------------------------------------------------
+# saddle-point sanity
+
+
+def pressure_schur_smallest(mesh, params, problem):
+    """Two smallest generalized eigenvalues of the pressure Schur block.
+
+    The block is B A^-1 B^T over free pressure DOFs, measured against the
+    discrete pressure norm (interior L2 plus weak-gradient seminorm).  The
+    smallest eigenvalue is the known constant-pressure null mode (should be
+    ~0); the second is the squared inf-sup constant, which must not collapse
+    under refinement.
+    """
+    dm = linsys.apply_nonhomogeneous_dirichlet(linsys.DofMap(mesh, params),
+                                               problem)
+    system = linsys.StepAssembler(mesh, params, problem, dm).assemble(None)
+    A = system.matrix.tocsr()
+
+    fe = mesh.fluid_elems
+    u_dofs = np.concatenate([
+        dm.free_index[dm.u_interior(fe).ravel()],
+        dm.free_index[dm.u_trace(mesh.fluid_faces).ravel()]])
+    u_dofs = np.unique(u_dofs[u_dofs >= 0])
+    p_dofs = np.unique(np.concatenate([
+        dm.free_index[dm.p_interior(fe).ravel()],
+        dm.free_index[dm.p_trace(mesh.fluid_faces).ravel()]]))
+
+    Auu = A[u_dofs][:, u_dofs].tocsc()
+    Bpu = A[p_dofs][:, u_dofs].tocsr()
+    lu = spla.splu(Auu)
+    rhsm = np.asarray(Bpu.todense()).T                  # (nu, np)
+    S = Bpu @ lu.solve(rhsm)
+
+    # pressure norm Gram matrix in the same DOF order: interior L2 mass plus
+    # the h-scaled weak-gradient seminorm (the scaling that makes the inf-sup
+    # constant mesh-uniform)
+    k = params.degree
+    ploc = dm.pressure_local(fe)
+    G = wo.gradient_matrix(mesh, fe, k - 1, k, k)
+    wgt = mesh.det_b[fe] * mesh.h_K[fe] ** 2
+    N_el = np.einsum("e,eia,eib->eab", wgt, G, G)
+    nkm1 = params.pressure_interior_dim
+    N_el[:, :nkm1, :nkm1] += mesh.det_b[fe][:, None, None] * np.eye(nkm1)
+    rowsN = np.repeat(ploc[:, :, None], ploc.shape[1], axis=2).ravel()
+    colsN = np.repeat(ploc[:, None, :], ploc.shape[1], axis=1).ravel()
+    Nfull = sps.coo_matrix(
+        (N_el.ravel(), (dm.free_index[rowsN], dm.free_index[colsN])),
+        shape=(dm.n_free, dm.n_free)).tocsr()
+    N = np.asarray(Nfull[p_dofs][:, p_dofs].todense())
+
+    vals = sla.eigh((S + S.T) / 2, N, eigvals_only=True,
+                    subset_by_index=[0, 1])
+    return float(vals[0]), float(vals[1])

@@ -18,8 +18,7 @@ def scalar_triple_norm_sq(mesh, elem, params, vec):
     nk, nt = params.interior_dim, params.trace_dim
     interior = vec[:nk]
     traces = [vec[nk + lf * nt: nk + (lf + 1) * nt] for lf in range(3)]
-    op = wo.build_weak_gradient(mesh, elem, k, l, m)
-    g = op.apply(interior, traces)
+    g = wo.gradient_matrix(mesh, [elem], k, l, m)[0] @ vec
     total = mesh.det_b[elem] * np.sum(g ** 2)
     P = forms.face_projection_matrix(mesh, [elem], k, l)[0]
     for lf in range(3):
@@ -27,6 +26,44 @@ def scalar_triple_norm_sq(mesh, elem, params, vec):
         total += (mesh.elem_face_len[elem, lf] / mesh.h_K[elem]
                   * np.sum(jump ** 2))
     return total
+
+
+def transport(mesh, elem, params, w0, wb):
+    """Scalar skew transport block (ns, ns) of one element."""
+    return forms.skew_convection_blocks(mesh, [elem], params,
+                                        w0[None], wb[None])[0]
+
+
+def velocity_transport(mesh, elem, params, w0, wb):
+    """Velocity-velocity transport block (2ns, 2ns): the scalar block on
+    each component."""
+    S = transport(mesh, elem, params, w0, wb)
+    ns = params.scalar_size
+    out = np.zeros((2 * ns, 2 * ns))
+    out[:ns, :ns] = S
+    out[ns:, ns:] = S
+    return out
+
+
+def full_pressure_block(mesh, elem, params):
+    """Velocity-rows by pressure-columns block (trace rows are zero)."""
+    blk = forms.pressure_blocks(mesh, [elem], params)[0]   # (2, nk, np)
+    ns = params.scalar_size
+    nk = params.interior_dim
+    out = np.zeros((params.velocity_size, params.pressure_size))
+    out[:nk] = blk[0]
+    out[ns:ns + nk] = blk[1]
+    return out
+
+
+def full_buoyancy_block(mesh, elem, params, pr, ra):
+    """Velocity-rows by temperature-interior block of Pr Ra (T0 j, v0)."""
+    nk = params.interior_dim
+    ns = params.scalar_size
+    out = np.zeros((params.velocity_size, nk))
+    out[ns:ns + nk] = (forms.buoyancy_factor(mesh, [elem], pr, ra)[0]
+                       * np.eye(nk))
+    return out
 
 
 def interior_coeffs(mesh, elem, degree, f):
@@ -74,24 +111,10 @@ def test_method_params_rejections():
 # viscous / conduction
 
 
-def test_viscous_rejects_solid_element():
-    mesh = build_structured_mesh(4, 2, TWO_BY_ONE, UNIT)
-    params = forms.MethodParams(1)
-    solid = mesh.solid_elems[0]
-    with pytest.raises(ValueError, match="solid"):
-        forms.local_viscous(mesh, solid, params, 1.0)
-    with pytest.raises(ValueError, match="solid"):
-        forms.local_pressure(mesh, solid, params)
-    with pytest.raises(ValueError, match="solid"):
-        forms.local_buoyancy(mesh, solid, params, 1.0, 1.0)
-    # conduction is fine on solid elements
-    forms.local_conduction(mesh, solid, params, 1.0)
-
-
 def test_viscous_zero_at_zero():
     mesh = build_structured_mesh(2, 2, UNIT, UNIT)
     params = forms.MethodParams(1)
-    A = forms.local_viscous(mesh, 0, params, 0.71)
+    A = forms.viscous_blocks(mesh, [0], params, 0.71)[0]
     v = np.zeros(params.velocity_size)
     assert v @ A @ v == 0.0
 
@@ -106,7 +129,7 @@ def test_viscous_coercivity_identity_random():
             ns = params.scalar_size
             for _ in range(25):
                 elem = int(rng.integers(mesh.n_elems))
-                A = forms.local_viscous(mesh, elem, params, pr)
+                A = forms.viscous_blocks(mesh, [elem], params, pr)[0]
                 v = rng.normal(size=2 * ns)
                 norm2 = (scalar_triple_norm_sq(mesh, elem, params, v[:ns])
                          + scalar_triple_norm_sq(mesh, elem, params, v[ns:]))
@@ -120,7 +143,7 @@ def test_conduction_coercivity_identity_random():
     params = forms.MethodParams.from_variant("wg3", 2)
     for _ in range(25):
         elem = int(rng.integers(mesh.n_elems))   # solid ones included
-        A = forms.local_conduction(mesh, elem, params, kappa)
+        A = forms.conduction_blocks(mesh, [elem], params, kappa)[0]
         s = rng.normal(size=params.scalar_size)
         assert s @ A @ s == pytest.approx(
             kappa * scalar_triple_norm_sq(mesh, elem, params, s), rel=1e-10)
@@ -136,7 +159,7 @@ def test_viscous_linear_shear_oracle():
         vec = np.zeros(params.velocity_size)
         vec[:params.scalar_size] = matching_scalar_vec(mesh, elem, params,
                                                        lambda x, y: x)
-        A = forms.local_viscous(mesh, elem, params, pr)
+        A = forms.viscous_blocks(mesh, [elem], params, pr)[0]
         assert vec @ A @ vec == pytest.approx(pr * mesh.area[elem], rel=1e-12)
 
 
@@ -153,11 +176,11 @@ def test_stabilization_vanishes_for_matching_traces():
         vec[:nk] = coeffs
         for lf in range(3):
             vec[nk + lf * nt: nk + (lf + 1) * nt] = P[lf] @ coeffs
-        A = forms.local_conduction(mesh, elem, params, 1.0)
+        A = forms.conduction_blocks(mesh, [elem], params, 1.0)[0]
         # total energy must equal the weak-gradient part alone
-        op = wo.build_weak_gradient(mesh, elem, k, params.trace_degree,
-                                    params.grad_degree)
-        g = op.apply(coeffs, [P[lf] @ coeffs for lf in range(3)])
+        G = wo.gradient_matrix(mesh, [elem], k, params.trace_degree,
+                               params.grad_degree)[0]
+        g = G @ vec
         grad_part = mesh.det_b[elem] * np.sum(g ** 2)
         assert vec @ A @ vec == pytest.approx(grad_part, abs=1e-12, rel=1e-12)
 
@@ -181,7 +204,7 @@ def test_parameter_scaling_is_exact():
 def test_pressure_block_kills_constants():
     mesh = build_structured_mesh(2, 2, UNIT, UNIT)
     params = forms.MethodParams(2)
-    B = forms.local_pressure(mesh, 1, params)
+    B = full_pressure_block(mesh, 1, params)
     q = np.zeros(params.pressure_size)
     q[0] = 3.0 / np.sqrt(2.0)                     # interior constant 3
     npd = params.pressure_trace_dim
@@ -195,7 +218,7 @@ def test_pressure_single_face_trace_oracle():
     mesh = build_structured_mesh(1, 1, UNIT, UNIT)
     params = forms.MethodParams(1)
     elem = 0
-    B = forms.local_pressure(mesh, elem, params)
+    B = full_pressure_block(mesh, elem, params)
     c = np.array([0.7, -1.2])
     v = np.zeros(params.velocity_size)
     v[0] = c[0] / np.sqrt(2.0)
@@ -225,7 +248,7 @@ def test_pressure_block_commutes_with_projection():
             i0 = params.pressure_interior_dim + lf * npd
             q[i0:i0 + npd] = pb.project_face(mesh, [fid], k, p, 2 * k + 4)[0]
         v = rng.normal(size=params.velocity_size)
-        B = forms.local_pressure(mesh, elem, params)
+        B = full_pressure_block(mesh, elem, params)
 
         quad = pb.quad_rule(2 * k + 4, "triangle")
         phi = pb.scalar_basis(k, "triangle").eval(quad.points)
@@ -248,7 +271,7 @@ def test_buoyancy_constant_oracle():
     params = forms.MethodParams(1)
     pr, ra = 1.0, 10.0
     elem = 2
-    D = forms.local_buoyancy(mesh, elem, params, pr, ra)
+    D = full_buoyancy_block(mesh, elem, params, pr, ra)
     T = np.zeros(params.interior_dim)
     T[0] = 1.0 / np.sqrt(2.0)                      # T0 = 1
     v = np.zeros(params.velocity_size)
@@ -267,7 +290,7 @@ def test_buoyancy_monomial_oracle():
     T = interior_coeffs(mesh, elem, 1, lambda x, y: y)
     v = np.zeros(params.velocity_size)
     v[params.scalar_size:params.scalar_size + params.interior_dim] = T
-    D = forms.local_buoyancy(mesh, elem, params, pr, ra)
+    D = full_buoyancy_block(mesh, elem, params, pr, ra)
     assert v @ D @ T == pytest.approx(pr * ra / 12.0, rel=1e-13)
 
 
@@ -285,7 +308,7 @@ def test_convection_zero_advecting_field():
     params = forms.MethodParams(1)
     w0 = np.zeros((2, params.interior_dim))
     wb = np.zeros((3, 2, params.trace_dim))
-    C = forms.local_convection(mesh, 0, params, w0, wb)
+    C = velocity_transport(mesh, 0, params, w0, wb)
     assert np.abs(C).max() == 0.0
 
 
@@ -297,12 +320,12 @@ def test_convection_skew_symmetry():
         for _ in range(50):
             elem = int(rng.integers(mesh.n_elems))
             w0, wb = _random_w(params, rng)
-            C = forms.local_convection(mesh, elem, params, w0, wb)
+            C = velocity_transport(mesh, elem, params, w0, wb)
             assert np.abs(C + C.T).max() < 1e-14 * max(1, np.abs(C).max())
             v = rng.normal(size=params.velocity_size)
             assert abs(v @ C @ v) < 1e-11 * max(1.0, np.abs(C).max()
                                                 * np.sum(v ** 2))
-            Cb = forms.local_heat_convection(mesh, elem, params, w0, wb)
+            Cb = transport(mesh, elem, params, w0, wb)
             s = rng.normal(size=params.scalar_size)
             assert abs(s @ Cb @ s) < 1e-11 * max(1.0, np.abs(Cb).max()
                                                  * np.sum(s ** 2))
@@ -329,18 +352,8 @@ def test_convection_hand_oracle():
     u[:nk] = interior_coeffs(mesh, elem, 1, lambda x, y: x)
     v = np.zeros(params.velocity_size)
     v[:nk] = interior_coeffs(mesh, elem, 1, lambda x, y: y)
-    C = forms.local_convection(mesh, elem, params, w0, wb)
+    C = velocity_transport(mesh, elem, params, w0, wb)
     assert v @ C @ u == pytest.approx(1.0 / 12.0, rel=1e-12)
-
-
-def test_heat_convection_zero_on_solid():
-    mesh = build_structured_mesh(4, 2, TWO_BY_ONE, UNIT)
-    params = forms.MethodParams(1)
-    rng = np.random.default_rng(3)
-    w0, wb = _random_w(params, rng)
-    solid = mesh.solid_elems[0]
-    Cb = forms.local_heat_convection(mesh, solid, params, w0, wb)
-    assert np.abs(Cb).max() == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -388,14 +401,14 @@ def test_global_momentum_coercivity_identity():
                         {int(e): interiors[int(e)][::-1].copy()}, traces)
                     vecs.append(np.concatenate([a, b]))
                 wloc, vloc = vecs
-                A = forms.local_viscous(mesh, e, params, pr)
+                A = forms.viscous_blocks(mesh, [e], params, pr)[0]
                 w0 = wloc.reshape(2, params.scalar_size)[:, :params.interior_dim]
                 wb = np.stack([
                     wloc.reshape(2, params.scalar_size)[
                         :, params.interior_dim + lf * params.trace_dim:
                         params.interior_dim + (lf + 1) * params.trace_dim]
                     for lf in range(3)])
-                C = forms.local_convection(mesh, e, params, w0, wb)
+                C = velocity_transport(mesh, e, params, w0, wb)
                 total += vloc @ (A + C) @ vloc
                 ns = params.scalar_size
                 norm2 += (scalar_triple_norm_sq(mesh, e, params, vloc[:ns])
@@ -418,14 +431,14 @@ def test_global_heat_coercivity_identity():
         norm2 = 0.0
         for e in all_elems:
             svec = _local_scalar_vec(mesh, params, e, si, st)
-            A = forms.local_conduction(mesh, e, params, kappa)
+            A = forms.conduction_blocks(mesh, [e], params, kappa)[0]
             if mesh.elem_subdomain[e] == msh.FLUID:
                 w0 = np.stack([wi[int(e)], 2.0 * wi[int(e)]])
                 wb = rng.normal(size=(3, 2, params.trace_dim))
             else:
                 w0 = np.zeros((2, params.interior_dim))
                 wb = np.zeros((3, 2, params.trace_dim))
-            C = forms.local_heat_convection(mesh, e, params, w0, wb)
+            C = transport(mesh, e, params, w0, wb)
             total += svec @ (A + C) @ svec
             norm2 += scalar_triple_norm_sq(mesh, e, params, svec)
         assert total == pytest.approx(kappa * norm2, rel=1e-10)

@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
+import oracles
 from wgconvect import forms
 from wgconvect import linsys
 from wgconvect import polybasis as pb
@@ -163,6 +164,30 @@ def test_heat_rows_do_not_touch_flow_unknowns():
     u_rows = dm.free_index[dm.u_interior(mesh.fluid_elems)[:, 1, :].ravel()]
     t_cols = dm.free_index[dm.t_interior(mesh.fluid_elems).ravel()]
     assert system.matrix[u_rows][:, t_cols].nnz > 0
+
+
+def test_convection_never_reaches_the_solid():
+    # the advecting velocity lives on the fluid only: temperature DOFs that
+    # belong to solid elements alone (solid interiors, faces with no fluid
+    # neighbour) see no convection, in their rows or their columns
+    prob, mesh, params = manufactured_setup(4, 2)
+    asm = linsys.StepAssembler(mesh, params, prob)
+    dm = asm.dofmap
+    w = np.random.default_rng(5).normal(size=dm.n_dofs)
+    vel_fixed = dm.fixed_mask.copy()
+    vel_fixed[dm.offset["p_int"]:] = False
+    w[vel_fixed] = 0.0
+    diff = abs(asm.assemble(w).matrix - asm.assemble(None).matrix).tocsr()
+    solid_only = dm.free_index[np.concatenate([
+        dm.t_interior(mesh.solid_elems).ravel(),
+        dm.t_trace(np.flatnonzero(~mesh.fluid_face_mask)).ravel()])]
+    solid_only = solid_only[solid_only >= 0]
+    assert len(solid_only) > 0
+    assert diff[solid_only].max() == 0.0
+    assert diff[:, solid_only].max() == 0.0
+    # while the fluid temperature rows do carry the transport
+    t_fluid = dm.free_index[dm.t_interior(mesh.fluid_elems).ravel()]
+    assert diff[t_fluid].max() > 0.0
 
 
 def test_multiplier_row_is_fluid_mean():
@@ -416,30 +441,8 @@ def test_pressure_schur_uniform_under_refinement():
     vals = []
     for nx, ny in ((8, 4), (16, 8)):
         mesh = build_structured_mesh(nx, ny, prob.domain, prob.fluid_rect)
-        null, beta_sq = linsys.pressure_schur_smallest(mesh, params, prob)
+        null, beta_sq = oracles.pressure_schur_smallest(mesh, params, prob)
         assert abs(null) <= 1e-12 * beta_sq
         vals.append(beta_sq)
         print("inf-sup^2 on %dx%d fluid mesh: %.5f" % (nx, ny, beta_sq))
     assert vals[1] >= 0.5 * vals[0]
-
-
-# ------------------------------------------------------------------ dump
-
-
-def test_matrix_dump_roundtrip(tmp_path):
-    prob, mesh, params = manufactured_setup(4, 2)
-    system = linsys.assemble_oseen_step(mesh, params, prob)
-    path = tmp_path / "step.mtx"
-    system.dump(path)
-    rows, cols, vals = [], [], []
-    with open(path) as fh:
-        n_r, n_c, nnz = map(int, fh.readline().split())
-        for line in fh:
-            r, c, v = line.split()
-            rows.append(int(r))
-            cols.append(int(c))
-            vals.append(float(v))
-    assert (n_r, n_c) == system.matrix.shape
-    back = sps.coo_matrix((vals, (rows, cols)), shape=(n_r, n_c)).tocsr()
-    assert len(vals) == nnz
-    assert abs(back - system.matrix).max() <= 1e-16

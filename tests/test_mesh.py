@@ -146,13 +146,3 @@ def test_misaligned_fluid_rect_rejected():
 def test_fluid_rect_outside_domain_rejected():
     with pytest.raises(ValueError, match="contained"):
         m.build_structured_mesh(2, 2, UNIT, (0.0, 2.0, 0.0, 1.0))
-
-
-def test_dump_roundtrip(tmp_path):
-    msh = m.build_structured_mesh(2, 1, UNIT, UNIT)
-    path = tmp_path / "mesh.txt"
-    msh.dump(path)
-    text = path.read_text()
-    assert "# vertices 6" in text
-    assert "# elements 4" in text
-    assert text.count("\nf ") == msh.n_faces

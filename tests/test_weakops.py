@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from wgconvect import polybasis as pb
 from wgconvect import weakops as wo
 from wgconvect.mesh import build_structured_mesh
@@ -9,9 +10,8 @@ UNIT = (0.0, 1.0, 0.0, 1.0)
 TWO_BY_ONE = (-1.0, 1.0, 0.0, 1.0)
 
 
-def pullback_poly(mesh, elem, coeffs):
+def pullback_poly(mesh, elem, degree, coeffs):
     """Physical callable and physical-gradient callable of an interior poly."""
-    degree = pb._degree_from_tri_dim(len(coeffs))
     basis = pb.scalar_basis(degree, "triangle")
     v0 = mesh.elem_origin[elem]
     inv_bt = mesh.inv_bt[elem]
@@ -29,6 +29,13 @@ def pullback_poly(mesh, elem, coeffs):
     return f, g
 
 
+def weak_gradient(mesh, elem, k, l, r, interior, traces):
+    """Weak-gradient coefficients (2, dim_r) of one element's weak function
+    given its interior and its three face traces."""
+    G = wo.gradient_matrix(mesh, [elem], k, l, r)[0]
+    return (G @ np.concatenate([interior, *traces])).reshape(2, pb.tri_dim(r))
+
+
 # ----------------------------------------------------------------------
 # the trivial identities
 
@@ -37,18 +44,11 @@ def test_constant_weak_function_has_zero_gradient_and_divergence():
     mesh = build_structured_mesh(2, 2, UNIT, UNIT)
     k = l = 1
     for elem in (0, 3, 5):
-        grad_op = wo.build_weak_gradient(mesh, elem, k, l, 1)
         interior = np.zeros(pb.tri_dim(k))
         interior[0] = 4.2 / np.sqrt(2.0)          # v0 = 4.2 everywhere
         traces = [np.array([4.2] + [0.0] * l) for _ in range(3)]
-        g = grad_op.apply(interior, traces)
+        g = weak_gradient(mesh, elem, k, l, 1, interior, traces)
         assert np.abs(g).max() < 1e-12
-
-        div_op = wo.build_weak_divergence(mesh, elem, k, l, 1)
-        vec_int = np.concatenate([interior, -2.0 * interior])
-        vec_traces = [np.concatenate([t, -2.0 * t]) for t in traces]
-        d = div_op.apply(vec_int, vec_traces)
-        assert np.abs(d).max() < 1e-12
 
 
 def test_weak_gradient_of_matching_pair_is_classical_gradient():
@@ -59,11 +59,10 @@ def test_weak_gradient_of_matching_pair_is_classical_gradient():
         for r in (k - 1, k):
             elem = int(rng.integers(mesh.n_elems))
             coeffs = rng.normal(size=pb.tri_dim(k))
-            f, g = pullback_poly(mesh, elem, coeffs)
-            op = wo.build_weak_gradient(mesh, elem, k, l, r)
+            f, g = pullback_poly(mesh, elem, k, coeffs)
             traces = [pb.project_face(mesh, [mesh.elem_faces[elem, lf]], l, f,
                                       2 * k + 2)[0] for lf in range(3)]
-            got = op.apply(coeffs, traces)
+            got = weak_gradient(mesh, elem, k, l, r, coeffs, traces)
             want = np.stack([
                 pb.project_interior(mesh, [elem], r,
                                     lambda x, y, d=d: g(x, y)[..., d],
@@ -76,12 +75,12 @@ def test_single_face_indicator_oracle():
     # v0 = 0, vb = 1 on one face: the r=0 weak gradient is (|e|/|K|) n_e
     mesh = build_structured_mesh(1, 1, UNIT, UNIT)
     elem, k, l = 0, 1, 1
-    op = wo.build_weak_gradient(mesh, elem, k, l, 0)
     area = mesh.area[elem]
     for lf in range(3):
         traces = [np.zeros(l + 1) for _ in range(3)]
         traces[lf][0] = 1.0
-        g = op.apply(np.zeros(pb.tri_dim(k)), traces)   # (2, 1)
+        g = weak_gradient(mesh, elem, k, l, 0, np.zeros(pb.tri_dim(k)),
+                          traces)                       # (2, 1)
         # constant field value = coeff * sqrt(2)
         val = g[:, 0] * np.sqrt(2.0)
         expect = (mesh.elem_face_len[elem, lf] / area
@@ -90,19 +89,21 @@ def test_single_face_indicator_oracle():
 
 
 def test_all_faces_normal_trace_divergence_oracle():
-    # vb = outward normal on every face: r=0 weak divergence is |dK| / |K|
+    # vb = outward normal on every face: r=0 weak divergence is |dK| / |K|;
+    # it is the sum over d of row d of the weak gradient of component d
     mesh = build_structured_mesh(2, 1, UNIT, UNIT)
     k = l = 1
     for elem in range(mesh.n_elems):
-        op = wo.build_weak_divergence(mesh, elem, k, l, 0)
-        traces = []
-        for lf in range(3):
-            n = mesh.elem_face_normal[elem, lf]
-            t = np.zeros(2 * (l + 1))
-            t[0] = n[0]
-            t[l + 1] = n[1]
-            traces.append(t)
-        d = op.apply(np.zeros(2 * pb.tri_dim(k)), traces)
+        d = 0.0
+        for comp in range(2):
+            traces = []
+            for lf in range(3):
+                t = np.zeros(l + 1)
+                t[0] = mesh.elem_face_normal[elem, lf, comp]
+                traces.append(t)
+            g = weak_gradient(mesh, elem, k, l, 0, np.zeros(pb.tri_dim(k)),
+                              traces)                   # (2, 1)
+            d = d + g[comp]
         val = d[0] * np.sqrt(2.0)
         expect = mesh.elem_face_len[elem].sum() / mesh.area[elem]
         assert val == pytest.approx(expect, rel=1e-13)
@@ -115,8 +116,7 @@ def test_all_faces_normal_trace_divergence_oracle():
 def _reconstruction_residual(mesh, elem, k, l, r, rng):
     interior = rng.normal(size=pb.tri_dim(k))
     traces = [rng.normal(size=l + 1) for _ in range(3)]
-    op = wo.build_weak_gradient(mesh, elem, k, l, r)
-    g = op.apply(interior, traces)                      # (2, dim_r)
+    g = weak_gradient(mesh, elem, k, l, r, interior, traces)   # (2, dim_r)
 
     quad = pb.quad_rule(k + r + 2, "triangle")
     basis_r = pb.scalar_basis(r, "triangle")
@@ -160,22 +160,6 @@ def test_reconstruction_identity():
             assert _reconstruction_residual(mesh, elem, k, l, r, rng) < 1e-11
 
 
-def test_divergence_consistent_with_gradient_blocks():
-    # div of (v, 0) must equal the first row of the gradient of v
-    mesh = build_structured_mesh(2, 2, UNIT, UNIT)
-    rng = np.random.default_rng(5)
-    k = l = r = 1
-    elem = 3
-    interior = rng.normal(size=pb.tri_dim(k))
-    traces = [rng.normal(size=l + 1) for _ in range(3)]
-    gop = wo.build_weak_gradient(mesh, elem, k, l, r)
-    dop = wo.build_weak_divergence(mesh, elem, k, l, r)
-    g = gop.apply(interior, traces)
-    d = dop.apply(np.concatenate([interior, np.zeros_like(interior)]),
-                  [np.concatenate([t, np.zeros_like(t)]) for t in traces])
-    assert np.allclose(d, g[0], atol=1e-14)
-
-
 # ----------------------------------------------------------------------
 # commutativity with projections
 
@@ -195,7 +179,7 @@ def test_commutativity_linear_field():
         g[..., 1, 1] = 3.0
         return g
 
-    assert wo.commutativity_check(mesh, v, gv, 1, 1, 1) < 1e-12
+    assert oracles.commutativity_check(mesh, v, gv, 1, 1, 1) < 1e-12
 
 
 def test_commutativity_quadratic_vector_field():
@@ -212,7 +196,7 @@ def test_commutativity_quadratic_vector_field():
         g[..., 1, 1] = -2 * x * y
         return g
 
-    assert wo.commutativity_check(mesh, v, gv, 1, 1, 1) < 1e-10
+    assert oracles.commutativity_check(mesh, v, gv, 1, 1, 1) < 1e-10
 
 
 def test_commutativity_scalar_cubic():
@@ -224,11 +208,12 @@ def test_commutativity_scalar_cubic():
     def gs(x, y):
         return np.stack([3 * x ** 2, 3 * y ** 2], axis=-1)
 
-    assert wo.commutativity_check(mesh, s, gs, 2, 2, 2, kind="scalar") < 1e-10
+    assert oracles.commutativity_check(mesh, s, gs, 2, 2, 2,
+                                       kind="scalar") < 1e-10
 
 
 def _random_poly_field(rng, degree):
-    powers = pb.tri_monomial_powers(degree)
+    powers = oracles.tri_monomial_powers(degree)
     c = rng.normal(size=(2, len(powers)))
 
     def v(x, y):
@@ -268,7 +253,7 @@ def test_commutativity_random_polynomials():
     for k, l, m in cases:
         for _ in range(per_case):
             v, gv = _random_poly_field(rng, k + 1)
-            resid = wo.commutativity_check(mesh, v, gv, k, l, m)
+            resid = oracles.commutativity_check(mesh, v, gv, k, l, m)
             assert resid <= 1e-9 * _grad_norm(mesh, gv)
 
 
@@ -284,8 +269,7 @@ def _norm_parts(mesh, elem, k, l, m, interior, traces):
                       mesh.inv_bt[elem])
     broken = np.sqrt(det * np.sum(quad.weights[:, None] * gphys ** 2))
 
-    op = wo.build_weak_gradient(mesh, elem, k, l, m)
-    g = op.apply(interior, traces)
+    g = weak_gradient(mesh, elem, k, l, m, interior, traces)
     weak = np.sqrt(det * np.sum(g ** 2))
 
     E = wo.edge_table(k, l)
@@ -326,22 +310,8 @@ def test_affine_invariance_translation_and_scaling():
     coarse = build_structured_mesh(2, 2, UNIT, UNIT)
     fine = build_structured_mesh(4, 4, UNIT, UNIT)
     k, l, r = 2, 1, 1
-    a = wo.build_weak_gradient(coarse, 0, k, l, r)
-    b = wo.build_weak_gradient(coarse, 2, k, l, r)   # translated copy
-    assert np.abs(a.M_int - b.M_int).max() < 1e-12
-    for lf in range(3):
-        assert np.abs(a.M_face[lf] - b.M_face[lf]).max() < 1e-12
-    c = wo.build_weak_gradient(fine, 0, k, l, r)     # half-size copy
-    assert np.allclose(c.M_int, 2.0 * a.M_int, atol=1e-12)
-    for lf in range(3):
-        assert np.allclose(c.M_face[lf], 2.0 * a.M_face[lf], atol=1e-12)
-
-
-def test_operator_cache_returns_same_object():
-    mesh = build_structured_mesh(2, 2, UNIT, UNIT)
-    cache = wo.OperatorCache(mesh)
-    a = cache.gradient(1, 1, 1, 1)
-    assert cache.gradient(1, 1, 1, 1) is a
-    d = cache.divergence(1, 1, 1, 1)
-    assert cache.divergence(1, 1, 1, 1) is d
-    assert cache.gradient(2, 1, 1, 1) is not a
+    # columns [interior | face 0 | face 1 | face 2] of the weak gradient
+    a, b = wo.gradient_matrix(coarse, [0, 2], k, l, r)  # b: translated copy
+    assert np.abs(a - b).max() < 1e-12
+    c = wo.gradient_matrix(fine, [0], k, l, r)[0]        # half-size copy
+    assert np.allclose(c, 2.0 * a, atol=1e-12)
