@@ -26,13 +26,20 @@ solve path, solves the temperature block first and then the flow block
 the right-hand side.  The whole matrix is singular exactly when one of its
 diagonal blocks is, so nothing is factored whole.
 
-solve_sparse factors each block once and refines its solution against that
-block with the same factor.  Its 1e-10 residual check is relative to the
-whole right-hand side, so on its own it does not bound the divergence rows
-b(u,q) = 0, whose right side is zero; the refinement is what makes the
-velocity divergence free to rounding.  A singular block factor, a singular
-capacitance matrix of the bordered flow factor, or a residual above 1e-10
-raises RuntimeError naming the block.
+solve_sparse factors the temperature block on every call and solves the
+flow block with a held factor: oseen_solve keeps one HeldFactor for its
+Picard steps, since the flow block changes only through w.  Each block is
+solved by sweeps x += M^-1 (b - A x) against its current matrix A, where M
+is the factored matrix, until the block residual is a tenth of the 1e-10
+contract; a held factor that stalls is dropped and the block refactored.
+The sweeps are what make the velocity divergence free to rounding, at any
+factor age: the divergence rows b(u,q) and the mean-pressure row do not
+depend on w, so M equals A in those rows, A M^-1 is the identity there,
+and each sweep sets their residual to rounding.  The whole-matrix
+1e-10 check, relative to the whole right-hand side, does not bound those
+rows on its own, since their right side is zero.  A singular block
+factor, a singular capacitance matrix of the bordered flow factor, or a
+residual above 1e-10 raises RuntimeError naming the block.
 """
 
 import numpy as np
@@ -304,10 +311,6 @@ class StepAssembler:
         add(np.repeat(sloc[:, :, None], sloc.shape[1], axis=2),
             np.repeat(sloc[:, None, :], sloc.shape[1], axis=1), C)
 
-        self._static_rows = np.concatenate(rows)
-        self._static_cols = np.concatenate(cols)
-        self._static_vals = np.concatenate(vals)
-
         rhs = np.zeros(dm.n_dofs)
         qd = max(2 * params.degree + 2,
                  problem.forcing_degree + params.degree)
@@ -319,7 +322,14 @@ class StepAssembler:
         gmom = pb.project_interior(mesh, all_e, params.degree, problem.g, qd)
         rhs[dm.t_interior(all_e).ravel()] += (
             mesh.det_b[all_e][:, None] * gmom).ravel()
-        self._static_rhs = rhs
+
+        # the static triplets land in the same reduced rows and columns on
+        # every step, so they are mapped, and their fixed columns lifted
+        # into the right-hand side, once
+        self._static_rhs = rhs[dm.free_dofs]
+        self._static_triplets = self._reduce(
+            np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
+            self._static_rhs)
 
         # mean-pressure constraint: integral of p0 over the fluid zone
         self._constraint_dofs = dm.p_interior(fe)[:, 0]
@@ -332,6 +342,21 @@ class StepAssembler:
         # the first flow_size ones and the multiplier follows the rest
         flow_size = int(np.sum(~dm.fixed_mask[:dm.offset["t_int"]]))
         self._flow_index = np.append(np.arange(flow_size), dm.n_free)
+
+    def _reduce(self, rows, cols, vals, rhs):
+        """Full-numbering triplets -> the (rows, cols, vals) of the entries
+        in free rows and free columns, in reduced numbering.  Entries in
+        free rows and fixed columns are lifted into rhs in place, in
+        triplet order."""
+        dm = self.dofmap
+        r_free = dm.free_index[rows]
+        c_free = dm.free_index[cols]
+        keep_row = r_free >= 0
+        lift = keep_row & (c_free < 0)
+        np.subtract.at(rhs, r_free[lift],
+                       vals[lift] * dm.fixed_values[cols[lift]])
+        keep = keep_row & (c_free >= 0)
+        return r_free[keep], c_free[keep], vals[keep]
 
     def _convection_triplets(self, w_full):
         mesh, params = self.mesh, self.params
@@ -378,34 +403,19 @@ class StepAssembler:
                 raise ValueError("w_prev must vanish at fixed velocity DOFs")
             w_full = w_prev
 
-        rows = self._static_rows
-        cols = self._static_cols
-        vals = self._static_vals
+        rhs = self._static_rhs.copy()
+        parts = [self._static_triplets]
         if w_prev is not None and np.any(w_full):
-            cr, cc, cv = self._convection_triplets(w_full)
-            rows = np.concatenate([rows, cr])
-            cols = np.concatenate([cols, cc])
-            vals = np.concatenate([vals, cv])
-
-        free = dm.free_index
+            parts.append(self._reduce(*self._convection_triplets(w_full),
+                                      rhs))
         n = dm.n_free
-        rhs = self._static_rhs[dm.free_dofs].copy()
-
-        r_free = free[rows]
-        c_free = free[cols]
-        keep_row = r_free >= 0
-        lift = keep_row & (c_free < 0)
-        np.subtract.at(rhs, r_free[lift],
-                       vals[lift] * dm.fixed_values[cols[lift]])
-        keep = keep_row & (c_free >= 0)
-
-        con_r = free[self._constraint_dofs]
-        mat = sps.coo_matrix(
-            (np.concatenate([vals[keep], self._constraint_vals,
-                             self._constraint_vals]),
-             (np.concatenate([r_free[keep], np.full(len(con_r), n), con_r]),
-              np.concatenate([c_free[keep], con_r, np.full(len(con_r), n)]))),
-            shape=(n + 1, n + 1)).tocsr()
+        con_r = dm.free_index[self._constraint_dofs]
+        border = np.full(len(con_r), n)
+        parts += [(border, con_r, self._constraint_vals),
+                  (con_r, border, self._constraint_vals)]
+        rows, cols, vals = (np.concatenate(a) for a in zip(*parts))
+        mat = sps.coo_matrix((vals, (rows, cols)),
+                             shape=(n + 1, n + 1)).tocsr()
         return GlobalSystem(mat, np.append(rhs, 0.0), dm,
                             border_index=n, ground_index=int(con_r[0]),
                             flow_index=self._flow_index)
@@ -416,7 +426,25 @@ def assemble_oseen_step(mesh, params, problem, w_prev=None, dofmap=None):
     return StepAssembler(mesh, params, problem, dofmap).assemble(w_prev)
 
 
-REFINE_STEPS = 1
+# the sweep loop of solve_sparse: sweep down to a block residual of
+# SWEEP_TOL * max(||b||, 1), a tenth of the contract; refactor a held factor
+# when one application cuts the residual less than STALL_RATIO-fold, or when
+# MAX_SWEEPS sweeps miss the target
+SWEEP_TOL = 1e-11
+STALL_RATIO = 10.0
+MAX_SWEEPS = 8
+
+
+class HeldFactor:
+    """A block inverse kept between solves: `inverse` applies it (None
+    until the first factorization) and `age` counts the solves it served
+    after the one it was built for."""
+
+    __slots__ = ("inverse", "age")
+
+    def __init__(self):
+        self.inverse = None
+        self.age = 0
 
 
 def _factor(mat, block):
@@ -435,9 +463,10 @@ def _bordered_inverse(mat, n, q):
     constant-pressure mode, factors that sparse matrix once, and restores
     the difference as a rank-3 correction (Woodbury).  Returns a function
     applying the approximate inverse of mat: each call costs two triangular
-    solves and one 3x3 product, so solve_sparse can refine against mat
-    without refactoring.  Raises when the grounded factorization or the 3x3
-    capacitance matrix is singular.
+    solves and one 3x3 product, so solve_sparse can sweep against mat, and
+    against the flow blocks of later steps, without refactoring.  Raises
+    when the grounded factorization or the 3x3 capacitance matrix is
+    singular.
     """
     coo = mat.tocoo()
     keep = (coo.row != n) & (coo.col != n)
@@ -475,32 +504,67 @@ def _bordered_inverse(mat, n, q):
     return apply
 
 
-def _refined(mat, rhs, apply_inverse):
-    """Solve mat @ x = rhs with an approximate inverse, then refine
-    REFINE_STEPS times with x += apply_inverse(rhs - mat @ x)."""
-    x = apply_inverse(rhs)
-    for _ in range(REFINE_STEPS):
-        x = x + apply_inverse(rhs - mat @ x)
-    return x
+def _swept(mat, rhs, target, held, factor):
+    """Solve mat @ x = rhs with held.inverse, building it with factor()
+    when there is none.
+
+    The first application is the solve; sweeps x += inverse(rhs - mat @ x)
+    follow, at least one, until the residual is at most target.  A held
+    factor from an earlier solve that stalls (one application cuts the
+    residual less than STALL_RATIO-fold) or misses the target in MAX_SWEEPS
+    sweeps is dropped before factor() builds its replacement, and the solve
+    starts over at age 0.  A fresh factor is never replaced: it makes at
+    least one sweep, and where it stalls after that, the caller's residual
+    check decides.
+    """
+    while True:
+        if held.inverse is None:
+            held.inverse = factor()
+            held.age = 0
+        x = held.inverse(rhs)
+        before = np.linalg.norm(rhs)
+        for sweep in range(MAX_SWEEPS + 1):
+            r = rhs - mat @ x
+            now = np.linalg.norm(r)
+            if sweep > 0 and now <= target:
+                return x
+            # a fresh factor always makes its one sweep
+            stalled = now * STALL_RATIO > before and (sweep or held.age)
+            if stalled or sweep == MAX_SWEEPS:
+                break
+            x = x + held.inverse(r)
+            before = now
+        if held.age == 0:
+            return x
+        held.inverse = None
 
 
-def solve_sparse(system):
+def solve_sparse(system, held=None):
     """Solve one assembled step block by block, with a residual guarantee.
 
     The temperature block matrix[f:n, f:n] (f = flow_size, n =
     border_index) is factored with splu and solved first.  The flow block,
-    rows and columns flow_index, is then solved through _bordered_inverse
-    with the buoyancy columns times the temperature moved to its right-hand
-    side.  Each block is refined REFINE_STEPS times against its own matrix
-    with its own factor, so a call makes exactly two factorizations.
+    rows and columns flow_index, is then solved with the buoyancy columns
+    times the temperature moved to its right-hand side, through the
+    bordered inverse of _bordered_inverse held in `held` (a HeldFactor;
+    None makes a fresh one for this call).  A held inverse may come from an
+    earlier step with another advecting field: its age goes up by one, and
+    it is refactored only when it stalls (see _swept).
+
+    Both blocks are solved by the sweep loop of _swept against their
+    current matrices, down to a block residual of SWEEP_TOL * max(||b||, 1)
+    with b the whole right-hand side.  The flow result is divergence free
+    to rounding at any factor age: the rows b(u,q) = 0 and the
+    mean-pressure row of the flow block do not involve w, so the held
+    factor's matrix agrees with the current block there, and every sweep
+    solves those rows exactly and leaves their residual at rounding.
 
     The 1e-10 residual check is relative to the whole right-hand side and
     runs against the whole system.matrix; it also catches a temperature row
     that touches the flow, which the block split would ignore.  On its own
     it does not bound the divergence rows, whose right side is zero: an
-    unrefined Woodbury solve leaves them at 1e-9..1e-8 on fine cavity
-    meshes, and refinement brings the element divergence and face jumps
-    down to rounding.
+    unswept Woodbury solve leaves them at 1e-9..1e-8 on fine cavity
+    meshes.
 
     Every failure raises RuntimeError naming the block: a singular
     temperature or grounded flow factorization, a singular 3x3 capacitance
@@ -510,19 +574,25 @@ def solve_sparse(system):
     mat, rhs = system.matrix, system.rhs
     flow = system.flow_index
     f, n = system.flow_size, system.border_index
+    bnorm = np.linalg.norm(rhs)
+    target = SWEEP_TOL * max(bnorm, 1.0)
     temp_mat = mat[f:n, f:n]
-    x_temp = _refined(temp_mat, rhs[f:n],
-                      _factor(temp_mat, "temperature block").solve)
+    x_temp = _swept(temp_mat, rhs[f:n], target, HeldFactor(),
+                    lambda: _factor(temp_mat, "temperature block").solve)
     flow_rows = mat[flow]
     flow_mat = flow_rows[:, flow]
-    flow_inverse = _bordered_inverse(flow_mat, f, system.ground_index)
+    if held is None:
+        held = HeldFactor()
+    elif held.inverse is not None:
+        held.age += 1
     x = np.empty_like(rhs)
     x[f:n] = x_temp
-    x[flow] = _refined(flow_mat, rhs[flow] - flow_rows[:, f:n] @ x_temp,
-                       flow_inverse)
+    x[flow] = _swept(
+        flow_mat, rhs[flow] - flow_rows[:, f:n] @ x_temp, target, held,
+        lambda: _bordered_inverse(flow_mat, f, system.ground_index))
 
     r = mat @ x - rhs
-    resid, bnorm = np.linalg.norm(r), np.linalg.norm(rhs)
+    resid = np.linalg.norm(r)
     if not resid <= 1e-10 * max(bnorm, 1.0):     # a NaN residual fails too
         raise RuntimeError(
             "block solve residual %.3e exceeds the 1e-10 contract (rhs norm "

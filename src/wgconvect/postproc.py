@@ -69,15 +69,18 @@ class WgFields:
         gx = np.einsum("ejk,qak->eqaj", self.mesh.inv_bt[elems], gphi)
         return np.einsum("ea,eqaj->eqj", ti, gx)
 
-    def _weak_gradient_at(self, elems, ref_points, interior, traces):
-        """Reconstructed weak gradient of one scalar component, (E, q, 2)."""
-        mesh, params = self.mesh, self.params
-        G = wo.gradient_matrix(mesh, elems, params.degree,
-                               params.trace_degree, params.grad_degree)
-        vec = np.concatenate([interior, traces.reshape(len(elems), -1)],
-                             axis=1)
-        g = np.einsum("eis,es->ei", G, vec).reshape(len(elems), 2, -1)
-        phi = pb.scalar_basis(params.grad_degree).eval(ref_points)
+    def _gradient_matrix(self, elems):
+        params = self.params
+        return wo.gradient_matrix(self.mesh, elems, params.degree,
+                                  params.trace_degree, params.grad_degree)
+
+    def _weak_gradient_at(self, G, ref_points, interior, traces):
+        """Reconstructed weak gradient of one scalar component, (E, q, 2),
+        with G the weak-gradient matrix of its elements."""
+        n = len(interior)
+        vec = np.concatenate([interior, traces.reshape(n, -1)], axis=1)
+        g = np.einsum("eis,es->ei", G, vec).reshape(n, 2, -1)
+        phi = pb.scalar_basis(self.params.grad_degree).eval(ref_points)
         return np.einsum("eja,qa->eqj", g, phi)
 
     def velocity_weak_gradient_at(self, elems, ref_points):
@@ -88,10 +91,11 @@ class WgFields:
         tr = self.coeffs[self.dofmap.u_trace(
             self.mesh.elem_faces[elems].ravel())]
         tr = tr.reshape(len(elems), 3, 2, nt)
+        G = self._gradient_matrix(elems)        # shared by both components
         out = np.empty((len(elems), len(ref_points), 2, 2))
         for d in range(2):
             out[:, :, d, :] = self._weak_gradient_at(
-                elems, ref_points, ui[:, d, :], tr[:, :, d, :])
+                G, ref_points, ui[:, d, :], tr[:, :, d, :])
         return out
 
     def temperature_weak_gradient_at(self, elems, ref_points):
@@ -101,7 +105,8 @@ class WgFields:
         ti = self.coeffs[self.dofmap.t_interior(elems)]
         tr = self.coeffs[self.dofmap.t_trace(
             self.mesh.elem_faces[elems].ravel())]
-        return self._weak_gradient_at(elems, ref_points, ti,
+        return self._weak_gradient_at(self._gradient_matrix(elems),
+                                      ref_points, ti,
                                       tr.reshape(len(elems), 3, nt))
 
 
@@ -142,17 +147,22 @@ def interpolate_exact(mesh, params, dofmap, exact, quad_degree=None):
 # norms
 
 
-def _scalar_triple_sq(mesh, elems, params, interior, traces):
-    """Batched |||.|||^2 for scalar weak functions given (E, nk) interiors
-    and (E, 3, nt) traces: weak-gradient energy plus scaled trace jumps."""
+def _norm_matrices(mesh, elems, params):
+    """The weak-gradient and face-projection matrices of the triple norm on
+    `elems`; they depend only on geometry, so the two velocity components
+    share them."""
     k, l, m = params.degree, params.trace_degree, params.grad_degree
-    nk, nt = params.interior_dim, params.trace_dim
-    vec = np.concatenate([interior, traces.reshape(len(elems), 3 * nt)],
-                         axis=1)
-    G = wo.gradient_matrix(mesh, elems, k, l, m)
+    return (wo.gradient_matrix(mesh, elems, k, l, m),
+            forms.face_projection_matrix(mesh, elems, k, l))
+
+
+def _scalar_triple_sq(mesh, elems, G, P, interior, traces):
+    """Batched |||.|||^2 for scalar weak functions given (E, nk) interiors
+    and (E, 3, nt) traces: weak-gradient energy plus scaled trace jumps,
+    with G and P from _norm_matrices."""
+    vec = np.concatenate([interior, traces.reshape(len(elems), -1)], axis=1)
     g = np.einsum("eis,es->ei", G, vec)
     total = np.einsum("e,ei,ei->", mesh.det_b[elems], g, g)
-    P = forms.face_projection_matrix(mesh, elems, k, l)
     jump = np.einsum("elgb,eb->elg", P, interior) - traces
     fac = mesh.elem_face_len[elems] / mesh.h_K[elems][:, None]
     total += np.einsum("el,elg,elg->", fac, jump, jump)
@@ -166,12 +176,13 @@ def triple_norm(fields, kind):
     nt = params.trace_dim
     if kind == "velocity":
         elems = mesh.fluid_elems
+        G, P = _norm_matrices(mesh, elems, params)
         total = 0.0
         tr_all = fields.coeffs[dm.u_trace(mesh.elem_faces[elems].ravel())]
         tr_all = tr_all.reshape(len(elems), 3, 2, nt)
         ui = fields.coeffs[dm.u_interior(elems)]
         for d in range(2):
-            total += _scalar_triple_sq(mesh, elems, params, ui[:, d, :],
+            total += _scalar_triple_sq(mesh, elems, G, P, ui[:, d, :],
                                        tr_all[:, :, d, :])
         return np.sqrt(total)
     if kind == "temperature":
@@ -179,7 +190,8 @@ def triple_norm(fields, kind):
         ti = fields.coeffs[dm.t_interior(elems)]
         tr = fields.coeffs[dm.t_trace(mesh.elem_faces[elems].ravel())]
         return np.sqrt(_scalar_triple_sq(
-            mesh, elems, params, ti, tr.reshape(len(elems), 3, nt)))
+            mesh, elems, *_norm_matrices(mesh, elems, params), ti,
+            tr.reshape(len(elems), 3, nt)))
     raise ValueError("kind must be 'velocity' or 'temperature', got %r"
                      % (kind,))
 

@@ -17,16 +17,18 @@ are exact for polynomial data).
 import configparser
 
 import numpy as np
-import sympy as sp
 from numpy.polynomial import chebyshev as cheb
 
 from .mesh import WALLS
 
-_X, _Y = sp.symbols("x y")
+# sympy is imported inside the functions that do symbolic work: it costs
+# about 35 MB and a quarter of a second per process, and a problem with
+# numeric data (the cavity) needs none of it
 
 
 def _lambdify(expr):
-    fn = sp.lambdify((_X, _Y), expr, "numpy")
+    import sympy as sp
+    fn = sp.lambdify(sp.symbols("x y"), sp.sympify(expr), "numpy")
 
     def wrapped(x, y):
         x = np.asarray(x, dtype=float)
@@ -68,17 +70,19 @@ class ExactSolution:
     """
 
     def __init__(self, u1, u2, p, T, pr, ra, kappa, fluid_rect):
+        import sympy as sp
+        X, Y = sp.symbols("x y")
         self.exprs = {name: sp.sympify(e) for name, e in
                       [("u1", u1), ("u2", u2), ("p", p), ("T", T)]}
         self.fluid_rect = tuple(float(c) for c in fluid_rect)
         e = self.exprs
-        lap = lambda w: sp.diff(w, _X, 2) + sp.diff(w, _Y, 2)
-        conv = [sp.diff(e["u1"] * e[ui], _X) + sp.diff(e["u2"] * e[ui], _Y)
+        lap = lambda w: sp.diff(w, X, 2) + sp.diff(w, Y, 2)
+        conv = [sp.diff(e["u1"] * e[ui], X) + sp.diff(e["u2"] * e[ui], Y)
                 for ui in ("u1", "u2")]
-        f1 = -pr * lap(e["u1"]) + conv[0] + sp.diff(e["p"], _X)
-        f2 = -pr * lap(e["u2"]) + conv[1] + sp.diff(e["p"], _Y) - pr * ra * e["T"]
-        g_fluid = (-kappa * lap(e["T"]) + sp.diff(e["u1"] * e["T"], _X)
-                   + sp.diff(e["u2"] * e["T"], _Y))
+        f1 = -pr * lap(e["u1"]) + conv[0] + sp.diff(e["p"], X)
+        f2 = -pr * lap(e["u2"]) + conv[1] + sp.diff(e["p"], Y) - pr * ra * e["T"]
+        g_fluid = (-kappa * lap(e["T"]) + sp.diff(e["u1"] * e["T"], X)
+                   + sp.diff(e["u2"] * e["T"], Y))
         g_solid = -kappa * lap(e["T"])
         self.forcing_degree = int(max(
             sp.total_degree(sp.expand(w)) for w in (f1, f2, g_fluid, g_solid)))
@@ -87,9 +91,9 @@ class ExactSolution:
         self._u2 = _lambdify(e["u2"])
         self._p = _lambdify(e["p"])
         self._T = _lambdify(e["T"])
-        self._du = [[_lambdify(sp.diff(e[ui], v)) for v in (_X, _Y)]
+        self._du = [[_lambdify(sp.diff(e[ui], v)) for v in (X, Y)]
                     for ui in ("u1", "u2")]
-        self._dT = [_lambdify(sp.diff(e["T"], v)) for v in (_X, _Y)]
+        self._dT = [_lambdify(sp.diff(e["T"], v)) for v in (X, Y)]
         self._f1 = _lambdify(f1)
         self._f2 = _lambdify(f2)
         self._g_fluid = _lambdify(g_fluid)
@@ -229,7 +233,12 @@ class ProblemSpec:
         kind, expr = self.temp_bc[wall]
         if kind != "dirichlet":
             raise ValueError("wall %s is not Dirichlet" % wall)
-        return _lambdify(sp.sympify(expr))
+        try:
+            value = float(expr)      # constant data needs no sympy
+        except ValueError:
+            return _lambdify(expr)
+        return lambda x, y: np.full(
+            np.broadcast_shapes(np.shape(x), np.shape(y)), value)
 
 
 def _zero_vector(x, y):

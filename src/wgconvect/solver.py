@@ -53,10 +53,8 @@ class TraceRow:
 class OseenState:
     """Outcome of a fixed-point run: final fields plus the full trace."""
 
-    def __init__(self, fields, previous_velocity, trace, tol, max_iter,
-                 converged):
+    def __init__(self, fields, trace, tol, max_iter, converged):
         self.fields = fields
-        self.previous_velocity = previous_velocity
         self.trace = trace
         self.tol = tol
         self.max_iter = max_iter
@@ -123,6 +121,9 @@ def oseen_solve(mesh, params, problem, tol=1e-9, max_iter=100,
     w = _coeffs_of(initial_velocity, dm)
     prev = w if w is not None else np.zeros(dm.n_dofs)
 
+    # the flow-block factor serves the following steps until it stalls;
+    # it lives only as long as this call
+    held = linsys.HeldFactor()
     trace = []
     fields = None
     converged = False
@@ -132,7 +133,7 @@ def oseen_solve(mesh, params, problem, tol=1e-9, max_iter=100,
         t0 = time.perf_counter()
         system = asm.assemble(w)
         try:
-            x = linsys.solve_sparse(system)
+            x = linsys.solve_sparse(system, held)
         except RuntimeError as err:
             raise RuntimeError("linear solve failed at iteration %d: %s"
                                % (n, err)) from err
@@ -162,7 +163,7 @@ def oseen_solve(mesh, params, problem, tol=1e-9, max_iter=100,
         if du + dt <= tol * scale:
             converged = True
             break
-    state = OseenState(fields, prev, trace, tol, max_iter, converged)
+    state = OseenState(fields, trace, tol, max_iter, converged)
     return fields, state
 
 
@@ -172,7 +173,8 @@ def ramp_rayleigh(mesh, params, problem, targets, tol=1e-9, max_iter=100,
     stage from the previous solution.
 
     Returns (final fields, list of per-stage OseenState).  A stage that
-    fails to converge raises, naming the stage.  relaxation is forwarded to
+    fails to converge, or whose linear solve fails, raises naming the
+    stage and its Rayleigh number.  relaxation is forwarded to
     every stage; pass "aitken" for targets at or beyond 1e4, where the
     plain iteration stalls.
     """
@@ -185,9 +187,13 @@ def ramp_rayleigh(mesh, params, problem, targets, tol=1e-9, max_iter=100,
     states = []
     for i, ra in enumerate(targets):
         stage = problem.with_rayleigh(ra)
-        fields, state = oseen_solve(
-            mesh, params, stage, tol=tol, max_iter=max_iter,
-            initial_velocity=fields, relaxation=relaxation)
+        try:
+            fields, state = oseen_solve(
+                mesh, params, stage, tol=tol, max_iter=max_iter,
+                initial_velocity=fields, relaxation=relaxation)
+        except RuntimeError as err:
+            raise RuntimeError("ramp stage %d (Ra=%g): %s"
+                               % (i, ra, err)) from err
         states.append(state)
         if not state.converged:
             raise RuntimeError(

@@ -303,6 +303,105 @@ def test_refined_bordered_solve_is_divergence_free(monkeypatch):
     assert jump <= 1e-10
 
 
+def flow_rows_without_w(system):
+    """Flow-block positions of the rows that do not depend on w: the free
+    pressure DOFs (the divergence rows b(u, q)) and the multiplier."""
+    dm = system.dofmap
+    free_flow = dm.free_dofs[:system.flow_size]
+    return np.append(np.flatnonzero(free_flow >= dm.offset["p_int"]),
+                     system.flow_size)
+
+
+def test_stale_factor_keeps_divergence_rows_exact():
+    # the held flow factor of the Stokes step of a 12x12 Ra=1e3 cavity is
+    # far from the next step's block, yet one application of it leaves
+    # the rows that do not involve w at rounding
+    prob = problems.cavity(1e3)
+    mesh = build_structured_mesh(12, 12, prob.domain, prob.fluid_rect)
+    params = forms.MethodParams.from_variant("wg1", 1)
+    asm = linsys.StepAssembler(mesh, params, prob)
+    held = linsys.HeldFactor()
+    first = asm.assemble(None)
+    w, _ = first.expand(linsys.solve_sparse(first, held))
+    system = asm.assemble(w)
+    flow, f = system.flow_index, system.flow_size
+    x = linsys.solve_sparse(system)
+    flow_rows = system.matrix[flow]
+    b = system.rhs[flow] - flow_rows[:, f:system.border_index] \
+        @ x[f:system.border_index]
+    r = b - flow_rows[:, flow] @ held.inverse(b)
+    exact = flow_rows_without_w(system)
+    rest = np.setdiff1d(np.arange(len(flow)), exact)
+    assert np.linalg.norm(r[exact]) <= 1e-12 * np.linalg.norm(b)
+    assert np.linalg.norm(r[rest]) >= 1e-3 * np.linalg.norm(b)
+
+
+def test_stale_held_factor_solves_without_refactoring(monkeypatch):
+    # the flow factor of the Stokes step serves the advected step of the
+    # conjugate manufactured problem: only the temperature block is
+    # factored, and the result meets the divergence contract
+    prob, mesh, params = manufactured_setup(8, 4)
+    asm = linsys.StepAssembler(mesh, params, prob)
+    held = linsys.HeldFactor()
+    first = asm.assemble(None)
+    w, _ = first.expand(linsys.solve_sparse(first, held))
+    system = asm.assemble(w)
+    stale = held.inverse
+    factorizations = counting_factorizations(monkeypatch)
+    x = linsys.solve_sparse(system, held)
+    n_temp = system.border_index - system.flow_size
+    assert factorizations == [(n_temp, n_temp)]
+    assert held.inverse is stale and held.age == 1
+    full, lam = system.expand(x)
+    fields = postproc.WgFields(mesh, params, asm.dofmap, full, lam)
+    div_h, jump = postproc.divergence_diagnostic(fields)
+    assert div_h <= 1e-10
+    assert jump <= 1e-10
+
+
+def test_stalled_held_factor_is_refactored(monkeypatch):
+    # on an 8x8 Ra=1e3 cavity the Stokes factor cuts the residual of the
+    # first advected step less than tenfold: the flow block is factored
+    # again, and the step still meets the contract
+    prob = problems.cavity(1e3)
+    mesh = build_structured_mesh(8, 8, prob.domain, prob.fluid_rect)
+    params = forms.MethodParams.from_variant("wg1", 1)
+    asm = linsys.StepAssembler(mesh, params, prob)
+    held = linsys.HeldFactor()
+    first = asm.assemble(None)
+    w, _ = first.expand(linsys.solve_sparse(first, held))
+    system = asm.assemble(w)
+    stale = held.inverse
+    factorizations = counting_factorizations(monkeypatch)
+    x = linsys.solve_sparse(system, held)
+    n_temp = system.border_index - system.flow_size
+    n_flow = system.flow_size + 1
+    assert factorizations == [(n_temp, n_temp), (n_flow, n_flow)]
+    assert held.inverse is not stale and held.age == 0
+    full, lam = system.expand(x)
+    fields = postproc.WgFields(mesh, params, asm.dofmap, full, lam)
+    div_h, jump = postproc.divergence_diagnostic(fields)
+    assert div_h <= 1e-10
+    assert jump <= 1e-10
+    assert np.array_equal(x, linsys.solve_sparse(system))
+
+
+def test_fresh_factor_sweeps_once_even_when_it_stalls():
+    # a fresh inverse that cuts the residual only twofold is not replaced,
+    # but it still makes the one sweep the divergence rows rely on
+    mat = sps.identity(4, format="csr") * 3.0
+    applied = []
+
+    def inverse(r):
+        applied.append(r.copy())
+        return r / 2.0
+
+    held = linsys.HeldFactor()
+    x = linsys._swept(mat, np.ones(4), 1e-11, held, lambda: inverse)
+    assert len(applied) == 2 and held.age == 0
+    assert np.array_equal(x, np.full(4, 0.25))
+
+
 def advected_step(variant, degree):
     """A step of the conjugate manufactured problem (fluid plus solid)
     assembled at a nonzero advecting velocity."""

@@ -79,6 +79,28 @@ def test_cavity_spec():
     assert np.abs(prob.g(x, x)).max() == 0.0
 
 
+def test_numeric_wall_data_matches_the_expression_path():
+    # constant wall temperatures skip sympy but return the arrays its
+    # lambdified expression returns; other expressions still go through it
+    prob = pr.cavity(1e3)
+    x = np.linspace(0, 1, 6).reshape(2, 3)
+    for wall, text in (("left", "1"), ("right", "0")):
+        fn = prob.temp_dirichlet_fn(wall)
+        for args in ((x, 0.5), (0.25, x), (0.5, 0.5)):
+            got, want = fn(*args), pr._lambdify(text)(*args)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+    spec = pr.ProblemSpec(1.0, 10.0, 1.0, (0.0, 1.0, 0.0, 1.0),
+                          (0.0, 1.0, 0.0, 1.0), prob.f, prob.g,
+                          {"left": ("dirichlet", "1 - y"),
+                           "right": ("dirichlet", "2.5e-1"),
+                           "bottom": ("insulated", None),
+                           "top": ("insulated", None)})
+    assert np.array_equal(spec.temp_dirichlet_fn("left")(0.0, x), 1.0 - x)
+    assert np.array_equal(spec.temp_dirichlet_fn("right")(1.0, x),
+                          np.full(x.shape, 0.25))
+
+
 def test_problem_validation():
     unit = (0.0, 1.0, 0.0, 1.0)
     bc = {w: ("dirichlet", "0") for w in ("left", "right", "bottom", "top")}

@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from wgconvect import forms
 from wgconvect import linsys
@@ -104,12 +109,58 @@ def test_bad_arguments_rejected():
 def test_linear_solve_failure_names_the_iteration(monkeypatch):
     prob, mesh, params = manufactured_setup(4, 2)
 
-    def boom(system):
+    def boom(system, held):
         raise RuntimeError("factorization exploded")
 
     monkeypatch.setattr(linsys, "solve_sparse", boom)
     with pytest.raises(RuntimeError, match="iteration 1"):
         solver.oseen_solve(mesh, params, prob)
+
+
+def test_held_flow_factor_cuts_factorizations(monkeypatch):
+    # a 12x12 Ra=1e3 cavity takes 12 Picard steps, as with a flow
+    # factorization per step; the held flow factor is refactored at most
+    # twice after the first step, and the temperature block every step
+    prob, mesh, params = cavity_setup(12, 1e3)
+    shapes = []
+    splu = spla.splu
+
+    def counting_splu(*args, **kwargs):
+        shapes.append(args[0].shape)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    fields, state = solver.oseen_solve(mesh, params, prob, tol=1e-9)
+    assert state.converged and state.iterations == 12
+    system = linsys.assemble_oseen_step(mesh, params, prob)
+    n_temp = system.border_index - system.flow_size
+    assert shapes.count((n_temp, n_temp)) == 12
+    assert 1 <= len(shapes) - 12 <= 3
+    div_h, jump = postproc.divergence_diagnostic(fields)
+    assert div_h <= 1e-10
+    assert jump <= 1e-10
+
+
+def test_cavity_path_does_not_import_sympy():
+    # the cavity's wall temperatures are numbers, so building and solving
+    # it through the command line's imports never loads sympy
+    code = ("import sys\n"
+            "from wgconvect import cli, forms, problems, solver\n"
+            "from wgconvect.mesh import build_structured_mesh\n"
+            "prob = problems.cavity(1e3)\n"
+            "mesh = build_structured_mesh(4, 4, prob.domain, "
+            "prob.fluid_rect)\n"
+            "params = forms.MethodParams.from_variant('wg1', 1)\n"
+            "_, state = solver.oseen_solve(mesh, params, prob)\n"
+            "assert state.converged\n"
+            "print('sympy' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        solver.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
 
 
 # ---------------------------------------------------------------- ramping
@@ -148,6 +199,18 @@ def test_ramp_failure_names_the_stage():
     with pytest.raises(RuntimeError, match="stage 0"):
         solver.ramp_rayleigh(mesh, params, prob, [1e3], tol=1e-14,
                              max_iter=2)
+
+
+def test_ramp_linear_solve_failure_names_the_stage(monkeypatch):
+    prob, mesh, params = cavity_setup(4, 1e3)
+
+    def boom(system, held):
+        raise RuntimeError("factorization exploded")
+
+    monkeypatch.setattr(linsys, "solve_sparse", boom)
+    with pytest.raises(RuntimeError,
+                       match=r"stage 0 \(Ra=1000\).*iteration 1.*exploded"):
+        solver.ramp_rayleigh(mesh, params, prob, [1e3, 1e4])
 
 
 def test_ramp_rejects_manufactured_forcing():
@@ -209,7 +272,7 @@ def test_trace_csv_roundtrip(tmp_path):
 def test_state_properties_reflect_last_row():
     trace = [solver.TraceRow(1, 0.5, 0.25, 0.125, 0.0),
              solver.TraceRow(2, 0.05, 0.025, 0.0125, 0.0)]
-    state = solver.OseenState(None, None, trace, 1e-9, 100, True)
+    state = solver.OseenState(None, trace, 1e-9, 100, True)
     assert state.iterations == 2
     assert state.du_norm == 0.05
     assert state.dt_norm == 0.025
