@@ -95,10 +95,6 @@ class MethodParams:
         return self.interior_dim + 3 * self.trace_dim
 
     @property
-    def velocity_size(self):
-        return 2 * self.scalar_size
-
-    @property
     def pressure_interior_dim(self):
         return pb.tri_dim(self.degree - 1)
 

@@ -87,17 +87,13 @@ class Mesh:
         self.B = B
         self.det_b = det                                # = 2 * area
         self.inv_bt = np.swapaxes(inv_b, 1, 2)          # B^{-T}
-        self.area = 0.5 * det
 
-        edges = tri_xy[:, [1, 2, 0]] - tri_xy           # local edge i: v_i -> v_{i+1}
-        self.elem_edge_len = np.linalg.norm(edges, axis=2)   # (Ne, 3)
         # element length scale sqrt(2 |K|), the grid cell size on structured
         # right-triangle meshes; the face stabilization factor is 1/h_K
         self.h_K = np.sqrt(det)
 
         self.is_fluid = self.elem_subdomain == FLUID
         self.fluid_elems = np.flatnonzero(self.is_fluid)
-        self.solid_elems = np.flatnonzero(~self.is_fluid)
 
     def _build_faces(self):
         ne = self.n_elems
@@ -114,9 +110,7 @@ class Mesh:
         self.elem_face_flip = flat[:, 0].reshape(ne, 3) != faces[inverse, 0]
 
         face_elems = np.full((self.n_faces, 2), -1, dtype=np.int64)
-        face_local = np.full((self.n_faces, 2), -1, dtype=np.int64)
         rep_elem = np.repeat(np.arange(ne), 3)
-        rep_local = np.tile(np.arange(3), ne)
         order = np.lexsort((rep_elem, inverse.ravel()))
         fids = inverse.ravel()[order]
         # first occurrence of each face id in the sorted stream goes to slot 0
@@ -124,9 +118,7 @@ class Mesh:
         first[1:] = fids[1:] != fids[:-1]
         slots = np.where(first, 0, 1)
         face_elems[fids, slots] = rep_elem[order]
-        face_local[fids, slots] = rep_local[order]
         self.face_elems = face_elems
-        self.face_local = face_local
 
         counts = np.bincount(inverse.ravel(), minlength=self.n_faces)
         if counts.max() > 2:
@@ -171,7 +163,6 @@ class Mesh:
             e = self.face_elems[:, col]
             ok = e >= 0
             adj_fluid[ok] |= self.is_fluid[e[ok]]
-        self.fluid_face_mask = adj_fluid
         self.fluid_faces = np.flatnonzero(adj_fluid)
 
         # velocity Dirichlet faces: the whole boundary of the fluid zone

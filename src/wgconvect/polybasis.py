@@ -94,15 +94,8 @@ class ScalarBasis:
         return out
 
     def grad(self, points):
-        """Gradients with respect to reference coordinates; (npts, dim, 2)."""
-        if self.shape == "edge":
-            t = np.asarray(points, dtype=float)
-            out = np.empty(t.shape + (self.dim,))
-            for g in range(self.dim):
-                coef = np.zeros(g + 1)
-                coef[g] = math.sqrt(2 * g + 1)
-                out[..., g] = 2.0 * npleg.legval(2.0 * t - 1.0, npleg.legder(coef))
-            return out
+        """Gradients of the triangle basis with respect to reference
+        coordinates; (npts, dim, 2)."""
         a, b, omy = _collapsed_coords(points)
         out = np.empty(a.shape + (self.dim, 2))
         omy_pow = {}  # (1-y)^p with negative powers clamped (coefficient is 0 there)

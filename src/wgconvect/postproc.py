@@ -110,39 +110,6 @@ class WgFields:
                                       tr.reshape(len(elems), 3, nt))
 
 
-def interpolate_exact(mesh, params, dofmap, exact, quad_degree=None):
-    """WG interpolant of a closed-form solution (interior and face L2
-    projections componentwise).  Fixed DOFs keep their boundary values."""
-    k, l = params.degree, params.trace_degree
-    if quad_degree is None:
-        quad_degree = 2 * k + 12
-    coeffs = dofmap.fixed_values.copy()
-    fe = mesh.fluid_elems
-    ff = mesh.fluid_faces
-    all_e = np.arange(mesh.n_elems)
-    all_f = np.arange(mesh.n_faces)
-
-    for d in range(2):
-        comp = lambda x, y, d=d: exact.u(x, y)[..., d]
-        coeffs[dofmap.u_interior(fe)[:, d, :]] = pb.project_interior(
-            mesh, fe, k, comp, quad_degree)
-        tr = pb.project_face(mesh, ff, l, comp, quad_degree)
-        idx = dofmap.u_trace(ff)[:, d, :]
-        free = ~dofmap.fixed_mask[idx]
-        coeffs[idx[free]] = tr[free]
-    coeffs[dofmap.p_interior(fe)] = pb.project_interior(
-        mesh, fe, k - 1, exact.p, quad_degree)
-    coeffs[dofmap.p_trace(ff)] = pb.project_face(
-        mesh, ff, k, exact.p, quad_degree)
-    coeffs[dofmap.t_interior(all_e)] = pb.project_interior(
-        mesh, all_e, k, exact.T, quad_degree)
-    tr = pb.project_face(mesh, all_f, l, exact.T, quad_degree)
-    idx = dofmap.t_trace(all_f)
-    free = ~dofmap.fixed_mask[idx]
-    coeffs[idx[free]] = tr[free]
-    return WgFields(mesh, params, dofmap, coeffs)
-
-
 # ----------------------------------------------------------------------
 # norms
 
@@ -371,21 +338,20 @@ class CavityReport:
 
 
 def _segment_in_triangle(verts, axis, value):
-    """Intersection of the line {x_axis = value} with a closed triangle,
-    as an interval along the other axis (lo, hi), or None."""
+    """Intersections of the line {x_axis = value} with closed triangles
+    verts (E, 3, 2), as intervals (lo, hi) along the other axis; lo > hi
+    where the line misses the triangle."""
     other = 1 - axis
-    crossings = []
-    for i in range(3):
-        a, b = verts[i], verts[(i + 1) % 3]
-        fa, fb = a[axis] - value, b[axis] - value
-        if abs(fa) < 1e-13:
-            crossings.append(a[other])
-        if fa * fb < 0:
-            t = fa / (fa - fb)
-            crossings.append(a[other] + t * (b[other] - a[other]))
-    if not crossings:
-        return None
-    return min(crossings), max(crossings)
+    a, b = verts, np.roll(verts, -1, axis=1)      # edge i runs v_i -> v_i+1
+    fa, fb = a[..., axis] - value, b[..., axis] - value
+    across = fa * fb < 0
+    t = fa / np.where(across, fa - fb, 1.0)
+    hits = np.concatenate([np.abs(fa) < 1e-13, across], axis=1)
+    spots = np.concatenate(
+        [a[..., other], a[..., other] + t * (b[..., other] - a[..., other])],
+        axis=1)
+    return (np.where(hits, spots, np.inf).min(axis=1),
+            np.where(hits, spots, -np.inf).max(axis=1))
 
 
 def _midplane_extremum(fields, axis, value, component, n_samples=12):
@@ -395,47 +361,42 @@ def _midplane_extremum(fields, axis, value, component, n_samples=12):
     mesh = fields.mesh
     nodes = 0.5 * (1.0 + np.cos(np.pi * np.arange(n_samples) /
                                 (n_samples - 1)))
-    best = None
-    for e in mesh.fluid_elems:
-        verts = mesh.vertices[mesh.triangles[e]]
-        span = _segment_in_triangle(verts, axis, value)
-        if span is None:
-            continue
-        lo, hi = span
-        other = lo + (hi - lo) * nodes if hi > lo else np.array([lo])
-        pts = np.empty((len(other), 2))
-        pts[:, axis] = value
-        pts[:, 1 - axis] = other
-        ref = (pts - mesh.elem_origin[e]) @ mesh.inv_bt[e]
-        vals = fields.velocity_at([e], ref)[0, :, component]
-        cand = float(np.max(np.abs(vals)))
-        best = cand if best is None else max(best, cand)
-    if best is None:
+    fe = mesh.fluid_elems
+    lo, hi = _segment_in_triangle(mesh.vertices[mesh.triangles[fe]], axis,
+                                  value)
+    crossed = lo <= hi
+    if not crossed.any():
         raise ValueError("no fluid element crosses the requested mid-plane")
-    return best
+    e, lo, hi = fe[crossed], lo[crossed], hi[crossed]
+    pts = np.empty((len(e), n_samples, 2))
+    pts[..., axis] = value
+    pts[..., 1 - axis] = lo[:, None] + (hi - lo)[:, None] * nodes
+    ref = (pts - mesh.elem_origin[e][:, None]) @ mesh.inv_bt[e]
+    phi = pb.scalar_basis(fields.params.degree).eval(ref)    # (E, q, nk)
+    ui = fields.coeffs[fields.dofmap.u_interior(e)]           # (E, 2, nk)
+    vals = np.einsum("eda,eqa->eqd", ui, phi)[..., component]
+    return float(np.max(np.abs(vals)))
 
 
 def _hot_wall_faces(mesh):
-    """Outer fluid faces on the left (heated) wall, with their elements."""
-    wall_of = mesh.face_wall()
-    faces = [f for f in mesh.fluid_faces
-             if mesh.face_tag[f] == OUTER and wall_of[f] == "left"]
-    if not faces:
+    """Outer fluid faces on the left (heated) wall."""
+    ff = mesh.fluid_faces
+    faces = ff[(mesh.face_tag[ff] == OUTER) & (mesh.face_wall()[ff] == "left")]
+    if not len(faces):
         raise ValueError("the mesh has no fluid faces on the left wall")
-    return np.asarray(faces)
+    return faces
 
 
 def _wall_nusselt(fields, faces, t):
     """-dT0/dx of the wall element's polynomial at face points t."""
     mesh = fields.mesh
-    out = []
-    for f in faces:
-        e = mesh.face_elems[f, 0]
-        pts = mesh.face_points(np.array([f]), t)[0]
-        ref = (pts - mesh.elem_origin[e]) @ mesh.inv_bt[e]
-        g = fields.temperature_gradient_at([e], ref)[0]
-        out.append(-g[:, 0])
-    return np.asarray(out)         # (faces, len(t))
+    e = mesh.face_elems[faces, 0]
+    pts = mesh.face_points(faces, t)                          # (F, q, 2)
+    ref = (pts - mesh.elem_origin[e][:, None]) @ mesh.inv_bt[e]
+    gphi = pb.scalar_basis(fields.params.degree).grad(ref)    # (F, q, nk, 2)
+    gx = np.einsum("ejk,eqak->eqaj", mesh.inv_bt[e], gphi)
+    ti = fields.coeffs[fields.dofmap.t_interior(e)]
+    return -np.einsum("ea,eqaj->eqj", ti, gx)[..., 0]         # (F, q)
 
 
 def cavity_report(fields, n_samples=12, quad_degree=None):
@@ -567,6 +528,11 @@ def _vertex_averages(fields):
     return out
 
 
+def _lines(fmt, rows):
+    """`fmt` filled once per row of `rows`, in a single format operation."""
+    return (fmt * len(rows)) % tuple(np.ravel(rows).tolist())
+
+
 def export_fields(fields, path):
     """Legacy-VTK ASCII dump of vertex-sampled fields (u1, u2, p, T, psi)."""
     mesh = fields.mesh
@@ -578,19 +544,16 @@ def export_fields(fields, path):
             fh.write("stationary natural convection fields\n")
             fh.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
             fh.write("POINTS %d double\n" % mesh.n_vertices)
-            for x, y in mesh.vertices:
-                fh.write("%.17g %.17g 0\n" % (x, y))
+            fh.write(_lines("%.17g %.17g 0\n", mesh.vertices))
             fh.write("CELLS %d %d\n" % (mesh.n_elems, 4 * mesh.n_elems))
-            for tri in mesh.triangles:
-                fh.write("3 %d %d %d\n" % tuple(tri))
+            fh.write(_lines("3 %d %d %d\n", mesh.triangles))
             fh.write("CELL_TYPES %d\n" % mesh.n_elems)
             fh.write("5\n" * mesh.n_elems)
             fh.write("POINT_DATA %d\n" % mesh.n_vertices)
             for name in ("u1", "u2", "p", "T", "psi"):
                 fh.write("SCALARS %s double 1\nLOOKUP_TABLE default\n"
                          % name)
-                for v in data[name]:
-                    fh.write("%.17g\n" % v)
+                fh.write(_lines("%.17g\n", data[name]))
     except OSError as err:
         raise OSError("cannot write field export to %s: %s" % (path, err))
     return path

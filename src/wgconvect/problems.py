@@ -72,10 +72,9 @@ class ExactSolution:
     def __init__(self, u1, u2, p, T, pr, ra, kappa, fluid_rect):
         import sympy as sp
         X, Y = sp.symbols("x y")
-        self.exprs = {name: sp.sympify(e) for name, e in
-                      [("u1", u1), ("u2", u2), ("p", p), ("T", T)]}
+        e = {name: sp.sympify(w) for name, w in
+             [("u1", u1), ("u2", u2), ("p", p), ("T", T)]}
         self.fluid_rect = tuple(float(c) for c in fluid_rect)
-        e = self.exprs
         lap = lambda w: sp.diff(w, X, 2) + sp.diff(w, Y, 2)
         conv = [sp.diff(e["u1"] * e[ui], X) + sp.diff(e["u2"] * e[ui], Y)
                 for ui in ("u1", "u2")]
@@ -181,7 +180,7 @@ class ProblemSpec:
     """
 
     def __init__(self, pr, ra, kappa, domain, fluid_rect, f, g, temp_bc,
-                 exact=None, forcing_degree=0, name=""):
+                 exact=None, forcing_degree=0):
         if not pr > 0:
             raise ValueError("Pr must be positive")
         if not kappa > 0:
@@ -206,7 +205,6 @@ class ProblemSpec:
         self.temp_bc = dict(temp_bc)
         self.exact = exact
         self.forcing_degree = forcing_degree
-        self.name = name
         if exact is not None:
             div = exact.divergence_residual()
             if div > 1e-12:
@@ -227,7 +225,7 @@ class ProblemSpec:
             raise ValueError("cannot retarget Ra with a manufactured forcing")
         return ProblemSpec(self.pr, ra, self.kappa, self.domain,
                            self.fluid_rect, self.f, self.g, self.temp_bc,
-                           forcing_degree=self.forcing_degree, name=self.name)
+                           forcing_degree=self.forcing_degree)
 
     def temp_dirichlet_fn(self, wall):
         kind, expr = self.temp_bc[wall]
@@ -273,8 +271,7 @@ def manufactured_convection():
     temp_bc = {w: ("dirichlet", "0") for w in WALLS}
     return ProblemSpec(pr, ra, kappa, (-1.0, 1.0, 0.0, 1.0), fluid,
                        exact.f, exact.g, temp_bc, exact=exact,
-                       forcing_degree=exact.forcing_degree,
-                       name="manufactured")
+                       forcing_degree=exact.forcing_degree)
 
 
 def cavity(ra):
@@ -291,7 +288,7 @@ def cavity(ra):
         "top": ("insulated", None),
     }
     return ProblemSpec(0.71, ra, 1.0, unit, unit, _zero_vector, _zero_scalar,
-                       temp_bc, name="cavity")
+                       temp_bc)
 
 
 # ----------------------------------------------------------------------
@@ -314,7 +311,14 @@ def load_config(path):
     """
     cp = configparser.ConfigParser()
     with open(path) as fh:
-        cp.read_file(fh)
+        try:
+            cp.read_file(fh)
+        except configparser.Error as err:
+            raise ValueError("config %s: %s" % (path, err))
+    for section, key in (("physics", "pr"), ("physics", "ra"),
+                         ("domain", "rect")):
+        if not cp.has_option(section, key):
+            raise ValueError("config %s: [%s] needs %r" % (path, section, key))
 
     phys = cp["physics"]
     pr = phys.getfloat("pr")
@@ -350,8 +354,7 @@ def load_config(path):
         forcing_degree = 0
 
     problem = ProblemSpec(pr, ra, kappa, rect, fluid_rect, f, g, temp_bc,
-                          exact=exact, forcing_degree=forcing_degree,
-                          name=cp.get("problem", "name", fallback=""))
+                          exact=exact, forcing_degree=forcing_degree)
 
     method = {}
     if cp.has_section("method"):
@@ -372,34 +375,3 @@ def load_config(path):
             solver["ramp"] = [float(t) for t in
                               s.get("ramp").replace(",", " ").split()]
     return problem, method, solver
-
-
-def write_config(path, problem, method=None, solver=None):
-    """Serialise a problem (and optional settings) to the INI schema."""
-    cp = configparser.ConfigParser()
-    cp["physics"] = {"pr": repr(problem.pr), "ra": repr(problem.ra),
-                     "kappa": repr(problem.kappa)}
-    cp["domain"] = {
-        "rect": " ".join(repr(c) for c in problem.domain),
-        "fluid_rect": " ".join(repr(c) for c in problem.fluid_rect),
-    }
-    cp["bc"] = {}
-    for wall in WALLS:
-        kind, expr = problem.temp_bc[wall]
-        cp["bc"][wall] = "insulated" if kind == "insulated" else (
-            "dirichlet %s" % expr)
-    if problem.exact is not None:
-        cp["exact"] = {k: str(v) for k, v in problem.exact.exprs.items()}
-    if problem.name:
-        cp["problem"] = {"name": problem.name}
-    if method:
-        cp["method"] = {("k" if key == "degree" else key): str(val)
-                        for key, val in method.items()}
-    if solver:
-        sec = {}
-        for key, val in solver.items():
-            sec[key] = (" ".join(repr(v) for v in val)
-                        if isinstance(val, (list, tuple)) else repr(val))
-        cp["solver"] = sec
-    with open(path, "w") as fh:
-        cp.write(fh)

@@ -30,8 +30,8 @@ AITKEN_MAX = 10.0
 
 
 class TraceRow:
-    """Increment norms of one iteration (seconds is wall time, which is
-    informational and excluded from trace equality)."""
+    """Increment norms of one iteration (seconds is wall time, the one
+    field that differs between reruns)."""
 
     __slots__ = ("iteration", "du", "dt", "dp", "seconds")
 
@@ -42,9 +42,6 @@ class TraceRow:
         self.dp = dp
         self.seconds = seconds
 
-    def as_tuple(self):
-        return (self.iteration, self.du, self.dt, self.dp)
-
     def __repr__(self):
         return ("TraceRow(n=%d, du=%.3e, dt=%.3e, dp=%.3e, %.3fs)"
                 % (self.iteration, self.du, self.dt, self.dp, self.seconds))
@@ -53,11 +50,9 @@ class TraceRow:
 class OseenState:
     """Outcome of a fixed-point run: final fields plus the full trace."""
 
-    def __init__(self, fields, trace, tol, max_iter, converged):
+    def __init__(self, fields, trace, converged):
         self.fields = fields
         self.trace = trace
-        self.tol = tol
-        self.max_iter = max_iter
         self.converged = converged
 
     @property
@@ -71,10 +66,6 @@ class OseenState:
     @property
     def dt_norm(self):
         return self.trace[-1].dt if self.trace else 0.0
-
-    @property
-    def dp_norm(self):
-        return self.trace[-1].dp if self.trace else 0.0
 
     def __repr__(self):
         word = "converged" if self.converged else "NOT converged"
@@ -163,7 +154,7 @@ def oseen_solve(mesh, params, problem, tol=1e-9, max_iter=100,
         if du + dt <= tol * scale:
             converged = True
             break
-    state = OseenState(fields, trace, tol, max_iter, converged)
+    state = OseenState(fields, trace, converged)
     return fields, state
 
 

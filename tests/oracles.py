@@ -3,7 +3,8 @@
 * Raviart-Thomas projection on one element (RtBasis, RtField, rt_project)
   and its divergence moment identity;
 * the commuting diagram of the weak gradient with the projections;
-* the inf-sup constant of the pressure Schur block.
+* the inf-sup constant of the pressure Schur block;
+* the WG interpolant of a closed-form solution.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ import scipy.sparse.linalg as spla
 
 from wgconvect import linsys
 from wgconvect import polybasis as pb
+from wgconvect import postproc
 from wgconvect import weakops as wo
 
 
@@ -287,3 +289,40 @@ def pressure_schur_smallest(mesh, params, problem):
     vals = sla.eigh((S + S.T) / 2, N, eigvals_only=True,
                     subset_by_index=[0, 1])
     return float(vals[0]), float(vals[1])
+
+
+# ----------------------------------------------------------------------
+# interpolation
+
+
+def interpolate_exact(mesh, params, dofmap, exact, quad_degree=None):
+    """WG interpolant of a closed-form solution (interior and face L2
+    projections componentwise).  Fixed DOFs keep their boundary values."""
+    k, l = params.degree, params.trace_degree
+    if quad_degree is None:
+        quad_degree = 2 * k + 12
+    coeffs = dofmap.fixed_values.copy()
+    fe = mesh.fluid_elems
+    ff = mesh.fluid_faces
+    all_e = np.arange(mesh.n_elems)
+    all_f = np.arange(mesh.n_faces)
+
+    for d in range(2):
+        comp = lambda x, y, d=d: exact.u(x, y)[..., d]
+        coeffs[dofmap.u_interior(fe)[:, d, :]] = pb.project_interior(
+            mesh, fe, k, comp, quad_degree)
+        tr = pb.project_face(mesh, ff, l, comp, quad_degree)
+        idx = dofmap.u_trace(ff)[:, d, :]
+        free = ~dofmap.fixed_mask[idx]
+        coeffs[idx[free]] = tr[free]
+    coeffs[dofmap.p_interior(fe)] = pb.project_interior(
+        mesh, fe, k - 1, exact.p, quad_degree)
+    coeffs[dofmap.p_trace(ff)] = pb.project_face(
+        mesh, ff, k, exact.p, quad_degree)
+    coeffs[dofmap.t_interior(all_e)] = pb.project_interior(
+        mesh, all_e, k, exact.T, quad_degree)
+    tr = pb.project_face(mesh, all_f, l, exact.T, quad_degree)
+    idx = dofmap.t_trace(all_f)
+    free = ~dofmap.fixed_mask[idx]
+    coeffs[idx[free]] = tr[free]
+    return postproc.WgFields(mesh, params, dofmap, coeffs)

@@ -333,7 +333,7 @@ def test_criterion_7_property_suites():
         C = np.zeros((2 * ns, 2 * ns))       # the scalar block per component
         C[:ns, :ns] = Cb
         C[ns:, ns:] = Cb
-        v = rng.normal(size=params.velocity_size)
+        v = rng.normal(size=2 * params.scalar_size)
         s = rng.normal(size=params.scalar_size)
         scale_v = max(1.0, np.abs(C).max() * np.sum(v ** 2))
         scale_s = max(1.0, np.abs(Cb).max() * np.sum(s ** 2))

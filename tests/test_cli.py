@@ -3,7 +3,21 @@ import pytest
 
 from wgconvect import cli
 from wgconvect import postproc
-from wgconvect import problems
+
+CAVITY_INI = """\
+[physics]
+pr = 0.71
+ra = 1000.0
+
+[domain]
+rect = 0 1 0 1
+
+[bc]
+left = dirichlet 1
+right = dirichlet 0
+bottom = insulated
+top = insulated
+"""
 
 
 def run(argv):
@@ -12,7 +26,13 @@ def run(argv):
 
 def manufactured_config(tmp_path):
     path = tmp_path / "manufactured.ini"
-    problems.write_config(path, problems.manufactured_convection())
+    path.write_text("[physics]\npr = 1\nra = 10\n"
+                    "[domain]\nrect = -1 1 0 1\nfluid_rect = 0 1 0 1\n"
+                    "[exact]\n"
+                    "u1 = -x**2*(x-1)**2*y*(y-1)*(2*y-1)\n"
+                    "u2 = y**2*(y-1)**2*x*(x-1)*(2*x-1)\n"
+                    "p = x**6 - y**6\n"
+                    "T = (x-1)*(x+1)*y*(y-1)\n")
     return path
 
 
@@ -35,9 +55,8 @@ def test_mesh_parsing():
 
 def test_flags_override_config(tmp_path):
     path = tmp_path / "prob.ini"
-    problems.write_config(path, problems.cavity(1e3),
-                          method={"degree": 1, "variant": "wg1"},
-                          solver={"tol": 1e-6, "max_iter": 7})
+    path.write_text(CAVITY_INI + "[method]\nk = 1\nvariant = wg1\n"
+                    "[solver]\ntol = 1e-6\nmax_iter = 7\n")
     args = cli.build_parser().parse_args(
         ["solve", "--config", str(path), "--variant", "wg3", "--tol",
          "1e-4"])
@@ -101,7 +120,7 @@ def test_blas_threads_default_to_one_and_user_settings_win():
 
 def test_converge_rejects_problem_without_exact(tmp_path, capsys):
     path = tmp_path / "cavity.ini"
-    problems.write_config(path, problems.cavity(1e3))
+    path.write_text(CAVITY_INI)
     assert run(["converge", "--config", path, "--meshes", "4x4,8x8",
                 "-o", tmp_path / "out"]) == 2
     assert "exact solution" in capsys.readouterr().err
@@ -151,6 +170,15 @@ def test_solve_rejects_nonpositive_prandtl(tmp_path, capsys):
     assert run(["solve", "--config", path, "--mesh", "4x4",
                 "-o", tmp_path / "out"]) == 2
     assert "Pr must be positive" in capsys.readouterr().err
+
+
+def test_solve_rejects_incomplete_config(tmp_path, capsys):
+    path = tmp_path / "bad.ini"
+    path.write_text("[physics]\npr = 1\nra = 10\n")
+    assert run(["solve", "--config", path, "--mesh", "4x4",
+                "-o", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "[domain]" in err
 
 
 def test_solve_reports_nonconvergence_with_exit_one(tmp_path):

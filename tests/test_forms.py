@@ -50,7 +50,7 @@ def full_pressure_block(mesh, elem, params):
     blk = forms.pressure_blocks(mesh, [elem], params)[0]   # (2, nk, np)
     ns = params.scalar_size
     nk = params.interior_dim
-    out = np.zeros((params.velocity_size, params.pressure_size))
+    out = np.zeros((2 * params.scalar_size, params.pressure_size))
     out[:nk] = blk[0]
     out[ns:ns + nk] = blk[1]
     return out
@@ -60,7 +60,7 @@ def full_buoyancy_block(mesh, elem, params, pr, ra):
     """Velocity-rows by temperature-interior block of Pr Ra (T0 j, v0)."""
     nk = params.interior_dim
     ns = params.scalar_size
-    out = np.zeros((params.velocity_size, nk))
+    out = np.zeros((2 * params.scalar_size, nk))
     out[ns:ns + nk] = (forms.buoyancy_factor(mesh, [elem], pr, ra)[0]
                        * np.eye(nk))
     return out
@@ -115,7 +115,7 @@ def test_viscous_zero_at_zero():
     mesh = build_structured_mesh(2, 2, UNIT, UNIT)
     params = forms.MethodParams(1)
     A = forms.viscous_blocks(mesh, [0], params, 0.71)[0]
-    v = np.zeros(params.velocity_size)
+    v = np.zeros(2 * params.scalar_size)
     assert v @ A @ v == 0.0
 
 
@@ -156,11 +156,12 @@ def test_viscous_linear_shear_oracle():
     params = forms.MethodParams(1)
     pr = 2.5
     for elem in range(mesh.n_elems):
-        vec = np.zeros(params.velocity_size)
+        vec = np.zeros(2 * params.scalar_size)
         vec[:params.scalar_size] = matching_scalar_vec(mesh, elem, params,
                                                        lambda x, y: x)
         A = forms.viscous_blocks(mesh, [elem], params, pr)[0]
-        assert vec @ A @ vec == pytest.approx(pr * mesh.area[elem], rel=1e-12)
+        assert vec @ A @ vec == pytest.approx(pr * 0.5 * mesh.det_b[elem],
+                                              rel=1e-12)
 
 
 def test_stabilization_vanishes_for_matching_traces():
@@ -220,7 +221,7 @@ def test_pressure_single_face_trace_oracle():
     elem = 0
     B = full_pressure_block(mesh, elem, params)
     c = np.array([0.7, -1.2])
-    v = np.zeros(params.velocity_size)
+    v = np.zeros(2 * params.scalar_size)
     v[0] = c[0] / np.sqrt(2.0)
     v[params.scalar_size] = c[1] / np.sqrt(2.0)
     for lf in range(3):
@@ -247,7 +248,7 @@ def test_pressure_block_commutes_with_projection():
             fid = mesh.elem_faces[elem, lf]
             i0 = params.pressure_interior_dim + lf * npd
             q[i0:i0 + npd] = pb.project_face(mesh, [fid], k, p, 2 * k + 4)[0]
-        v = rng.normal(size=params.velocity_size)
+        v = rng.normal(size=2 * params.scalar_size)
         B = full_pressure_block(mesh, elem, params)
 
         quad = pb.quad_rule(2 * k + 4, "triangle")
@@ -274,9 +275,10 @@ def test_buoyancy_constant_oracle():
     D = full_buoyancy_block(mesh, elem, params, pr, ra)
     T = np.zeros(params.interior_dim)
     T[0] = 1.0 / np.sqrt(2.0)                      # T0 = 1
-    v = np.zeros(params.velocity_size)
+    v = np.zeros(2 * params.scalar_size)
     v[params.scalar_size] = 1.0 / np.sqrt(2.0)     # v0 = (0, 1)
-    assert v @ D @ T == pytest.approx(pr * ra * mesh.area[elem], rel=1e-13)
+    assert v @ D @ T == pytest.approx(pr * ra * 0.5 * mesh.det_b[elem],
+                                      rel=1e-13)
     assert np.abs(D @ np.zeros(params.interior_dim)).max() == 0.0
 
 
@@ -288,7 +290,7 @@ def test_buoyancy_monomial_oracle():
     pr, ra = 0.9, 25.0
     elem = 0
     T = interior_coeffs(mesh, elem, 1, lambda x, y: y)
-    v = np.zeros(params.velocity_size)
+    v = np.zeros(2 * params.scalar_size)
     v[params.scalar_size:params.scalar_size + params.interior_dim] = T
     D = full_buoyancy_block(mesh, elem, params, pr, ra)
     assert v @ D @ T == pytest.approx(pr * ra / 12.0, rel=1e-13)
@@ -322,7 +324,7 @@ def test_convection_skew_symmetry():
             w0, wb = _random_w(params, rng)
             C = velocity_transport(mesh, elem, params, w0, wb)
             assert np.abs(C + C.T).max() < 1e-14 * max(1, np.abs(C).max())
-            v = rng.normal(size=params.velocity_size)
+            v = rng.normal(size=2 * params.scalar_size)
             assert abs(v @ C @ v) < 1e-11 * max(1.0, np.abs(C).max()
                                                 * np.sum(v ** 2))
             Cb = transport(mesh, elem, params, w0, wb)
@@ -348,9 +350,9 @@ def test_convection_hand_oracle():
     for lf in range(3):
         wb[lf, 0] = w_vec[nk + lf * params.trace_dim:
                           nk + (lf + 1) * params.trace_dim]
-    u = np.zeros(params.velocity_size)
+    u = np.zeros(2 * params.scalar_size)
     u[:nk] = interior_coeffs(mesh, elem, 1, lambda x, y: x)
-    v = np.zeros(params.velocity_size)
+    v = np.zeros(2 * params.scalar_size)
     v[:nk] = interior_coeffs(mesh, elem, 1, lambda x, y: y)
     C = velocity_transport(mesh, elem, params, w0, wb)
     assert v @ C @ u == pytest.approx(1.0 / 12.0, rel=1e-12)
@@ -360,11 +362,10 @@ def test_convection_hand_oracle():
 # global coercivity identities
 
 
-def _global_wg_draw(mesh, params, rng, elems, face_mask):
+def _global_wg_draw(mesh, params, rng, elems, faces):
     """Random global WG function: per-element interiors, per-face traces."""
     interiors = {int(e): rng.normal(size=params.interior_dim) for e in elems}
-    traces = {int(f): rng.normal(size=params.trace_dim)
-              for f in np.flatnonzero(face_mask)}
+    traces = {int(f): rng.normal(size=params.trace_dim) for f in faces}
     return interiors, traces
 
 
@@ -387,9 +388,9 @@ def test_global_momentum_coercivity_identity():
         params = forms.MethodParams.from_variant(variant, k)
         for _ in range(9):
             ui, ut = _global_wg_draw(mesh, params, rng, mesh.fluid_elems,
-                                     mesh.fluid_face_mask)
+                                     mesh.fluid_faces)
             vi, vt = _global_wg_draw(mesh, params, rng, mesh.fluid_elems,
-                                     mesh.fluid_face_mask)
+                                     mesh.fluid_faces)
             total = 0.0
             norm2 = 0.0
             for e in mesh.fluid_elems:
@@ -422,11 +423,11 @@ def test_global_heat_coercivity_identity():
     kappa = 1.3
     params = forms.MethodParams.from_variant("wg1", 1)
     all_elems = np.arange(mesh.n_elems)
-    all_faces = np.ones(mesh.n_faces, dtype=bool)
+    all_faces = np.arange(mesh.n_faces)
     for _ in range(17):
         si, st = _global_wg_draw(mesh, params, rng, all_elems, all_faces)
         wi, wt = _global_wg_draw(mesh, params, rng, mesh.fluid_elems,
-                                 mesh.fluid_face_mask)
+                                 mesh.fluid_faces)
         total = 0.0
         norm2 = 0.0
         for e in all_elems:

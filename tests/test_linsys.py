@@ -29,8 +29,7 @@ def zero_data_problem():
         f=lambda x, y: np.zeros(np.shape(x) + (2,)),
         g=lambda x, y: np.zeros(np.shape(x)),
         temp_bc={w: ("dirichlet", "0") for w in
-                 ("left", "right", "bottom", "top")},
-        name="zero-data")
+                 ("left", "right", "bottom", "top")})
 
 
 def first_iterate(prob, mesh, params):
@@ -73,15 +72,15 @@ def test_velocity_traces_fixed_on_fluid_boundary():
     idx = dm.u_trace(fixed_faces).ravel()
     assert np.all(dm.fixed_mask[idx])
     assert np.all(dm.fixed_values[idx] == 0.0)
-    free_faces = np.flatnonzero(mesh.fluid_face_mask
-                                & ~mesh.vel_dirichlet_mask)
+    free_faces = np.setdiff1d(mesh.fluid_faces,
+                              np.flatnonzero(mesh.vel_dirichlet_mask))
     assert not np.any(dm.fixed_mask[dm.u_trace(free_faces).ravel()])
 
 
 def test_velocity_dofs_rejected_on_solid():
     prob, mesh, params = manufactured_setup(4, 2)
     dm = linsys.DofMap(mesh, params)
-    solid = mesh.solid_elems[:1]
+    solid = np.flatnonzero(~mesh.is_fluid)[:1]
     with pytest.raises(ValueError, match="solid"):
         dm.u_interior(solid)
 
@@ -179,8 +178,9 @@ def test_convection_never_reaches_the_solid():
     w[vel_fixed] = 0.0
     diff = abs(asm.assemble(w).matrix - asm.assemble(None).matrix).tocsr()
     solid_only = dm.free_index[np.concatenate([
-        dm.t_interior(mesh.solid_elems).ravel(),
-        dm.t_trace(np.flatnonzero(~mesh.fluid_face_mask)).ravel()])]
+        dm.t_interior(np.flatnonzero(~mesh.is_fluid)).ravel(),
+        dm.t_trace(np.setdiff1d(np.arange(mesh.n_faces),
+                                mesh.fluid_faces)).ravel()])]
     solid_only = solid_only[solid_only >= 0]
     assert len(solid_only) > 0
     assert diff[solid_only].max() == 0.0

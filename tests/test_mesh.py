@@ -50,7 +50,7 @@ def test_refinement_halves_h_exactly():
 def test_all_elements_ccw_and_area():
     msh = m.build_structured_mesh(6, 3, TWO_BY_ONE, UNIT)
     assert np.all(msh.det_b > 0)
-    assert msh.area.sum() == pytest.approx(2.0, rel=1e-14)
+    assert 0.5 * msh.det_b.sum() == pytest.approx(2.0, rel=1e-14)
 
 
 def test_affine_map_reproduces_vertices():

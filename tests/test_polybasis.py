@@ -97,14 +97,6 @@ def test_edge_basis_orthonormal_and_parity():
     assert np.allclose(basis.eval(1.0 - t), basis.eval(t) * signs, atol=1e-12)
 
 
-def test_edge_basis_derivative_matches_fd():
-    basis = pb.ScalarBasis(3, "edge")
-    t = np.array([0.12, 0.4, 0.77])
-    h = 1e-6
-    fd = (basis.eval(t + h) - basis.eval(t - h)) / (2 * h)
-    assert np.abs(fd - basis.grad(t)).max() < 1e-5
-
-
 # ----------------------------------------------------------------------
 # projections
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from wgconvect import forms
 from wgconvect import linsys
 from wgconvect import polybasis as pb
@@ -159,7 +160,7 @@ def test_interpolant_error_orders():
             mesh = build_structured_mesh(4 * n, 2 * n, prob.domain,
                                          prob.fluid_rect)
             dm = linsys.DofMap(mesh, params)
-            fields = postproc.interpolate_exact(mesh, params, dm, prob.exact)
+            fields = oracles.interpolate_exact(mesh, params, dm, prob.exact)
             reps.append(postproc.error_report(fields, prob.exact))
         for name, target in [("grad_u", degree), ("l2_u", degree + 1),
                              ("grad_t", degree), ("l2_t", degree + 1),
@@ -187,7 +188,7 @@ def test_solved_coarse_mesh_errors_match_frozen_values():
 def test_error_report_of_interpolant_has_machine_zero_divergence():
     prob, mesh, params = manufactured_setup(8, 4)
     dm = linsys.DofMap(mesh, params)
-    fields = postproc.interpolate_exact(mesh, params, dm, prob.exact)
+    fields = oracles.interpolate_exact(mesh, params, dm, prob.exact)
     div_h, jump = postproc.divergence_diagnostic(fields)
     # the interpolant of a divergence-free field is not discretely
     # divergence-free, but the diagnostic must at least be finite and the
@@ -263,28 +264,37 @@ def test_cavity_report_of_resting_uniform_state_is_zero():
 
 
 def test_cavity_report_of_conduction_profile():
-    # T = 1 - x gives local Nusselt -dT/dx = 1 everywhere on the hot wall
+    # T = 1 - x gives local Nusselt -dT/dx = 1 everywhere on the hot wall;
+    # T = (1 - x)(1 + y) gives 1 + y, which varies along the wall: mean and
+    # volume average 1.5, largest 2 at the top corner, smallest 1 at the
+    # bottom
     mesh = build_structured_mesh(5, 5, UNIT, UNIT)
-    params = forms.MethodParams.from_variant("wg1", 1)
-    fields = fields_from_callables(mesh, params, T=lambda x, y: 1.0 - x)
-    rep = postproc.cavity_report(fields)
-    assert rep.nu_bar == pytest.approx(1.0, abs=1e-12)
-    assert rep.nu_max == pytest.approx(1.0, abs=1e-12)
-    assert rep.nu_min == pytest.approx(1.0, abs=1e-12)
-    assert rep.nu_volume == pytest.approx(1.0, abs=1e-12)
+    for degree, T, (mean, top, bottom) in [
+            (1, lambda x, y: 1.0 - x, (1.0, 1.0, 1.0)),
+            (2, lambda x, y: (1.0 - x) * (1.0 + y), (1.5, 2.0, 1.0))]:
+        params = forms.MethodParams.from_variant("wg1", degree)
+        rep = postproc.cavity_report(fields_from_callables(mesh, params, T=T))
+        assert rep.nu_bar == pytest.approx(mean, abs=1e-12)
+        assert rep.nu_max == pytest.approx(top, abs=1e-12)
+        assert rep.nu_min == pytest.approx(bottom, abs=1e-12)
+        assert rep.nu_volume == pytest.approx(mean, abs=1e-12)
 
 
 def test_cavity_midplane_extrema_of_quadratic_profile():
     # u1 = y(1-y) peaks at 0.25 on the vertical mid-plane, u2 = x(1-x) on
-    # the horizontal one; both are exactly representable at degree 2
-    mesh = build_structured_mesh(4, 4, UNIT, UNIT)
+    # the horizontal one; both are exactly representable at degree 2.  On
+    # the even mesh the mid-planes run along grid lines; on the odd one they
+    # cut element interiors, and the diagonal of the centre cell crosses
+    # them at the peak
     params = forms.MethodParams.from_variant("wg1", 2)
-    fields = fields_from_callables(
-        mesh, params,
-        u=lambda x, y: np.stack([y * (1.0 - y), x * (1.0 - x)], axis=-1))
-    rep = postproc.cavity_report(fields)
-    assert rep.u1_max == pytest.approx(0.25, rel=1e-12)
-    assert rep.u2_max == pytest.approx(0.25, rel=1e-12)
+    for n in (4, 5):
+        mesh = build_structured_mesh(n, n, UNIT, UNIT)
+        fields = fields_from_callables(
+            mesh, params,
+            u=lambda x, y: np.stack([y * (1.0 - y), x * (1.0 - x)], axis=-1))
+        rep = postproc.cavity_report(fields)
+        assert rep.u1_max == pytest.approx(0.25, rel=1e-12), n
+        assert rep.u2_max == pytest.approx(0.25, rel=1e-12), n
 
 
 def test_cavity_nusselt_stable_under_quadrature_refinement():
@@ -321,7 +331,7 @@ def test_stream_function_of_zero_velocity_is_zero():
 def test_stream_function_of_manufactured_interpolant():
     prob, mesh, params = manufactured_setup(32, 16, degree=2)
     dm = linsys.DofMap(mesh, params)
-    fields = postproc.interpolate_exact(mesh, params, dm, prob.exact)
+    fields = oracles.interpolate_exact(mesh, params, dm, prob.exact)
     psi = postproc.stream_function(fields)
 
     def psi_exact(x, y):
@@ -341,23 +351,45 @@ def test_stream_function_of_manufactured_interpolant():
 def test_export_fields_vtk_structure(tmp_path):
     mesh = build_structured_mesh(6, 6, UNIT, UNIT)
     params = forms.MethodParams.from_variant("wg1", 1)
-    fields = fields_from_callables(mesh, params, T=lambda x, y: 1.0 - x)
+    fields = fields_from_callables(
+        mesh, params, T=lambda x, y: 1.0 - x,
+        u=lambda x, y: np.stack([np.sin(3.0 * x) * y, np.cos(2.0 * y) * x],
+                                axis=-1),
+        p=lambda x, y: np.exp(x) - y)
     path = tmp_path / "fields.vtk"
     postproc.export_fields(fields, path)
     text = path.read_text().splitlines()
+    nv, ne = mesh.n_vertices, mesh.n_elems
     assert text[0].startswith("# vtk DataFile")
-    assert "POINTS %d double" % mesh.n_vertices in text
-    assert "CELLS %d %d" % (mesh.n_elems, 4 * mesh.n_elems) in text
+    assert "POINTS %d double" % nv in text
+    assert "CELLS %d %d" % (ne, 4 * ne) in text
     names = [line.split()[1] for line in text
              if line.startswith("SCALARS")]
     assert names == ["u1", "u2", "p", "T", "psi"]
 
     start = text.index("SCALARS T double 1") + 2
-    tvals = np.array([float(v) for v in text[start:start + mesh.n_vertices]])
+    tvals = np.array([float(v) for v in text[start:start + nv]])
     assert np.allclose(tvals, 1.0 - mesh.vertices[:, 0], atol=1e-12)
-    start = text.index("SCALARS psi double 1") + 2
-    psi = np.array([float(v) for v in text[start:start + mesh.n_vertices]])
-    assert np.max(np.abs(psi)) == 0.0
+
+    # %.17g round-trips a double, so every exported number reads back bit
+    # for bit
+    start = text.index("POINTS %d double" % nv) + 1
+    points = np.array([[float(v) for v in line.split()]
+                       for line in text[start:start + nv]])
+    assert np.array_equal(points, np.column_stack([mesh.vertices,
+                                                   np.zeros(nv)]))
+    start = text.index("CELLS %d %d" % (ne, 4 * ne)) + 1
+    cells = np.array([[int(v) for v in line.split()]
+                      for line in text[start:start + ne]])
+    assert np.array_equal(cells, np.column_stack([np.full(ne, 3),
+                                                  mesh.triangles]))
+    expect = postproc._vertex_averages(fields)
+    expect["psi"] = postproc.stream_function(fields)
+    for name in names:
+        start = text.index("SCALARS %s double 1" % name) + 2
+        got = np.array([float(v) for v in text[start:start + nv]])
+        assert np.array_equal(got, expect[name]), name
+        assert np.any(got != 0.0), name
 
 
 def test_export_fields_bad_path_raises():

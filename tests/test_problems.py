@@ -137,11 +137,46 @@ def test_ramp_copy_changes_only_ra():
         pr.manufactured_convection().with_rayleigh(20.0)
 
 
+CAVITY_INI = """\
+[physics]
+pr = 0.71
+ra = 1000.0
+kappa = 1.0
+
+[domain]
+rect = 0.0 1.0 0.0 1.0
+fluid_rect = 0.0 1.0 0.0 1.0
+
+[bc]
+left = dirichlet 1
+right = dirichlet 0
+bottom = insulated
+top = insulated
+"""
+
+MANUFACTURED_INI = """\
+[physics]
+pr = 1.0
+ra = 10.0
+kappa = 1.0
+
+[domain]
+rect = -1.0 1.0 0.0 1.0
+fluid_rect = 0.0 1.0 0.0 1.0
+
+[exact]
+u1 = -x**2*(x-1)**2*y*(y-1)*(2*y-1)
+u2 = y**2*(y-1)**2*x*(x-1)*(2*x-1)
+p = x**6 - y**6
+T = (x-1)*(x+1)*y*(y-1)
+"""
+
+
 def test_cavity_config_roundtrip(tmp_path):
     prob = pr.cavity(1e3)
     path = tmp_path / "cavity.ini"
-    pr.write_config(path, prob, method={"degree": 1, "variant": "wg1"},
-                    solver={"tol": 1e-9, "max_iter": 50, "ramp": [1e3]})
+    path.write_text(CAVITY_INI + "[method]\nk = 1\nvariant = wg1\n"
+                    "[solver]\ntol = 1e-09\nmax_iter = 50\nramp = 1000.0\n")
     loaded, method, solver = pr.load_config(path)
     assert loaded.pr == prob.pr
     assert loaded.ra == prob.ra
@@ -158,9 +193,10 @@ def test_cavity_config_roundtrip(tmp_path):
 def test_exact_config_roundtrip(tmp_path):
     prob = pr.manufactured_convection()
     path = tmp_path / "manu.ini"
-    pr.write_config(path, prob)
+    path.write_text(MANUFACTURED_INI)
     loaded, _, _ = pr.load_config(path)
     assert loaded.exact is not None
+    assert loaded.temp_bc == prob.temp_bc      # every wall defaults to T = 0
     xs = np.array([0.2, 0.5, 0.9])
     ys = np.array([0.1, 0.6, 0.3])
     assert np.allclose(loaded.exact.u(xs, ys), prob.exact.u(xs, ys),
@@ -175,4 +211,17 @@ def test_bad_bc_entry_rejected(tmp_path):
                     "[domain]\nrect = 0 1 0 1\n"
                     "[bc]\nleft = frozen\n")
     with pytest.raises(ValueError, match="left"):
+        pr.load_config(path)
+
+
+@pytest.mark.parametrize("text, named", [
+    ("[physics]\nra = 1\n[domain]\nrect = 0 1 0 1\n", "'pr'"),
+    ("[domain]\nrect = 0 1 0 1\n", r"\[physics\]"),
+    ("[physics]\npr = 1\nra = 1\n", r"\[domain\]"),
+    ("pr = 1\n", "section"),
+], ids=["no-pr", "no-physics", "no-domain", "no-header"])
+def test_incomplete_config_rejected(tmp_path, text, named):
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=named):
         pr.load_config(path)

@@ -75,7 +75,7 @@ def test_single_face_indicator_oracle():
     # v0 = 0, vb = 1 on one face: the r=0 weak gradient is (|e|/|K|) n_e
     mesh = build_structured_mesh(1, 1, UNIT, UNIT)
     elem, k, l = 0, 1, 1
-    area = mesh.area[elem]
+    area = 0.5 * mesh.det_b[elem]
     for lf in range(3):
         traces = [np.zeros(l + 1) for _ in range(3)]
         traces[lf][0] = 1.0
@@ -105,7 +105,7 @@ def test_all_faces_normal_trace_divergence_oracle():
                               traces)                   # (2, 1)
             d = d + g[comp]
         val = d[0] * np.sqrt(2.0)
-        expect = mesh.elem_face_len[elem].sum() / mesh.area[elem]
+        expect = mesh.elem_face_len[elem].sum() / (0.5 * mesh.det_b[elem])
         assert val == pytest.approx(expect, rel=1e-13)
 
 
