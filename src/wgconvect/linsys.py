@@ -26,12 +26,15 @@ solve path, solves the temperature block first and then the flow block
 the right-hand side.  The whole matrix is singular exactly when one of its
 diagonal blocks is, so nothing is factored whole.
 
-solve_sparse factors the temperature block on every call and solves the
-flow block with a held factor: oseen_solve keeps one HeldFactor for its
-Picard steps, since the flow block changes only through w.  Each block is
+A step's matrix has the same sparsity pattern at every advecting field:
+StepAssembler builds it once, with the static values, and a step sums its
+convection values into fixed slots of it.  solve_sparse solves each block
+with a held factor: oseen_solve keeps one HeldFactor per block for its
+Picard steps, since both blocks change only through w.  Each block is
 solved by sweeps x += M^-1 (b - A x) against its current matrix A, where M
-is the factored matrix, until the block residual is a tenth of the 1e-10
-contract; a held factor that stalls is dropped and the block refactored.
+is the factored matrix, starting from the block's solution of the previous
+step, until the block residual is a tenth of the 1e-10 contract; a held
+factor that stalls is dropped, the block refactored and solved from zero.
 The sweeps are what make the velocity divergence free to rounding, at any
 factor age: the divergence rows b(u,q) and the mean-pressure row do not
 depend on w, so M equals A in those rows, A M^-1 is the identity there,
@@ -227,16 +230,23 @@ class GlobalSystem:
     which come first in the free ordering, then the multiplier.  The free
     temperature DOFs fill the range between them, flow_size:border_index,
     and their rows have no entry in the flow columns.
+
+    blocks locates the entries of those blocks in matrix.data (a
+    BlockMaps); a StepAssembler passes the maps of its fixed pattern, and
+    without them they are computed from matrix here.
     """
 
     def __init__(self, matrix, rhs, dofmap, border_index, ground_index,
-                 flow_index):
+                 flow_index, blocks=None):
         self.matrix = matrix
         self.rhs = rhs
         self.dofmap = dofmap
         self.border_index = border_index
         self.ground_index = ground_index
         self.flow_index = flow_index
+        if blocks is None:
+            blocks = BlockMaps(matrix, self.flow_size, border_index)
+        self.blocks = blocks
 
     @property
     def flow_size(self):
@@ -256,6 +266,48 @@ class GlobalSystem:
         full = dm.fixed_values.copy()
         full[dm.free_dofs] = x[:dm.n_free]
         return full, float(x[dm.n_free])
+
+
+class BlockMaps:
+    """Where the blocks solve_sparse works with sit in the data of a CSR
+    step matrix: the temperature block [f:n, f:n], the flow block (rows and
+    columns 0..f-1 and n) and the flow rows' temperature columns [f:n].
+
+    The maps depend only on the matrix pattern, and `gather` builds the
+    three blocks of any matrix with that pattern from its `data`, equal to
+    scipy's slices of it.
+    """
+
+    def __init__(self, matrix, f, n):
+        cols = matrix.indices
+        rows = np.repeat(np.arange(matrix.shape[0], dtype=cols.dtype),
+                         np.diff(matrix.indptr))
+        temp_r = (rows >= f) & (rows < n)
+        temp_c = (cols >= f) & (cols < n)
+        flow_r = ~temp_r
+
+        def flow(i):                   # the multiplier n sits at f
+            return np.minimum(i, f)
+
+        def temp(i):
+            return i - f
+
+        self._parts = []
+        for sel, shape, row_pos, col_pos in (
+                (temp_r & temp_c, (n - f, n - f), temp, temp),
+                (flow_r & ~temp_c, (f + 1, f + 1), flow, flow),
+                (flow_r & temp_c, (f + 1, n - f), flow, temp)):
+            take = np.flatnonzero(sel)
+            indptr = np.zeros(shape[0] + 1, dtype=cols.dtype)
+            np.cumsum(np.bincount(row_pos(rows[take]), minlength=shape[0]),
+                      out=indptr[1:])
+            self._parts.append((take, col_pos(cols[take]), indptr, shape))
+
+    def gather(self, data):
+        """(temperature block, flow block, flow-temperature coupling) of
+        the matrix whose data this is, as CSR matrices."""
+        return [sps.csr_matrix((data[take], indices, indptr), shape=shape)
+                for take, indices, indptr, shape in self._parts]
 
 
 class StepAssembler:
@@ -323,25 +375,75 @@ class StepAssembler:
         rhs[dm.t_interior(all_e).ravel()] += (
             mesh.det_b[all_e][:, None] * gmom).ravel()
 
-        # the static triplets land in the same reduced rows and columns on
-        # every step, so they are mapped, and their fixed columns lifted
-        # into the right-hand side, once
+        # the static triplets and the mean-pressure border land in the same
+        # reduced rows and columns on every step: they are summed, and their
+        # fixed columns lifted into the right-hand side, once
         self._static_rhs = rhs[dm.free_dofs]
-        self._static_triplets = self._reduce(
-            np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
-            self._static_rhs)
-
-        # mean-pressure constraint: integral of p0 over the fluid zone
-        self._constraint_dofs = dm.p_interior(fe)[:, 0]
-        self._constraint_vals = mesh.det_b[fe] / np.sqrt(2.0)
-
-        self._vloc = vloc
-        self._sloc = sloc
+        r, c, v = self._reduce(np.concatenate(rows), np.concatenate(cols),
+                               np.concatenate(vals), self._static_rhs)
+        n = dm.n_free
+        con_r = dm.free_index[dm.p_interior(fe)[:, 0]]
+        con_v = mesh.det_b[fe] / np.sqrt(2.0)  # integral of p0 over the fluid
+        border = np.full(len(con_r), n)
+        static = sps.coo_matrix(
+            (np.concatenate([v, con_v, con_v]),
+             (np.concatenate([r, border, con_r]),
+              np.concatenate([c, con_r, border]))),
+            shape=(n + 1, n + 1)).tocsr()
+        del r, c, v
+        self._static_data = static.data
+        self._indices, self._indptr = static.indices, static.indptr
+        self._ground_index = int(con_r[0])
+        self._vel_fixed = dm.fixed_mask.copy()
+        self._vel_fixed[dm.offset["p_int"]:] = False
 
         # free DOFs keep the global block order, so the free flow DOFs are
         # the first flow_size ones and the multiplier follows the rest
         flow_size = int(np.sum(~dm.fixed_mask[:dm.offset["t_int"]]))
-        self._flow_index = np.append(np.arange(flow_size), dm.n_free)
+        self._flow_index = np.append(np.arange(flow_size), n)
+        self._blocks = BlockMaps(static, flow_size, n)
+        self._map_convection(static, vloc, sloc[fe])
+
+    def _map_convection(self, static, vloc, sloc_f):
+        """Slots in the static pattern for the convection triplets.
+
+        A step's convection triplets are the skew block S of every fluid
+        element, scattered three times (both velocity components, then the
+        temperature) over that element's local DOFs.  They lie inside the
+        static pattern, whose viscous and conduction blocks are dense over
+        the same local DOFs, so a step only sums their values into fixed
+        slots of the static data.  `_conv_slot` is that slot for each
+        triplet, or nnz (a discarded bin) for a triplet in a fixed row or
+        column; `_lift` lists the triplets in free rows and fixed columns,
+        whose values times the fixed data `_lift_rhs` subtracts from
+        `_lift_rows` of the right-hand side.
+        """
+        dm = self.dofmap
+        fe = self.mesh.fluid_elems
+        ns = self.params.scalar_size
+        locs = np.concatenate([vloc.reshape(len(fe), 2, ns)
+                               .transpose(1, 0, 2), sloc_f[None]])
+        rows = dm.free_index[np.repeat(locs[..., None], ns, axis=3).ravel()]
+        cols = np.repeat(locs[:, :, None, :], ns, axis=2).ravel()
+        c_free = dm.free_index[cols]
+        keep = (rows >= 0) & (c_free >= 0)
+        self._lift = np.flatnonzero((rows >= 0) & (c_free < 0))
+        self._lift_rows = rows[self._lift]
+        self._lift_rhs = dm.fixed_values[cols[self._lift]]
+        del cols
+
+        n = dm.n_free
+        nnz = len(self._static_data)
+        keys = np.repeat(np.arange(n + 1, dtype=np.int64),
+                         np.diff(static.indptr)) * (n + 1) + static.indices
+        want = rows[keep] * (n + 1) + c_free[keep]
+        del rows, c_free
+        slot = np.searchsorted(keys, want)
+        if not np.array_equal(keys[np.minimum(slot, nnz - 1)], want):
+            raise RuntimeError("a convection entry lies outside the static "
+                               "matrix pattern")
+        self._conv_slot = np.full(len(keep), nnz, dtype=np.int64)
+        self._conv_slot[keep] = slot
 
     def _reduce(self, rows, cols, vals, rhs):
         """Full-numbering triplets -> the (rows, cols, vals) of the entries
@@ -358,67 +460,46 @@ class StepAssembler:
         keep = keep_row & (c_free >= 0)
         return r_free[keep], c_free[keep], vals[keep]
 
-    def _convection_triplets(self, w_full):
-        mesh, params = self.mesh, self.params
-        dm = self.dofmap
-        fe = mesh.fluid_elems
-        nk, nt = params.interior_dim, params.trace_dim
-        ns = params.scalar_size
-
-        w_int = w_full[dm.u_interior(fe)]                # (Ef, 2, nk)
-        w_tr = w_full[dm.u_trace(mesh.elem_faces[fe].ravel())].reshape(
-            len(fe), 3, 2, nt)
-        S = forms.skew_convection_blocks(mesh, fe, params, w_int, w_tr)
-
-        rows, cols, vals = [], [], []
-        vloc2 = self._vloc.reshape(len(fe), 2, ns)
-        for c in range(2):                               # momentum transport
-            loc = vloc2[:, c, :]
-            rows.append(np.repeat(loc[:, :, None], ns, axis=2).ravel())
-            cols.append(np.repeat(loc[:, None, :], ns, axis=1).ravel())
-            vals.append(S.ravel())
-        # the same skew block advects the temperature on fluid elements
-        sloc_f = self._sloc[fe]
-        rows.append(np.repeat(sloc_f[:, :, None], ns, axis=2).ravel())
-        cols.append(np.repeat(sloc_f[:, None, :], ns, axis=1).ravel())
-        vals.append(S.ravel())
-        return (np.concatenate(rows), np.concatenate(cols),
-                np.concatenate(vals))
-
     def assemble(self, w_prev=None):
         """Assemble the step with frozen advecting field w_prev (full-layout
-        coefficients; None means zero, i.e. a Stokes-like step)."""
+        coefficients; None means zero, i.e. a Stokes-like step).
+
+        Every step's matrix has the static pattern: its `indices` and
+        `indptr` are the same arrays on every step, and only `data` is new.
+        """
         dm = self.dofmap
-        if w_prev is None:
-            w_full = np.zeros(dm.n_dofs)
-        else:
+        n = dm.n_free
+        rhs = np.append(self._static_rhs, 0.0)
+        data = self._static_data
+        if w_prev is not None:
             w_prev = np.asarray(w_prev, dtype=float)
             if w_prev.shape != (dm.n_dofs,):
                 raise ValueError(
                     "w_prev has length %d but the DOF map holds %d"
                     % (w_prev.size, dm.n_dofs))
-            vel_fixed = dm.fixed_mask.copy()
-            vel_fixed[dm.offset["p_int"]:] = False
-            if np.any(w_prev[vel_fixed] != 0.0):
+            if np.any(w_prev[self._vel_fixed] != 0.0):
                 raise ValueError("w_prev must vanish at fixed velocity DOFs")
-            w_full = w_prev
-
-        rhs = self._static_rhs.copy()
-        parts = [self._static_triplets]
-        if w_prev is not None and np.any(w_full):
-            parts.append(self._reduce(*self._convection_triplets(w_full),
-                                      rhs))
-        n = dm.n_free
-        con_r = dm.free_index[self._constraint_dofs]
-        border = np.full(len(con_r), n)
-        parts += [(border, con_r, self._constraint_vals),
-                  (con_r, border, self._constraint_vals)]
-        rows, cols, vals = (np.concatenate(a) for a in zip(*parts))
-        mat = sps.coo_matrix((vals, (rows, cols)),
-                             shape=(n + 1, n + 1)).tocsr()
-        return GlobalSystem(mat, np.append(rhs, 0.0), dm,
-                            border_index=n, ground_index=int(con_r[0]),
-                            flow_index=self._flow_index)
+        if w_prev is not None and np.any(w_prev):
+            mesh, fe = self.mesh, self.mesh.fluid_elems
+            nt = self.params.trace_dim
+            w_int = w_prev[dm.u_interior(fe)]            # (Ef, 2, nk)
+            w_tr = w_prev[dm.u_trace(mesh.elem_faces[fe].ravel())].reshape(
+                len(fe), 3, 2, nt)
+            S = forms.skew_convection_blocks(mesh, fe, self.params, w_int,
+                                             w_tr).ravel()
+            vals = np.concatenate([S, S, S])
+            data = data + np.bincount(self._conv_slot, vals,
+                                      minlength=len(data) + 1)[:len(data)]
+            np.subtract.at(rhs, self._lift_rows,
+                           vals[self._lift] * self._lift_rhs)
+        else:
+            data = data.copy()
+        mat = sps.csr_matrix((data, self._indices, self._indptr),
+                             shape=(n + 1, n + 1))
+        mat.has_canonical_format = True
+        return GlobalSystem(mat, rhs, dm, border_index=n,
+                            ground_index=self._ground_index,
+                            flow_index=self._flow_index, blocks=self._blocks)
 
 
 def assemble_oseen_step(mesh, params, problem, w_prev=None, dofmap=None):
@@ -437,14 +518,17 @@ MAX_SWEEPS = 8
 
 class HeldFactor:
     """A block inverse kept between solves: `inverse` applies it (None
-    until the first factorization) and `age` counts the solves it served
-    after the one it was built for."""
+    until the first factorization), `age` counts the solves it served
+    after the one it was built for, and `last` is the block solution of
+    the latest solve, from which the next solve starts (None: from zero).
+    """
 
-    __slots__ = ("inverse", "age")
+    __slots__ = ("inverse", "age", "last")
 
     def __init__(self):
         self.inverse = None
         self.age = 0
+        self.last = None
 
 
 def _factor(mat, block):
@@ -508,48 +592,65 @@ def _swept(mat, rhs, target, held, factor):
     """Solve mat @ x = rhs with held.inverse, building it with factor()
     when there is none.
 
-    The first application is the solve; sweeps x += inverse(rhs - mat @ x)
-    follow, at least one, until the residual is at most target.  A held
-    factor from an earlier solve that stalls (one application cuts the
-    residual less than STALL_RATIO-fold) or misses the target in MAX_SWEEPS
+    The first application is the solve; from zero, or, when held.last
+    holds an earlier solve's solution, the correction x = last +
+    inverse(rhs - mat @ last).  Sweeps x += inverse(rhs - mat @ x) follow,
+    at least one, until the residual is at most target.  A held factor from
+    an earlier solve that stalls (one application cuts a residual above
+    target less than STALL_RATIO-fold) or misses the target in MAX_SWEEPS
     sweeps is dropped before factor() builds its replacement, and the solve
-    starts over at age 0.  A fresh factor is never replaced: it makes at
-    least one sweep, and where it stalls after that, the caller's residual
-    check decides.
+    starts over from zero at age 0, exactly as a fresh solve would.  A
+    fresh factor is never replaced: it makes at least one sweep, and where
+    it stalls after that, the caller's residual check decides.  The
+    solution is kept in held.last.
     """
     while True:
         if held.inverse is None:
             held.inverse = factor()
             held.age = 0
-        x = held.inverse(rhs)
-        before = np.linalg.norm(rhs)
+            held.last = None
+        if held.last is None:
+            before = np.linalg.norm(rhs)
+            x = held.inverse(rhs)
+        else:
+            r = rhs - mat @ held.last
+            before = np.linalg.norm(r)
+            x = held.last + held.inverse(r)
         for sweep in range(MAX_SWEEPS + 1):
             r = rhs - mat @ x
             now = np.linalg.norm(r)
             if sweep > 0 and now <= target:
-                return x
+                break
             # a fresh factor always makes its one sweep
-            stalled = now * STALL_RATIO > before and (sweep or held.age)
+            stalled = (now > target and now * STALL_RATIO > before
+                       and (sweep or held.age))
             if stalled or sweep == MAX_SWEEPS:
+                if held.age:
+                    held.inverse = None
                 break
             x = x + held.inverse(r)
             before = now
-        if held.age == 0:
+        if held.inverse is not None:
+            held.last = x
             return x
-        held.inverse = None
 
 
 def solve_sparse(system, held=None):
     """Solve one assembled step block by block, with a residual guarantee.
 
     The temperature block matrix[f:n, f:n] (f = flow_size, n =
-    border_index) is factored with splu and solved first.  The flow block,
-    rows and columns flow_index, is then solved with the buoyancy columns
-    times the temperature moved to its right-hand side, through the
-    bordered inverse of _bordered_inverse held in `held` (a HeldFactor;
-    None makes a fresh one for this call).  A held inverse may come from an
-    earlier step with another advecting field: its age goes up by one, and
-    it is refactored only when it stalls (see _swept).
+    border_index) is solved first, through its splu factor.  The flow
+    block, rows and columns flow_index, is then solved with the buoyancy
+    columns times the temperature moved to its right-hand side, through
+    the bordered inverse of _bordered_inverse.  The blocks are gathered
+    from matrix.data through system.blocks.
+
+    held is a (temperature, flow) pair of HeldFactor that keeps each
+    block's inverse and solution between calls; None makes a fresh pair
+    for this call.  A held inverse may come from an earlier step with
+    another advecting field: its age goes up by one, the solve starts from
+    the block's previous solution, and the inverse is refactored only when
+    it stalls, after which the block is solved from zero (see _swept).
 
     Both blocks are solved by the sweep loop of _swept against their
     current matrices, down to a block residual of SWEEP_TOL * max(||b||, 1)
@@ -576,19 +677,17 @@ def solve_sparse(system, held=None):
     f, n = system.flow_size, system.border_index
     bnorm = np.linalg.norm(rhs)
     target = SWEEP_TOL * max(bnorm, 1.0)
-    temp_mat = mat[f:n, f:n]
-    x_temp = _swept(temp_mat, rhs[f:n], target, HeldFactor(),
-                    lambda: _factor(temp_mat, "temperature block").solve)
-    flow_rows = mat[flow]
-    flow_mat = flow_rows[:, flow]
+    temp_mat, flow_mat, coupling = system.blocks.gather(mat.data)
     if held is None:
-        held = HeldFactor()
-    elif held.inverse is not None:
-        held.age += 1
+        held = (HeldFactor(), HeldFactor())
+    for block in held:
+        if block.inverse is not None:
+            block.age += 1
     x = np.empty_like(rhs)
-    x[f:n] = x_temp
+    x[f:n] = _swept(temp_mat, rhs[f:n], target, held[0],
+                    lambda: _factor(temp_mat, "temperature block").solve)
     x[flow] = _swept(
-        flow_mat, rhs[flow] - flow_rows[:, f:n] @ x_temp, target, held,
+        flow_mat, rhs[flow] - coupling @ x[f:n], target, held[1],
         lambda: _bordered_inverse(flow_mat, f, system.ground_index))
 
     r = mat @ x - rhs

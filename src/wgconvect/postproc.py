@@ -114,10 +114,23 @@ class WgFields:
 # norms
 
 
-def _norm_matrices(mesh, elems, params):
-    """The weak-gradient and face-projection matrices of the triple norm on
-    `elems`; they depend only on geometry, so the two velocity components
-    share them."""
+def _norm_elems(mesh, kind):
+    """The elements of the `kind` triple norm: the fluid zone for the
+    velocity, the whole domain for the temperature."""
+    if kind == "velocity":
+        return mesh.fluid_elems
+    if kind == "temperature":
+        return np.arange(mesh.n_elems)
+    raise ValueError("kind must be 'velocity' or 'temperature', got %r"
+                     % (kind,))
+
+
+def norm_matrices(mesh, params, kind):
+    """The weak-gradient and face-projection matrices of the `kind` triple
+    norm.  They depend only on the geometry, so the two velocity
+    components share them, and a caller that takes many norms on one mesh
+    builds them once and passes them to triple_norm."""
+    elems = _norm_elems(mesh, kind)
     k, l, m = params.degree, params.trace_degree, params.grad_degree
     return (wo.gradient_matrix(mesh, elems, k, l, m),
             forms.face_projection_matrix(mesh, elems, k, l))
@@ -126,7 +139,7 @@ def _norm_matrices(mesh, elems, params):
 def _scalar_triple_sq(mesh, elems, G, P, interior, traces):
     """Batched |||.|||^2 for scalar weak functions given (E, nk) interiors
     and (E, 3, nt) traces: weak-gradient energy plus scaled trace jumps,
-    with G and P from _norm_matrices."""
+    with G and P from norm_matrices."""
     vec = np.concatenate([interior, traces.reshape(len(elems), -1)], axis=1)
     g = np.einsum("eis,es->ei", G, vec)
     total = np.einsum("e,ei,ei->", mesh.det_b[elems], g, g)
@@ -136,14 +149,17 @@ def _scalar_triple_sq(mesh, elems, G, P, interior, traces):
     return float(total)
 
 
-def triple_norm(fields, kind):
+def triple_norm(fields, kind, matrices=None):
     """Discrete energy norm of the velocity (fluid zone) or temperature
-    (whole domain) part of a WgFields solution."""
+    (whole domain) part of a WgFields solution.  matrices is the
+    norm_matrices(mesh, params, kind) pair, built here when None."""
     mesh, params, dm = fields.mesh, fields.params, fields.dofmap
     nt = params.trace_dim
+    elems = _norm_elems(mesh, kind)
+    if matrices is None:
+        matrices = norm_matrices(mesh, params, kind)
+    G, P = matrices
     if kind == "velocity":
-        elems = mesh.fluid_elems
-        G, P = _norm_matrices(mesh, elems, params)
         total = 0.0
         tr_all = fields.coeffs[dm.u_trace(mesh.elem_faces[elems].ravel())]
         tr_all = tr_all.reshape(len(elems), 3, 2, nt)
@@ -152,15 +168,10 @@ def triple_norm(fields, kind):
             total += _scalar_triple_sq(mesh, elems, G, P, ui[:, d, :],
                                        tr_all[:, :, d, :])
         return np.sqrt(total)
-    if kind == "temperature":
-        elems = np.arange(mesh.n_elems)
-        ti = fields.coeffs[dm.t_interior(elems)]
-        tr = fields.coeffs[dm.t_trace(mesh.elem_faces[elems].ravel())]
-        return np.sqrt(_scalar_triple_sq(
-            mesh, elems, *_norm_matrices(mesh, elems, params), ti,
-            tr.reshape(len(elems), 3, nt)))
-    raise ValueError("kind must be 'velocity' or 'temperature', got %r"
-                     % (kind,))
+    ti = fields.coeffs[dm.t_interior(elems)]
+    tr = fields.coeffs[dm.t_trace(mesh.elem_faces[elems].ravel())]
+    return np.sqrt(_scalar_triple_sq(mesh, elems, G, P, ti,
+                                     tr.reshape(len(elems), 3, nt)))
 
 
 def pressure_l2(fields):

@@ -302,12 +302,24 @@ def _parse_rect(text):
     return tuple(parts)
 
 
+# the sections and keys load_config reads (configparser lowercases keys)
+CONFIG_SCHEMA = {
+    "physics": ("pr", "ra", "kappa"),
+    "domain": ("rect", "fluid_rect"),
+    "bc": WALLS,
+    "exact": ("u1", "u2", "p", "t"),
+    "method": ("k", "variant"),
+    "solver": ("tol", "max_iter", "ramp"),
+}
+
+
 def load_config(path):
     """Read a problem (plus method/solver settings) from an INI file.
 
     Returns (ProblemSpec, method: dict, solver: dict).  If an [exact]
     section provides u1, u2, p, T the forcing is derived from it; otherwise
-    the forcing is zero.
+    the forcing is zero.  A section or key outside CONFIG_SCHEMA raises
+    ValueError, so that a misspelt setting is not silently ignored.
     """
     cp = configparser.ConfigParser()
     with open(path) as fh:
@@ -315,6 +327,14 @@ def load_config(path):
             cp.read_file(fh)
         except configparser.Error as err:
             raise ValueError("config %s: %s" % (path, err))
+    for section in cp.sections():
+        if section not in CONFIG_SCHEMA:
+            raise ValueError("config %s: unknown section [%s]"
+                             % (path, section))
+        for key in cp[section]:
+            if key not in CONFIG_SCHEMA[section]:
+                raise ValueError("config %s: unknown key %r in [%s]"
+                                 % (path, key, section))
     for section, key in (("physics", "pr"), ("physics", "ra"),
                          ("domain", "rect")):
         if not cp.has_option(section, key):

@@ -112,9 +112,16 @@ def oseen_solve(mesh, params, problem, tol=1e-9, max_iter=100,
     w = _coeffs_of(initial_velocity, dm)
     prev = w if w is not None else np.zeros(dm.n_dofs)
 
-    # the flow-block factor serves the following steps until it stalls;
-    # it lives only as long as this call
-    held = linsys.HeldFactor()
+    # each block's factor serves the following steps until it stalls, and
+    # each block's solve starts from its previous solution; the factors,
+    # like the norm matrices, live only as long as this call
+    held = (linsys.HeldFactor(), linsys.HeldFactor())
+    norm_mats = {kind: postproc.norm_matrices(mesh, params, kind)
+                 for kind in ("velocity", "temperature")}
+
+    def norm(f, kind):
+        return postproc.triple_norm(f, kind, matrices=norm_mats[kind])
+
     trace = []
     fields = None
     converged = False
@@ -131,12 +138,12 @@ def oseen_solve(mesh, params, problem, tol=1e-9, max_iter=100,
         full, lam = system.expand(x)
         fields = postproc.WgFields(mesh, params, dm, full, lam)
         diff = fields.copy_with(full - prev)
-        du = postproc.triple_norm(diff, "velocity")
-        dt = postproc.triple_norm(diff, "temperature")
+        du = norm(diff, "velocity")
+        dt = norm(diff, "temperature")
         dp = postproc.pressure_l2(diff)
         trace.append(TraceRow(n, du, dt, dp, time.perf_counter() - t0))
-        scale = max(postproc.triple_norm(fields, "velocity")
-                    + postproc.triple_norm(fields, "temperature"), 1e-14)
+        scale = max(norm(fields, "velocity") + norm(fields, "temperature"),
+                    1e-14)
         prev = full
         if relaxation == "aitken":
             base = w if w is not None else np.zeros(dm.n_dofs)

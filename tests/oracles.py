@@ -4,7 +4,8 @@
   and its divergence moment identity;
 * the commuting diagram of the weak gradient with the projections;
 * the inf-sup constant of the pressure Schur block;
-* the WG interpolant of a closed-form solution.
+* the WG interpolant of a closed-form solution;
+* a triplet (COO) assembler of one linearized step.
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ import scipy.linalg as sla
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
+from wgconvect import forms
 from wgconvect import linsys
 from wgconvect import polybasis as pb
 from wgconvect import postproc
@@ -326,3 +328,81 @@ def interpolate_exact(mesh, params, dofmap, exact, quad_degree=None):
     free = ~dofmap.fixed_mask[idx]
     coeffs[idx[free]] = tr[free]
     return postproc.WgFields(mesh, params, dofmap, coeffs)
+
+
+# ----------------------------------------------------------------------
+# triplet assembly of one step
+
+
+def coo_step(asm, w_prev=None):
+    """(matrix, rhs) of StepAssembler asm's step at the advecting field
+    w_prev, assembled from triplets: every local block of the step is
+    listed over its global DOFs, entries in fixed columns are lifted into
+    the right-hand side in triplet order, and scipy sums the rest, the
+    convection triplets and the mean-pressure border into a CSR matrix."""
+    mesh, params, problem, dm = asm.mesh, asm.params, asm.problem, asm.dofmap
+    fe = mesh.fluid_elems
+    all_e = np.arange(mesh.n_elems)
+    nk, nt, ns = params.interior_dim, params.trace_dim, params.scalar_size
+    triplets = []
+
+    def dense(loc, blocks):
+        m = loc.shape[1]
+        triplets.append((np.repeat(loc[:, :, None], m, axis=2).ravel(),
+                         np.repeat(loc[:, None, :], m, axis=1).ravel(),
+                         blocks.ravel()))
+
+    vloc = dm.velocity_local(fe)
+    sloc = dm.scalar_local(all_e)
+    ploc = dm.pressure_local(fe)
+    dense(vloc, forms.viscous_blocks(mesh, fe, params, problem.pr))
+    B = forms.pressure_blocks(mesh, fe, params)
+    ui = dm.u_interior(fe)
+    r_b = np.broadcast_to(ui[:, :, :, None], B.shape).ravel()
+    c_b = np.broadcast_to(ploc[:, None, None, :], B.shape).ravel()
+    triplets += [(r_b, c_b, B.ravel()), (c_b, r_b, -B.ravel())]
+    fac = forms.buoyancy_factor(mesh, fe, problem.pr, problem.ra)
+    triplets.append((ui[:, 1, :].ravel(), dm.t_interior(fe).ravel(),
+                     -np.repeat(fac, nk)))
+    dense(sloc, forms.conduction_blocks(mesh, all_e, params, problem.kappa))
+
+    rhs = np.zeros(dm.n_dofs)
+    qd = max(2 * params.degree + 2, problem.forcing_degree + params.degree)
+    fmom = np.stack([
+        pb.project_interior(mesh, fe, params.degree,
+                            lambda x, y, d=d: problem.f(x, y)[..., d], qd)
+        for d in range(2)], axis=1)
+    rhs[ui.ravel()] += (mesh.det_b[fe][:, None, None] * fmom).ravel()
+    gmom = pb.project_interior(mesh, all_e, params.degree, problem.g, qd)
+    rhs[dm.t_interior(all_e).ravel()] += (
+        mesh.det_b[all_e][:, None] * gmom).ravel()
+    rhs = rhs[dm.free_dofs]
+
+    def reduce(rows, cols, vals):
+        r_free, c_free = dm.free_index[rows], dm.free_index[cols]
+        lift = (r_free >= 0) & (c_free < 0)
+        np.subtract.at(rhs, r_free[lift],
+                       vals[lift] * dm.fixed_values[cols[lift]])
+        keep = (r_free >= 0) & (c_free >= 0)
+        return r_free[keep], c_free[keep], vals[keep]
+
+    parts = [reduce(*(np.concatenate(a) for a in zip(*triplets)))]
+    if w_prev is not None and np.any(w_prev):
+        w_int = w_prev[dm.u_interior(fe)]
+        w_tr = w_prev[dm.u_trace(mesh.elem_faces[fe].ravel())].reshape(
+            len(fe), 3, 2, nt)
+        S = forms.skew_convection_blocks(mesh, fe, params, w_int, w_tr)
+        triplets = []
+        vloc2 = vloc.reshape(len(fe), 2, ns)
+        for c in range(2):
+            dense(vloc2[:, c, :], S)
+        dense(sloc[fe], S)
+        parts.append(reduce(*(np.concatenate(a) for a in zip(*triplets))))
+    n = dm.n_free
+    con = dm.free_index[dm.p_interior(fe)[:, 0]]
+    con_v = mesh.det_b[fe] / np.sqrt(2.0)
+    border = np.full(len(con), n)
+    parts += [(border, con, con_v), (con, border, con_v)]
+    rows, cols, vals = (np.concatenate(a) for a in zip(*parts))
+    mat = sps.coo_matrix((vals, (rows, cols)), shape=(n + 1, n + 1)).tocsr()
+    return mat, np.append(rhs, 0.0)

@@ -181,6 +181,17 @@ def test_solve_rejects_incomplete_config(tmp_path, capsys):
     assert err.startswith("error:") and "[domain]" in err
 
 
+def test_solve_rejects_unknown_config_key(tmp_path, capsys):
+    path = tmp_path / "bad.ini"
+    path.write_text(CAVITY_INI + "[solver]\ntolerance = 1e-3\n")
+    assert run(["solve", "--config", path, "--mesh", "4x4",
+                "-o", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "unknown key 'tolerance' in [solver]" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_solve_reports_nonconvergence_with_exit_one(tmp_path):
     assert run(["solve", "--problem", "manufactured", "--mesh", "4x2",
                 "--tol", "1e-14", "--max-iter", "1",

@@ -216,6 +216,73 @@ def test_w_prev_validation():
         asm.assemble(bad)
 
 
+def pattern_setup(case, variant, degree):
+    """An assembler for the 6x6 cavity (lifted hot and cold walls) or the
+    8x4 conjugate manufactured problem (solid elements), plus advecting
+    fields: zero, a random admissible one and the first iterate."""
+    if case == "cavity":
+        prob = problems.cavity(1e4)
+        mesh = build_structured_mesh(6, 6, prob.domain, prob.fluid_rect)
+        params = forms.MethodParams.from_variant(variant, degree)
+    else:
+        prob, mesh, params = manufactured_setup(8, 4, degree, variant)
+    asm = linsys.StepAssembler(mesh, params, prob)
+    dm = asm.dofmap
+    rng = np.random.default_rng(7)
+    w_rand = rng.standard_normal(dm.n_dofs)
+    w_rand[dm.fixed_mask & (np.arange(dm.n_dofs) < dm.offset["p_int"])] = 0
+    first = asm.assemble(None)
+    w_first, _ = first.expand(linsys.solve_sparse(first))
+    return asm, {"zero": np.zeros(dm.n_dofs), "random": w_rand,
+                 "first": w_first}
+
+
+PATTERN_CASES = [("cavity", "wg1", 1), ("cavity", "wg3", 2),
+                 ("manufactured", "wg1", 1), ("manufactured", "wg3", 2)]
+
+
+@pytest.mark.parametrize("case,variant,degree", PATTERN_CASES)
+def test_fixed_pattern_assembly_equals_triplet_assembly(case, variant,
+                                                        degree):
+    asm, fields = pattern_setup(case, variant, degree)
+    for w in [None, *fields.values()]:
+        system = asm.assemble(w)
+        mat, rhs = oracles.coo_step(asm, w)
+        assert np.array_equal(system.matrix.data, mat.data)
+        assert np.array_equal(system.matrix.indices, mat.indices)
+        assert np.array_equal(system.matrix.indptr, mat.indptr)
+        assert np.array_equal(system.rhs, rhs)
+
+
+def test_steps_share_one_pattern():
+    asm, fields = pattern_setup("manufactured", "wg1", 1)
+    one, two = asm.assemble(None), asm.assemble(fields["first"])
+    # scipy wraps the arrays in views; no step copies them
+    assert np.shares_memory(one.matrix.indices, two.matrix.indices)
+    assert np.shares_memory(one.matrix.indptr, two.matrix.indptr)
+    assert not np.shares_memory(one.matrix.data, two.matrix.data)
+    assert not np.array_equal(one.matrix.data, two.matrix.data)
+
+
+@pytest.mark.parametrize("case,variant,degree", PATTERN_CASES[1:3])
+def test_gathered_blocks_equal_scipy_slices(case, variant, degree):
+    asm, fields = pattern_setup(case, variant, degree)
+    system = asm.assemble(fields["random"])
+    mat, flow = system.matrix, system.flow_index
+    f, n = system.flow_size, system.border_index
+    sliced = [mat[f:n, f:n], mat[flow][:, flow], mat[flow][:, f:n]]
+    # a GlobalSystem without the assembler's maps computes its own
+    alone = linsys.GlobalSystem(mat, system.rhs, system.dofmap, n,
+                                system.ground_index, flow)
+    assert alone.blocks is not system.blocks
+    for blocks in (system.blocks, alone.blocks):
+        for got, want in zip(blocks.gather(mat.data), sliced):
+            assert got.shape == want.shape
+            assert np.array_equal(got.data, want.data)
+            assert np.array_equal(got.indices, want.indices)
+            assert np.array_equal(got.indptr, want.indptr)
+
+
 def test_zero_data_gives_zero_solution():
     prob = zero_data_problem()
     mesh = build_structured_mesh(4, 2, prob.domain, prob.fluid_rect)
@@ -320,7 +387,7 @@ def test_stale_factor_keeps_divergence_rows_exact():
     mesh = build_structured_mesh(12, 12, prob.domain, prob.fluid_rect)
     params = forms.MethodParams.from_variant("wg1", 1)
     asm = linsys.StepAssembler(mesh, params, prob)
-    held = linsys.HeldFactor()
+    held = (linsys.HeldFactor(), linsys.HeldFactor())
     first = asm.assemble(None)
     w, _ = first.expand(linsys.solve_sparse(first, held))
     system = asm.assemble(w)
@@ -329,7 +396,7 @@ def test_stale_factor_keeps_divergence_rows_exact():
     flow_rows = system.matrix[flow]
     b = system.rhs[flow] - flow_rows[:, f:system.border_index] \
         @ x[f:system.border_index]
-    r = b - flow_rows[:, flow] @ held.inverse(b)
+    r = b - flow_rows[:, flow] @ held[1].inverse(b)
     exact = flow_rows_without_w(system)
     rest = np.setdiff1d(np.arange(len(flow)), exact)
     assert np.linalg.norm(r[exact]) <= 1e-12 * np.linalg.norm(b)
@@ -337,21 +404,21 @@ def test_stale_factor_keeps_divergence_rows_exact():
 
 
 def test_stale_held_factor_solves_without_refactoring(monkeypatch):
-    # the flow factor of the Stokes step serves the advected step of the
-    # conjugate manufactured problem: only the temperature block is
-    # factored, and the result meets the divergence contract
+    # the factors of the Stokes step serve the advected step of the
+    # conjugate manufactured problem: no block is factored, and the
+    # result meets the divergence contract
     prob, mesh, params = manufactured_setup(8, 4)
     asm = linsys.StepAssembler(mesh, params, prob)
-    held = linsys.HeldFactor()
+    held = (linsys.HeldFactor(), linsys.HeldFactor())
     first = asm.assemble(None)
     w, _ = first.expand(linsys.solve_sparse(first, held))
     system = asm.assemble(w)
-    stale = held.inverse
+    stale = [h.inverse for h in held]
     factorizations = counting_factorizations(monkeypatch)
     x = linsys.solve_sparse(system, held)
-    n_temp = system.border_index - system.flow_size
-    assert factorizations == [(n_temp, n_temp)]
-    assert held.inverse is stale and held.age == 1
+    assert factorizations == []
+    assert [h.inverse for h in held] == stale
+    assert [h.age for h in held] == [1, 1]
     full, lam = system.expand(x)
     fields = postproc.WgFields(mesh, params, asm.dofmap, full, lam)
     div_h, jump = postproc.divergence_diagnostic(fields)
@@ -360,30 +427,73 @@ def test_stale_held_factor_solves_without_refactoring(monkeypatch):
 
 
 def test_stalled_held_factor_is_refactored(monkeypatch):
-    # on an 8x8 Ra=1e3 cavity the Stokes factor cuts the residual of the
-    # first advected step less than tenfold: the flow block is factored
-    # again, and the step still meets the contract
+    # on an 8x8 Ra=1e3 cavity the Stokes factors cut the residual of the
+    # first advected step less than tenfold: both blocks are factored
+    # again and solved from zero, so the step equals a fresh solve bit for
+    # bit, and it meets the contract
     prob = problems.cavity(1e3)
     mesh = build_structured_mesh(8, 8, prob.domain, prob.fluid_rect)
     params = forms.MethodParams.from_variant("wg1", 1)
     asm = linsys.StepAssembler(mesh, params, prob)
-    held = linsys.HeldFactor()
+    held = (linsys.HeldFactor(), linsys.HeldFactor())
     first = asm.assemble(None)
     w, _ = first.expand(linsys.solve_sparse(first, held))
     system = asm.assemble(w)
-    stale = held.inverse
+    stale = [h.inverse for h in held]
     factorizations = counting_factorizations(monkeypatch)
     x = linsys.solve_sparse(system, held)
     n_temp = system.border_index - system.flow_size
     n_flow = system.flow_size + 1
     assert factorizations == [(n_temp, n_temp), (n_flow, n_flow)]
-    assert held.inverse is not stale and held.age == 0
+    for h, old in zip(held, stale):
+        assert h.inverse is not old and h.age == 0
     full, lam = system.expand(x)
     fields = postproc.WgFields(mesh, params, asm.dofmap, full, lam)
     div_h, jump = postproc.divergence_diagnostic(fields)
     assert div_h <= 1e-10
     assert jump <= 1e-10
     assert np.array_equal(x, linsys.solve_sparse(system))
+
+
+def test_warm_start_saves_applications():
+    # a late Picard step of a 12x12 Ra=1e3 cavity, with the factors held
+    # from the earlier steps: started from the previous step's solution it
+    # applies the factors fewer times than from zero, and both starts meet
+    # the contract
+    prob = problems.cavity(1e3)
+    mesh = build_structured_mesh(12, 12, prob.domain, prob.fluid_rect)
+    params = forms.MethodParams.from_variant("wg1", 1)
+    asm = linsys.StepAssembler(mesh, params, prob)
+    held = (linsys.HeldFactor(), linsys.HeldFactor())
+    w = None
+    for _ in range(6):
+        system = asm.assemble(w)
+        w, _ = system.expand(linsys.solve_sparse(system, held))
+    system = asm.assemble(w)
+
+    def counted(warm):
+        calls = []
+        copies = []
+        for h in held:
+            c = linsys.HeldFactor()
+            c.inverse = lambda r, inv=h.inverse: calls.append(1) or inv(r)
+            c.age = h.age
+            c.last = h.last if warm else None
+            copies.append(c)
+        x = linsys.solve_sparse(system, copies)
+        assert all(c.age == h.age + 1 for c, h in zip(copies, held))
+        return x, len(calls)
+
+    x_warm, warm_calls = counted(True)
+    x_cold, cold_calls = counted(False)
+    assert warm_calls < cold_calls
+    assert np.linalg.norm(x_warm - x_cold) <= 1e-10 * np.linalg.norm(x_cold)
+    for x in (x_warm, x_cold):
+        full, lam = system.expand(x)
+        fields = postproc.WgFields(mesh, params, asm.dofmap, full, lam)
+        div_h, jump = postproc.divergence_diagnostic(fields)
+        assert div_h <= 1e-10
+        assert jump <= 1e-10
 
 
 def test_fresh_factor_sweeps_once_even_when_it_stalls():

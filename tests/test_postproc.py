@@ -73,6 +73,23 @@ def test_triple_norm_rejects_unknown_kind():
         postproc.triple_norm(fields, "pressure")
 
 
+@pytest.mark.parametrize("variant,degree", [("wg1", 1), ("wg3", 2)])
+def test_triple_norm_with_held_matrices_is_bitwise(variant, degree):
+    # the solver builds the norm matrices once per solve; with them, the
+    # norm of any field equals the stand-alone call bit for bit
+    prob, mesh, params = manufactured_setup(8, 4, degree, variant)
+    dm = linsys.DofMap(mesh, params)
+    rng = np.random.default_rng(5)
+    for kind in ("velocity", "temperature"):
+        mats = postproc.norm_matrices(mesh, params, kind)
+        for _ in range(3):
+            fields = postproc.WgFields(mesh, params, dm,
+                                       rng.standard_normal(dm.n_dofs))
+            alone = postproc.triple_norm(fields, kind)
+            assert alone > 0.0
+            assert postproc.triple_norm(fields, kind, matrices=mats) == alone
+
+
 def test_velocity_triple_norm_matches_momentum_diffusion_energy():
     # Pr * |||v|||^2 is exactly the momentum diffusion quadratic form
     rng = np.random.default_rng(61)

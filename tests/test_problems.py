@@ -225,3 +225,20 @@ def test_incomplete_config_rejected(tmp_path, text, named):
     path.write_text(text)
     with pytest.raises(ValueError, match=named):
         pr.load_config(path)
+
+
+@pytest.mark.parametrize("extra, named", [
+    ("[solver]\ntolerance = 1e-3\nmax_iters = 1\n",
+     r"unknown key 'tolerance' in \[solver\]"),
+    ("[method]\ndegree = 2\n", r"unknown key 'degree' in \[method\]"),
+    ("[problem]\nname = cavity\n", r"unknown section \[problem\]"),
+    ("[bc]\nleft = dirichlet 1\nfront = insulated\n",
+     r"unknown key 'front' in \[bc\]"),
+], ids=["solver-key", "method-key", "section", "wall"])
+def test_unknown_config_entry_rejected(tmp_path, extra, named):
+    path = tmp_path / "bad.ini"
+    path.write_text("[physics]\npr = 1\nra = 1\n[domain]\nrect = 0 1 0 1\n"
+                    + extra)
+    with pytest.raises(ValueError, match="config .*bad.ini: " + named):
+        pr.load_config(path)
+
