@@ -201,7 +201,7 @@ def cmd_cavity(args):
     # iteration stops contracting somewhere above Ra = 1e3
     ramping = (args.ramp or problem.ra > 1e3) and problem.ra > 0
     if ramping:
-        targets = sopts.get("ramp") or _default_ramp(problem.ra)
+        targets = _default_ramp(problem.ra)
         fields, states = solver.ramp_rayleigh(
             mesh, params, problem, targets, tol=sopts["tol"],
             max_iter=sopts["max_iter"], relaxation="aitken")

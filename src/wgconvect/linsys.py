@@ -117,13 +117,14 @@ class DofMap:
                 + np.arange(nk)[None, None, :])
 
     def u_trace(self, faces):
+        """faces.shape + (2, nt) global indices."""
         nt = self.params.trace_dim
         ff = self.face_fluid_pos[np.atleast_1d(faces)]
         if np.any(ff < 0):
             raise ValueError("velocity trace DOFs requested on a solid face")
         base = self.offset["u_tr"] + 2 * nt * ff
-        return (base[:, None, None] + nt * np.arange(2)[None, :, None]
-                + np.arange(nt)[None, None, :])
+        return (base[..., None, None] + nt * np.arange(2)[:, None]
+                + np.arange(nt))
 
     def p_interior(self, elems):
         nkm1 = self.params.pressure_interior_dim
@@ -133,7 +134,7 @@ class DofMap:
     def p_trace(self, faces):
         ntp = self.params.pressure_trace_dim
         ff = self.face_fluid_pos[np.atleast_1d(faces)]
-        return self.offset["p_tr"] + ntp * ff[:, None] + np.arange(ntp)
+        return self.offset["p_tr"] + ntp * ff[..., None] + np.arange(ntp)
 
     def t_interior(self, elems):
         nk = self.params.interior_dim
@@ -143,60 +144,45 @@ class DofMap:
     def t_trace(self, faces):
         nt = self.params.trace_dim
         faces = np.atleast_1d(faces)
-        return self.offset["t_tr"] + nt * faces[:, None] + np.arange(nt)
+        return self.offset["t_tr"] + nt * faces[..., None] + np.arange(nt)
 
     # -- local layouts matching the forms module ------------------------
 
     def velocity_local(self, elems):
         """(E, 2 ns) indices in the component-major local velocity layout."""
-        nk, nt = self.params.interior_dim, self.params.trace_dim
-        ns = self.params.scalar_size
         elems = np.atleast_1d(elems)
-        ui = self.u_interior(elems)                     # (E, 2, nk)
-        ut = self.u_trace(self.mesh.elem_faces[elems].ravel()).reshape(
-            len(elems), 3, 2, nt)
-        out = np.empty((len(elems), 2, ns), dtype=np.int64)
-        out[:, :, :nk] = ui
-        for lf in range(3):
-            out[:, :, nk + lf * nt: nk + (lf + 1) * nt] = ut[:, lf]
-        return out.reshape(len(elems), 2 * ns)
+        return _local(self.u_interior(elems),
+                      self.u_trace(self.mesh.elem_faces[elems])
+                      ).reshape(len(elems), -1)
 
     def scalar_local(self, elems):
         """(E, ns) temperature-layout indices, valid on every element."""
-        nk, nt = self.params.interior_dim, self.params.trace_dim
         elems = np.atleast_1d(elems)
-        ti = self.t_interior(elems)
-        tt = self.t_trace(self.mesh.elem_faces[elems].ravel()).reshape(
-            len(elems), 3, nt)
-        out = np.empty((len(elems), self.params.scalar_size), dtype=np.int64)
-        out[:, :nk] = ti
-        for lf in range(3):
-            out[:, nk + lf * nt: nk + (lf + 1) * nt] = tt[:, lf]
-        return out
+        return _local(self.t_interior(elems),
+                      self.t_trace(self.mesh.elem_faces[elems]))
 
     def pressure_local(self, elems):
-        nkm1 = self.params.pressure_interior_dim
-        ntp = self.params.pressure_trace_dim
         elems = np.atleast_1d(elems)
-        pi = self.p_interior(elems)
-        pt = self.p_trace(self.mesh.elem_faces[elems].ravel()).reshape(
-            len(elems), 3, ntp)
-        out = np.empty((len(elems), self.params.pressure_size), dtype=np.int64)
-        out[:, :nkm1] = pi
-        for lf in range(3):
-            out[:, nkm1 + lf * ntp: nkm1 + (lf + 1) * ntp] = pt[:, lf]
-        return out
+        return _local(self.p_interior(elems),
+                      self.p_trace(self.mesh.elem_faces[elems]))
 
 
-def apply_nonhomogeneous_dirichlet(dofmap, problem, quad_degree=None):
+def _local(interior, traces):
+    """Join (E, ..., a) interior and (E, 3, ..., t) trace indices into the
+    local layout [interior | face 0 | face 1 | face 2], (E, ..., a + 3 t)."""
+    traces = np.moveaxis(traces, 1, -2)
+    return np.concatenate(
+        [interior, traces.reshape(traces.shape[:-2] + (-1,))], axis=-1)
+
+
+def apply_nonhomogeneous_dirichlet(dofmap, problem):
     """Fix temperature traces on Dirichlet walls to face-projected data.
 
     Insulated walls stay free.  Returns the updated dofmap.
     """
     mesh = dofmap.mesh
     l = dofmap.params.trace_degree
-    if quad_degree is None:
-        quad_degree = 2 * dofmap.params.degree + 4
+    quad_degree = 2 * dofmap.params.degree + 4
     wall_of = mesh.face_wall()
     outer = np.flatnonzero(mesh.face_tag == OUTER)
     unassigned = [int(f) for f in outer if wall_of[f] == ""]
@@ -366,10 +352,8 @@ class StepAssembler:
         rhs = np.zeros(dm.n_dofs)
         qd = max(2 * params.degree + 2,
                  problem.forcing_degree + params.degree)
-        fmom = np.stack([
-            pb.project_interior(mesh, fe, params.degree,
-                                lambda x, y, d=d: problem.f(x, y)[..., d], qd)
-            for d in range(2)], axis=1)                  # (Ef, 2, nk)
+        fmom = pb.project_interior(mesh, fe, params.degree, problem.f,
+                                   qd)                   # (Ef, 2, nk)
         rhs[ui.ravel()] += (mesh.det_b[fe][:, None, None] * fmom).ravel()
         gmom = pb.project_interior(mesh, all_e, params.degree, problem.g, qd)
         rhs[dm.t_interior(all_e).ravel()] += (
@@ -481,10 +465,8 @@ class StepAssembler:
                 raise ValueError("w_prev must vanish at fixed velocity DOFs")
         if w_prev is not None and np.any(w_prev):
             mesh, fe = self.mesh, self.mesh.fluid_elems
-            nt = self.params.trace_dim
             w_int = w_prev[dm.u_interior(fe)]            # (Ef, 2, nk)
-            w_tr = w_prev[dm.u_trace(mesh.elem_faces[fe].ravel())].reshape(
-                len(fe), 3, 2, nt)
+            w_tr = w_prev[dm.u_trace(mesh.elem_faces[fe])]   # (Ef, 3, 2, nt)
             S = forms.skew_convection_blocks(mesh, fe, self.params, w_int,
                                              w_tr).ravel()
             vals = np.concatenate([S, S, S])

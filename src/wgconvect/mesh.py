@@ -207,6 +207,13 @@ class Mesh:
         return (np.einsum("eij,qj->eqi", self.B[elems], ref_points)
                 + self.elem_origin[elems][:, None, :])
 
+    def to_reference(self, elems, points):
+        """Map (E, q, 2) physical points back to reference coordinates, per
+        element; the inverse of map_points."""
+        return np.einsum("eqd,edj->eqj",
+                         points - self.elem_origin[elems][:, None],
+                         self.inv_bt[elems])
+
 
 def _grid_index(value, start, step, n, name):
     """Index of `value` on the grid start + i*step, or raise naming the culprit."""

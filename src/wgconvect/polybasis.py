@@ -184,19 +184,21 @@ def project_interior(mesh, elems, degree, f, quad_degree):
     Parameters
     ----------
     f : callable
-        f(x, y) with array arguments, returning values of matching shape.
+        f(x, y) with array arguments, returning values of matching shape,
+        possibly with trailing axes (a vector field gives (..., 2)).
 
     Returns
     -------
-    (len(elems), dim) array in the orthonormal pullback basis.
+    (len(elems), ..., dim) array in the orthonormal pullback basis, one
+    row per component of f.
     """
     elems = np.atleast_1d(np.asarray(elems, dtype=np.int64))
     quad = quad_rule(quad_degree, "triangle")
     basis = scalar_basis(degree, "triangle")
     pts = mesh.map_points(elems, quad.points)            # (E, Q, 2)
-    vals = f(pts[..., 0], pts[..., 1])                   # (E, Q)
+    vals = f(pts[..., 0], pts[..., 1])                   # (E, Q, ...)
     phi = basis.eval(quad.points)                        # (Q, dim)
-    return np.einsum("q,eq,qd->ed", quad.weights, vals, phi)
+    return np.einsum("q,eq...,qd->e...d", quad.weights, vals, phi)
 
 
 def project_face(mesh, fids, degree, f, quad_degree):

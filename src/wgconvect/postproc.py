@@ -1,8 +1,12 @@
 """Norms, error measures, benchmark quantities, and field export.
 
-The solved coefficient vector is wrapped in WgFields, which knows how to
-evaluate the piecewise polynomials and their broken gradients.  Everything
-else in this module is a pure function of (fields, mesh, params).
+The solved coefficient vector is wrapped in WgFields, which gathers it
+into local vectors through the DOF map's layouts and evaluates the
+piecewise polynomials, their broken gradients and their weak gradients at
+reference points shared by all elements or given per element.  Every
+quantity here (norms, errors, the divergence scan, the cavity numbers, the
+export) is evaluated through WgFields; the rest of this module is a pure
+function of (fields, mesh, params).
 """
 
 import numpy as np
@@ -38,76 +42,75 @@ class WgFields:
     def p_interior(self):
         return self.coeffs[self.dofmap.p_interior(self.mesh.fluid_elems)]
 
-    # -- pointwise evaluation (elems are raw element ids) ----------------
+    # -- pointwise evaluation: elems are raw element ids, and reference
+    #    points are (q, 2), shared by all elements, or (E, q, 2), per element
+
+    def _basis(self, degree, ref_points):
+        """(1 | E, q, a) values of the degree-`degree` basis."""
+        phi = pb.scalar_basis(degree).eval(ref_points)
+        return phi.reshape((-1,) + phi.shape[-2:])
+
+    def _physical_grad(self, elems, ref_points):
+        """(E, q, a, 2) physical gradients of the degree-k basis."""
+        gphi = pb.scalar_basis(self.params.degree).grad(ref_points)
+        gphi = gphi.reshape((-1,) + gphi.shape[-3:])
+        return np.einsum("ejk,eqak->eqaj", self.mesh.inv_bt[elems], gphi)
 
     def velocity_at(self, elems, ref_points):
         """(E, q, 2) values of the interior velocity polynomial."""
-        phi = pb.scalar_basis(self.params.degree).eval(ref_points)
         ui = self.coeffs[self.dofmap.u_interior(elems)]
-        return np.einsum("eda,qa->eqd", ui, phi)
+        return np.einsum("eda,eqa->eqd", ui,
+                         self._basis(self.params.degree, ref_points))
 
     def velocity_gradient_at(self, elems, ref_points):
         """(E, q, 2, 2) broken gradient, [d, j] = du_d/dx_j."""
-        gphi = pb.scalar_basis(self.params.degree).grad(ref_points)
         ui = self.coeffs[self.dofmap.u_interior(elems)]
-        gx = np.einsum("ejk,qak->eqaj", self.mesh.inv_bt[elems], gphi)
-        return np.einsum("eda,eqaj->eqdj", ui, gx)
+        return np.einsum("eda,eqaj->eqdj", ui,
+                         self._physical_grad(elems, ref_points))
 
     def pressure_at(self, elems, ref_points):
-        phi = pb.scalar_basis(self.params.degree - 1).eval(ref_points)
         pi = self.coeffs[self.dofmap.p_interior(elems)]
-        return np.einsum("ea,qa->eq", pi, phi)
+        return np.einsum("ea,eqa->eq", pi,
+                         self._basis(self.params.degree - 1, ref_points))
 
     def temperature_at(self, elems, ref_points):
-        phi = pb.scalar_basis(self.params.degree).eval(ref_points)
         ti = self.coeffs[self.dofmap.t_interior(elems)]
-        return np.einsum("ea,qa->eq", ti, phi)
+        return np.einsum("ea,eqa->eq", ti,
+                         self._basis(self.params.degree, ref_points))
 
     def temperature_gradient_at(self, elems, ref_points):
-        gphi = pb.scalar_basis(self.params.degree).grad(ref_points)
         ti = self.coeffs[self.dofmap.t_interior(elems)]
-        gx = np.einsum("ejk,qak->eqaj", self.mesh.inv_bt[elems], gphi)
-        return np.einsum("ea,eqaj->eqj", ti, gx)
+        return np.einsum("ea,eqaj->eqj", ti,
+                         self._physical_grad(elems, ref_points))
 
-    def _gradient_matrix(self, elems):
-        params = self.params
-        return wo.gradient_matrix(self.mesh, elems, params.degree,
-                                  params.trace_degree, params.grad_degree)
+    def _local_vectors(self, elems, kind):
+        """(E, c, ns) coefficients in the local layout [interior | face 0 |
+        face 1 | face 2]: the c = 2 velocity components, or the c = 1
+        temperature."""
+        if kind == "velocity":
+            return self.coeffs[self.dofmap.velocity_local(elems)].reshape(
+                len(elems), 2, -1)
+        return self.coeffs[self.dofmap.scalar_local(elems)][:, None]
 
-    def _weak_gradient_at(self, G, ref_points, interior, traces):
-        """Reconstructed weak gradient of one scalar component, (E, q, 2),
-        with G the weak-gradient matrix of its elements."""
-        n = len(interior)
-        vec = np.concatenate([interior, traces.reshape(n, -1)], axis=1)
-        g = np.einsum("eis,es->ei", G, vec).reshape(n, 2, -1)
-        phi = pb.scalar_basis(self.params.grad_degree).eval(ref_points)
-        return np.einsum("eja,qa->eqj", g, phi)
+    def _weak_gradient_at(self, elems, ref_points, kind):
+        """(E, q, c, 2) reconstructed weak gradient of the c components of
+        the `kind` field."""
+        p = self.params
+        G = wo.gradient_matrix(self.mesh, elems, p.degree, p.trace_degree,
+                               p.grad_degree)
+        vec = self._local_vectors(elems, kind)
+        g = np.einsum("eis,ecs->eci", G, vec).reshape(vec.shape[:2] + (2, -1))
+        return np.einsum("ecja,eqa->eqcj", g,
+                         self._basis(p.grad_degree, ref_points))
 
     def velocity_weak_gradient_at(self, elems, ref_points):
         """(E, q, 2, 2) reconstructed weak gradient, [d, j] = d(u_d)/dx_j."""
-        elems = np.asarray(elems, dtype=np.int64)
-        nt = self.params.trace_dim
-        ui = self.coeffs[self.dofmap.u_interior(elems)]
-        tr = self.coeffs[self.dofmap.u_trace(
-            self.mesh.elem_faces[elems].ravel())]
-        tr = tr.reshape(len(elems), 3, 2, nt)
-        G = self._gradient_matrix(elems)        # shared by both components
-        out = np.empty((len(elems), len(ref_points), 2, 2))
-        for d in range(2):
-            out[:, :, d, :] = self._weak_gradient_at(
-                G, ref_points, ui[:, d, :], tr[:, :, d, :])
-        return out
+        return self._weak_gradient_at(elems, ref_points, "velocity")
 
     def temperature_weak_gradient_at(self, elems, ref_points):
         """(E, q, 2) reconstructed weak gradient of the temperature."""
-        elems = np.asarray(elems, dtype=np.int64)
-        nt = self.params.trace_dim
-        ti = self.coeffs[self.dofmap.t_interior(elems)]
-        tr = self.coeffs[self.dofmap.t_trace(
-            self.mesh.elem_faces[elems].ravel())]
-        return self._weak_gradient_at(self._gradient_matrix(elems),
-                                      ref_points, ti,
-                                      tr.reshape(len(elems), 3, nt))
+        return self._weak_gradient_at(elems, ref_points, "temperature")[
+            :, :, 0]
 
 
 # ----------------------------------------------------------------------
@@ -136,42 +139,25 @@ def norm_matrices(mesh, params, kind):
             forms.face_projection_matrix(mesh, elems, k, l))
 
 
-def _scalar_triple_sq(mesh, elems, G, P, interior, traces):
-    """Batched |||.|||^2 for scalar weak functions given (E, nk) interiors
-    and (E, 3, nt) traces: weak-gradient energy plus scaled trace jumps,
-    with G and P from norm_matrices."""
-    vec = np.concatenate([interior, traces.reshape(len(elems), -1)], axis=1)
-    g = np.einsum("eis,es->ei", G, vec)
-    total = np.einsum("e,ei,ei->", mesh.det_b[elems], g, g)
-    jump = np.einsum("elgb,eb->elg", P, interior) - traces
-    fac = mesh.elem_face_len[elems] / mesh.h_K[elems][:, None]
-    total += np.einsum("el,elg,elg->", fac, jump, jump)
-    return float(total)
-
-
 def triple_norm(fields, kind, matrices=None):
     """Discrete energy norm of the velocity (fluid zone) or temperature
-    (whole domain) part of a WgFields solution.  matrices is the
+    (whole domain) part of a WgFields solution: weak-gradient energy plus
+    scaled trace jumps, summed over the components.  matrices is the
     norm_matrices(mesh, params, kind) pair, built here when None."""
-    mesh, params, dm = fields.mesh, fields.params, fields.dofmap
-    nt = params.trace_dim
+    mesh, params = fields.mesh, fields.params
     elems = _norm_elems(mesh, kind)
     if matrices is None:
         matrices = norm_matrices(mesh, params, kind)
     G, P = matrices
-    if kind == "velocity":
-        total = 0.0
-        tr_all = fields.coeffs[dm.u_trace(mesh.elem_faces[elems].ravel())]
-        tr_all = tr_all.reshape(len(elems), 3, 2, nt)
-        ui = fields.coeffs[dm.u_interior(elems)]
-        for d in range(2):
-            total += _scalar_triple_sq(mesh, elems, G, P, ui[:, d, :],
-                                       tr_all[:, :, d, :])
-        return np.sqrt(total)
-    ti = fields.coeffs[dm.t_interior(elems)]
-    tr = fields.coeffs[dm.t_trace(mesh.elem_faces[elems].ravel())]
-    return np.sqrt(_scalar_triple_sq(mesh, elems, G, P, ti,
-                                     tr.reshape(len(elems), 3, nt)))
+    vec = fields._local_vectors(elems, kind)               # (E, c, ns)
+    nk = params.interior_dim
+    g = np.einsum("eis,ecs->eci", G, vec)
+    total = np.einsum("e,eci,eci->", mesh.det_b[elems], g, g)
+    traces = vec[..., nk:].reshape(vec.shape[:2] + (3, -1))
+    jump = np.einsum("elgb,ecb->eclg", P, vec[..., :nk]) - traces
+    fac = mesh.elem_face_len[elems] / mesh.h_K[elems][:, None]
+    total += np.einsum("el,eclg,eclg->", fac, jump, jump)
+    return np.sqrt(total)
 
 
 def pressure_l2(fields):
@@ -215,16 +201,14 @@ class ErrorReport:
                    self.l2_t, self.div_h))
 
 
-def error_report(fields, exact, quad_degree=None, div_h=None):
+def error_report(fields, exact, div_h=None):
     """Relative L2 and broken-gradient errors against exact fields.
 
     div_h is the first value of divergence_diagnostic(fields), for a caller
     that has already computed it; None computes it here.
     """
-    mesh, params = fields.mesh, fields.params
-    if quad_degree is None:
-        quad_degree = max(2 * params.degree + 4, 16)
-    qr = pb.QuadratureRule.triangle(quad_degree)
+    mesh = fields.mesh
+    qr = pb.QuadratureRule.triangle(max(2 * fields.params.degree + 4, 16))
     fe = mesh.fluid_elems
     all_e = np.arange(mesh.n_elems)
 
@@ -295,12 +279,9 @@ def divergence_diagnostic(fields):
     """
     mesh, params = fields.mesh, fields.params
     qr = pb.QuadratureRule.triangle(2 * params.degree + 2)
-    basis = pb.scalar_basis(params.degree)
     fe = mesh.fluid_elems
     ui = fields.coeffs[fields.dofmap.u_interior(fe)]
-    gphi = basis.grad(qr.points)
-    gx = np.einsum("ejk,qak->eqaj", mesh.inv_bt[fe], gphi)
-    div = np.einsum("eda,eqad->eq", ui, gx)
+    div = np.einsum("eda,eqad->eq", ui, fields._physical_grad(fe, qr.points))
     div_norm = np.sqrt(mesh.det_b[fe] * np.sum(qr.weights * div ** 2, axis=1))
     div_h = float(np.max(div_norm / mesh.h_K[fe])) if len(fe) else 0.0
 
@@ -315,12 +296,8 @@ def divergence_diagnostic(fields):
         fluid = e >= 0
         fluid[fluid] = mesh.is_fluid[e[fluid]]
         f, e = np.flatnonzero(fluid), e[fluid]
-        ref = np.einsum("fqd,fdj->fqj", pts[f] - mesh.elem_origin[e][:, None],
-                        mesh.inv_bt[e])
-        phi = basis.eval(ref)                                # (F', Q, nk)
-        ue = fields.coeffs[fields.dofmap.u_interior(e)]      # (F', 2, nk)
-        jump[f] += sign * np.einsum("fda,fqa,fd->fq", ue, phi,
-                                    mesh.normals[ff[f]])
+        u = fields.velocity_at(e, mesh.to_reference(e, pts[f]))
+        jump[f] += sign * np.einsum("fqd,fd->fq", u, mesh.normals[ff[f]])
     per_face = mesh.h_e[ff] * (np.abs(jump) @ eq.weights)
     worst = float(np.max(per_face)) if len(ff) else 0.0
     return div_h, worst
@@ -365,13 +342,16 @@ def _segment_in_triangle(verts, axis, value):
             np.where(hits, spots, -np.inf).max(axis=1))
 
 
-def _midplane_extremum(fields, axis, value, component, n_samples=12):
+# Chebyshev-Lobatto parameters on [0, 1], where the mid-plane velocity and
+# the local wall Nusselt number are sampled
+_SAMPLES = 0.5 * (1.0 + np.cos(np.pi * np.arange(12) / 11))
+
+
+def _midplane_extremum(fields, axis, value, component):
     """Largest |u_component| along the line {x_axis = value} through the
     fluid zone, sampling every crossed element (both sides of shared
     edges)."""
     mesh = fields.mesh
-    nodes = 0.5 * (1.0 + np.cos(np.pi * np.arange(n_samples) /
-                                (n_samples - 1)))
     fe = mesh.fluid_elems
     lo, hi = _segment_in_triangle(mesh.vertices[mesh.triangles[fe]], axis,
                                   value)
@@ -379,13 +359,10 @@ def _midplane_extremum(fields, axis, value, component, n_samples=12):
     if not crossed.any():
         raise ValueError("no fluid element crosses the requested mid-plane")
     e, lo, hi = fe[crossed], lo[crossed], hi[crossed]
-    pts = np.empty((len(e), n_samples, 2))
+    pts = np.empty((len(e), len(_SAMPLES), 2))
     pts[..., axis] = value
-    pts[..., 1 - axis] = lo[:, None] + (hi - lo)[:, None] * nodes
-    ref = (pts - mesh.elem_origin[e][:, None]) @ mesh.inv_bt[e]
-    phi = pb.scalar_basis(fields.params.degree).eval(ref)    # (E, q, nk)
-    ui = fields.coeffs[fields.dofmap.u_interior(e)]           # (E, 2, nk)
-    vals = np.einsum("eda,eqa->eqd", ui, phi)[..., component]
+    pts[..., 1 - axis] = lo[:, None] + (hi - lo)[:, None] * _SAMPLES
+    vals = fields.velocity_at(e, mesh.to_reference(e, pts))[..., component]
     return float(np.max(np.abs(vals)))
 
 
@@ -402,15 +379,11 @@ def _wall_nusselt(fields, faces, t):
     """-dT0/dx of the wall element's polynomial at face points t."""
     mesh = fields.mesh
     e = mesh.face_elems[faces, 0]
-    pts = mesh.face_points(faces, t)                          # (F, q, 2)
-    ref = (pts - mesh.elem_origin[e][:, None]) @ mesh.inv_bt[e]
-    gphi = pb.scalar_basis(fields.params.degree).grad(ref)    # (F, q, nk, 2)
-    gx = np.einsum("ejk,eqak->eqaj", mesh.inv_bt[e], gphi)
-    ti = fields.coeffs[fields.dofmap.t_interior(e)]
-    return -np.einsum("ea,eqaj->eqj", ti, gx)[..., 0]         # (F, q)
+    ref = mesh.to_reference(e, mesh.face_points(faces, t))
+    return -fields.temperature_gradient_at(e, ref)[..., 0]   # (F, q)
 
 
-def cavity_report(fields, n_samples=12, quad_degree=None):
+def cavity_report(fields, quad_degree=None):
     """Mid-plane velocity extrema and hot-wall Nusselt numbers.
 
     nu_bar integrates the local wall Nusselt over the hot wall; nu_volume
@@ -421,8 +394,8 @@ def cavity_report(fields, n_samples=12, quad_degree=None):
     if quad_degree is None:
         quad_degree = 2 * params.degree + 4
     x0, x1, y0, y1 = mesh.fluid_rect
-    u1_max = _midplane_extremum(fields, 0, 0.5 * (x0 + x1), 0, n_samples)
-    u2_max = _midplane_extremum(fields, 1, 0.5 * (y0 + y1), 1, n_samples)
+    u1_max = _midplane_extremum(fields, 0, 0.5 * (x0 + x1), 0)
+    u2_max = _midplane_extremum(fields, 1, 0.5 * (y0 + y1), 1)
 
     faces = _hot_wall_faces(mesh)
     gx, gw = np.polynomial.legendre.leggauss((quad_degree + 2) // 2)
@@ -431,9 +404,7 @@ def cavity_report(fields, n_samples=12, quad_degree=None):
     nu_bar = float(np.sum(mesh.h_e[faces][:, None] * 0.5 * gw * nu_q))
     nu_bar /= (y1 - y0)
 
-    cheb = 0.5 * (1.0 + np.cos(np.pi * np.arange(n_samples) /
-                               (n_samples - 1)))
-    nu_s = _wall_nusselt(fields, faces, cheb)
+    nu_s = _wall_nusselt(fields, faces, _SAMPLES)
     nu_max = float(np.max(nu_s))
     nu_min = float(np.min(nu_s))
 
@@ -452,15 +423,13 @@ def cavity_report(fields, n_samples=12, quad_degree=None):
 # stream function
 
 
-def stream_function(fields, quad_degree=None):
+def stream_function(fields):
     """Continuous-P1 stream function of the fluid velocity at mesh vertices.
 
     Solves -laplace(psi) = curl u_h0 (broken vorticity) with psi = 0 on the
     fluid boundary; vertices outside the fluid zone carry 0.
     """
-    mesh, params = fields.mesh, fields.params
-    if quad_degree is None:
-        quad_degree = 2 * params.degree + 2
+    mesh = fields.mesh
     fe = mesh.fluid_elems
     tri = mesh.triangles[fe]
     verts = mesh.vertices
@@ -475,7 +444,7 @@ def stream_function(fields, quad_degree=None):
     grads = perp / (2.0 * area)[:, None, None]
     K_el = np.einsum("e,eid,ejd->eij", area, grads, grads)
 
-    qr = pb.QuadratureRule.triangle(quad_degree)
+    qr = pb.QuadratureRule.triangle(2 * fields.params.degree + 2)
     lam = np.column_stack([1.0 - qr.points.sum(axis=1),
                            qr.points[:, 0], qr.points[:, 1]])
     gu = fields.velocity_gradient_at(fe, qr.points)

@@ -40,13 +40,14 @@ def _lambdify(expr):
     return wrapped
 
 
-def _cheb_derivative(fn, center, along, order, half_width=0.4, npts=24):
+def _cheb_derivative(fn, center, along, order):
     """Derivative of fn along one axis by Chebyshev fitting.
 
-    Fits a degree npts-2 Chebyshev series to fn on a 1D window through
-    `center` and differentiates the fit; exact (to rounding) for polynomial
-    fields, spectrally accurate otherwise.
+    Fits a degree-22 Chebyshev series to fn at 24 nodes on a 1D window of
+    half-width 0.4 through `center` and differentiates the fit; exact (to
+    rounding) for polynomial fields, spectrally accurate otherwise.
     """
+    half_width, npts = 0.4, 24
     x0, y0 = center
     nodes = np.cos(np.pi * (2 * np.arange(npts) + 1) / (2 * npts))
     if along == 0:

@@ -55,6 +55,30 @@ def test_dofmap_block_sizes():
     assert dm.offset["t_tr"] + 2 * mesh.n_faces == dm.n_dofs
 
 
+@pytest.mark.parametrize("variant,degree", [("wg1", 1), ("wg3", 2)])
+def test_local_layouts_join_interior_then_faces_in_order(variant, degree):
+    prob, mesh, params = manufactured_setup(4, 2, degree, variant)
+    dm = linsys.DofMap(mesh, params)
+    fe = mesh.fluid_elems
+    vloc, sloc, ploc = (dm.velocity_local(fe), dm.scalar_local(fe),
+                        dm.pressure_local(fe))
+    for i, e in enumerate(fe):
+        faces = mesh.elem_faces[e]
+        velocity = np.concatenate([
+            np.concatenate([dm.u_interior([e])[0, d]]
+                           + [dm.u_trace([f])[0, d] for f in faces])
+            for d in range(2)])
+        scalar = np.concatenate([dm.t_interior([e])[0]]
+                                + [dm.t_trace([f])[0] for f in faces])
+        pressure = np.concatenate([dm.p_interior([e])[0]]
+                                  + [dm.p_trace([f])[0] for f in faces])
+        assert np.array_equal(vloc[i], velocity)
+        assert np.array_equal(sloc[i], scalar)
+        assert np.array_equal(ploc[i], pressure)
+    assert vloc.shape == (len(fe), 2 * params.scalar_size)
+    assert ploc.shape == (len(fe), params.pressure_size)
+
+
 def test_dofmap_free_indices_contiguous():
     prob, mesh, params = manufactured_setup(4, 2)
     dm = linsys.apply_nonhomogeneous_dirichlet(linsys.DofMap(mesh, params),

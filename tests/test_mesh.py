@@ -62,6 +62,15 @@ def test_affine_map_reproduces_vertices():
     assert np.allclose(mapped, expect, atol=1e-14)
 
 
+def test_to_reference_inverts_map_points():
+    msh = m.build_structured_mesh(4, 2, TWO_BY_ONE, UNIT)
+    ref = np.random.default_rng(3).random((5, 2)) * 0.5
+    elems = np.arange(msh.n_elems)
+    back = msh.to_reference(elems, msh.map_points(elems, ref))
+    assert back.shape == (msh.n_elems, 5, 2)
+    assert np.max(np.abs(back - ref)) < 1e-13
+
+
 def test_face_normal_points_away_from_first_element():
     msh = m.build_structured_mesh(4, 3, UNIT, UNIT)
     mid = 0.5 * (msh.vertices[msh.faces[:, 0]] + msh.vertices[msh.faces[:, 1]])

@@ -165,6 +165,25 @@ def test_weak_gradient_of_linear_interpolant_is_exact():
         assert np.max(np.abs(gt - np.array([2.0, 3.0]))) < 1e-11
 
 
+EVALUATORS = ["velocity_at", "velocity_gradient_at", "pressure_at",
+              "temperature_at", "temperature_gradient_at",
+              "velocity_weak_gradient_at", "temperature_weak_gradient_at"]
+
+
+@pytest.mark.parametrize("name", EVALUATORS)
+def test_evaluators_take_per_element_points(name):
+    prob, mesh, params = manufactured_setup(4, 2, 2, "wg3")
+    ex = prob.exact
+    fields = fields_from_callables(mesh, params, u=ex.u, T=ex.T, p=ex.p)
+    elems = (np.arange(mesh.n_elems) if name.startswith("temperature")
+             else mesh.fluid_elems)
+    pts = np.array([[0.2, 0.3], [0.5, 0.1], [0.1, 0.6], [0.0, 1.0]])
+    shared = getattr(fields, name)(elems, pts)
+    each = getattr(fields, name)(elems, np.tile(pts, (len(elems), 1, 1)))
+    assert each.shape == shared.shape
+    assert np.max(np.abs(each - shared)) <= 1e-14 * np.max(np.abs(shared))
+
+
 # ---------------------------------------------------------------- errors
 
 
