@@ -26,6 +26,16 @@ solve path, solves the temperature block first and then the flow block
 the right-hand side.  The whole matrix is singular exactly when one of its
 diagonal blocks is, so nothing is factored whole.
 
+Each element's interior unknowns (T_0; u_0 and p_0) couple only to each
+other and to the element's own traces, so each block is factored by block
+LU through its interiors (Condensation): the small dense interior blocks
+are inverted as one batch, and only the Schur complement on the traces is
+a sparse factor, ordered by minimum degree on S + S^T.  No diagonal entry
+of it is zero, unlike the uncondensed flow block's pressure rows.  The
+multiplier is a flow trace; its row of the flow Schur complement is dense,
+and _bordered_inverse restores it around a factor grounded on a pressure
+trace.  The applied inverse is exactly that of the factored block.
+
 A step's matrix has the same sparsity pattern at every advecting field:
 StepAssembler builds it once, with the static values, and a step sums its
 convection values into fixed slots of it.  solve_sparse solves each block
@@ -40,9 +50,10 @@ factor age: the divergence rows b(u,q) and the mean-pressure row do not
 depend on w, so M equals A in those rows, A M^-1 is the identity there,
 and each sweep sets their residual to rounding.  The whole-matrix
 1e-10 check, relative to the whole right-hand side, does not bound those
-rows on its own, since their right side is zero.  A singular block
-factor, a singular capacitance matrix of the bordered flow factor, or a
-residual above 1e-10 raises RuntimeError naming the block.
+rows on its own, since their right side is zero.  A singular element
+interior block or Schur factor, a singular capacitance matrix of the
+bordered flow factor, or a residual above 1e-10 raises RuntimeError naming
+the block (and the element).
 """
 
 import numpy as np
@@ -127,13 +138,19 @@ class DofMap:
                 + np.arange(nt))
 
     def p_interior(self, elems):
+        """(E, nkm1) global indices; elements must be fluid."""
         nkm1 = self.params.pressure_interior_dim
         fe = self.elem_fluid_pos[np.atleast_1d(elems)]
+        if np.any(fe < 0):
+            raise ValueError("pressure DOFs requested on a solid element")
         return self.offset["p_int"] + nkm1 * fe[:, None] + np.arange(nkm1)
 
     def p_trace(self, faces):
+        """faces.shape + (ntp,) global indices; faces must be fluid."""
         ntp = self.params.pressure_trace_dim
         ff = self.face_fluid_pos[np.atleast_1d(faces)]
+        if np.any(ff < 0):
+            raise ValueError("pressure trace DOFs requested on a solid face")
         return self.offset["p_tr"] + ntp * ff[..., None] + np.arange(ntp)
 
     def t_interior(self, elems):
@@ -208,40 +225,35 @@ def apply_nonhomogeneous_dirichlet(dofmap, problem):
 class GlobalSystem:
     """One assembled linear step over the free DOFs plus the multiplier.
 
-    border_index/ground_index mark the mean-pressure multiplier row and a
-    pressure DOF that can ground the constant mode; solve_sparse uses them
-    to factor around the dense constraint row (see _bordered_inverse).
-
+    border_index is the mean-pressure multiplier's row and column.
     flow_index lists the flow block: the free velocity and pressure DOFs,
     which come first in the free ordering, then the multiplier.  The free
     temperature DOFs fill the range between them, flow_size:border_index,
     and their rows have no entry in the flow columns.
 
-    blocks locates the entries of those blocks in matrix.data (a
-    BlockMaps); a StepAssembler passes the maps of its fixed pattern, and
-    without them they are computed from matrix here.
+    blocks locates the entries of those blocks in matrix.data and
+    eliminates their element interiors (a BlockMaps); a StepAssembler
+    passes the maps of its fixed pattern, and without them they are
+    computed from matrix and dofmap here.  The multiplier's row is dense
+    once the interiors are eliminated, and the flow factor grounds the
+    constant-pressure mode on a pressure trace (see _bordered_inverse).
     """
 
-    def __init__(self, matrix, rhs, dofmap, border_index, ground_index,
-                 flow_index, blocks=None):
+    def __init__(self, matrix, rhs, dofmap, border_index, flow_index,
+                 blocks=None):
         self.matrix = matrix
         self.rhs = rhs
         self.dofmap = dofmap
         self.border_index = border_index
-        self.ground_index = ground_index
         self.flow_index = flow_index
         if blocks is None:
-            blocks = BlockMaps(matrix, self.flow_size, border_index)
+            blocks = BlockMaps(matrix, dofmap, self.flow_size, border_index)
         self.blocks = blocks
 
     @property
     def flow_size(self):
         """Number of free velocity and pressure DOFs."""
         return len(self.flow_index) - 1
-
-    @property
-    def dim(self):
-        return self.dofmap.n_free + 1
 
     def expand(self, x):
         """Scatter a reduced solution to the full coefficient vector.
@@ -261,10 +273,13 @@ class BlockMaps:
 
     The maps depend only on the matrix pattern, and `gather` builds the
     three blocks of any matrix with that pattern from its `data`, equal to
-    scipy's slices of it.
+    scipy's slices of it.  `temperature` and `flow` are the Condensation of
+    each diagonal block, built from the same pattern: the temperature
+    block's interiors are every element's T_0, the flow block's every
+    fluid element's [u_0 | p_0], and the multiplier is a flow trace.
     """
 
-    def __init__(self, matrix, f, n):
+    def __init__(self, matrix, dofmap, f, n):
         cols = matrix.indices
         rows = np.repeat(np.arange(matrix.shape[0], dtype=cols.dtype),
                          np.diff(matrix.indptr))
@@ -289,11 +304,221 @@ class BlockMaps:
                       out=indptr[1:])
             self._parts.append((take, col_pos(cols[take]), indptr, shape))
 
+        # reduced index of every full-layout DOF, n + 1 for a fixed one (it
+        # is in no row or column), and of the multiplier, appended last
+        dm = dofmap
+        mesh = dm.mesh
+        free = np.append(np.where(dm.fixed_mask, n + 1, dm.free_index), n)
+        fe, faces = mesh.fluid_elems, mesh.elem_faces
+        take = [part[0] for part in self._parts]
+        self.temperature = Condensation(
+            take[0], rows[take[0]], cols[take[0]], n + 2, np.arange(f, n),
+            free[dm.t_interior(np.arange(mesh.n_elems))],
+            free[dm.t_trace(faces).reshape(mesh.n_elems, -1)],
+            np.arange(mesh.n_elems), "temperature block")
+        self.flow = Condensation(
+            take[1], rows[take[1]], cols[take[1]], n + 2,
+            np.append(np.arange(f), n),
+            free[np.concatenate([dm.u_interior(fe).reshape(len(fe), -1),
+                                 dm.p_interior(fe)], axis=1)],
+            free[np.concatenate([dm.u_trace(faces[fe]).reshape(len(fe), -1),
+                                 dm.p_trace(faces[fe]).reshape(len(fe), -1),
+                                 np.full((len(fe), 1), dm.n_dofs)], axis=1)],
+            fe, "flow block",
+            ground=free[dm.p_trace(mesh.fluid_faces[0])[0, 0]])
+
     def gather(self, data):
         """(temperature block, flow block, flow-temperature coupling) of
         the matrix whose data this is, as CSR matrices."""
         return [sps.csr_matrix((data[take], indices, indptr), shape=shape)
                 for take, indices, indptr, shape in self._parts]
+
+
+class Condensation:
+    """Block LU of one diagonal block through its element interiors.
+
+    Every element's interior unknowns couple only to each other and to the
+    element's own traces, so the block is, in the interiors I and the
+    traces B,
+
+        [A_II  A_IB]      A_II block diagonal, one small dense block
+        [A_BI  A_BB]      per element.
+
+    `factor` inverts the element blocks of A_II all at once, forms the
+    trace Schur complement S = A_BB - A_BI A_II^-1 A_IB and factors it; the
+    function it returns applies the exact inverse of the block, as
+    y = A_II^-1 r_I, x_B = S^-1 (r_B - A_BI y), x_I = y - A_II^-1 A_IB x_B.
+
+    Everything that depends on the pattern alone is found here once: the
+    slots of each element's dense blocks in matrix.data, S's pattern in
+    CSC order, and where each element block and each entry of A_BB land
+    in it.  `index` lists the block's rows and columns in reduced
+    numbering, `take`, `rows` and `cols` the positions in matrix.data and
+    the reduced rows and columns of its entries, and `interior` (E, b) and
+    `traces` (E, t) each element's reduced indices; size - 1 (n + 1) marks
+    a fixed trace.  `elems` names the elements in errors.  With `ground`,
+    the block's largest index (the multiplier) is a trace of every
+    element: S's last row and column are its dense border, and S is
+    inverted by _bordered_inverse, grounded at the trace `ground`.
+    """
+
+    def __init__(self, take, rows, cols, size, index, interior, traces,
+                 elems, name, ground=None):
+        self.name = name
+        self._elems = elems
+        in_int = np.zeros(size, dtype=bool)
+        in_int[interior] = True
+        in_tr = np.zeros(size, dtype=bool)
+        in_tr[traces] = True
+        in_tr[-1] = False
+        tr = np.flatnonzero(in_tr)
+        m = len(tr)
+        pos = np.full(size, -1)
+        pos[index] = np.arange(len(index))
+        if interior.size + m != len(index) or np.any(pos[tr] < 0):
+            raise RuntimeError("%s: the element interiors and traces do not "
+                               "partition the block" % name)
+
+        # the block's entries (at `take` in matrix.data), keyed row-major
+        keys = rows.astype(np.int64) * size + cols
+        if np.any(keys[1:] <= keys[:-1]):
+            order = np.argsort(keys, kind="stable")
+            keys, take = keys[order], take[order]
+            rows, cols = rows[order], cols[order]
+        nnz = len(keys)
+        take = np.append(take, -1)      # -1: the zero appended to data
+
+        def slots(r, c):
+            want = r.astype(np.int64) * size + c
+            at = np.minimum(np.searchsorted(keys, want), nnz - 1)
+            return np.where(keys[at] == want, at, nnz)
+
+        found = [slots(interior[:, :, None], interior[:, None, :]),
+                 slots(interior[:, :, None], traces[:, None, :]),
+                 slots(traces[:, :, None], interior[:, None, :])]
+        hit = np.zeros(nnz + 1, dtype=bool)
+        for at in found:
+            hit[at] = True
+        if (np.count_nonzero(hit[:-1])
+                != np.count_nonzero(in_int[rows] | in_int[cols])):
+            raise RuntimeError("%s: an entry couples an element interior to "
+                               "another element's unknowns" % name)
+        self._ii, self._ib, self._bi = [take[at] for at in found]
+
+        # S numbers the traces in reduced order, m stands for a fixed one;
+        # its pattern, the union of the elements' dense trace blocks, is
+        # kept in CSC order
+        spos = np.full(size, m)
+        spos[tr] = np.arange(m)
+        s = spos[traces]                                    # (E, t)
+        valid = (s[:, :, None] < m) & (s[:, None, :] < m)
+        pair = (s[:, None, :] * m + s[:, :, None])[valid]   # col * m + row
+        order = np.argsort(pair)
+        pair = pair[order]
+        first = np.append(True, pair[1:] != pair[:-1])
+        s_keys = pair[first]
+        self._s_nnz = len(s_keys)
+        sorted_to = np.empty_like(order)
+        sorted_to[order] = np.cumsum(first) - 1
+        self._s_to = np.full(valid.shape, self._s_nnz)
+        self._s_to[valid] = sorted_to
+        bb = np.flatnonzero(in_tr[rows] & in_tr[cols])
+        bb_keys = spos[cols[bb]] * m + spos[rows[bb]]
+        self._bb_to = np.minimum(np.searchsorted(s_keys, bb_keys),
+                                 self._s_nnz - 1)
+        if not np.array_equal(s_keys[self._bb_to], bb_keys):
+            raise RuntimeError("%s: a trace entry lies outside the elements' "
+                               "trace blocks" % name)
+        self._bb = take[bb]
+        self._s_rows = s_keys % m
+        self._s_ptr = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(np.bincount(s_keys // m, minlength=m), out=self._s_ptr[1:])
+        self._s = s
+        self._int_pos = pos[interior]
+        self._tr_pos = pos[tr]
+        self._m = m
+        self._border = None
+        if ground is not None:
+            self._border = _Border(self._s_rows, self._s_ptr, m - 1,
+                                   spos[ground])
+
+    def factor(self, data):
+        """Factor the block of the matrix with this data; returns the
+        function applying its inverse to a block vector."""
+        ext = np.append(data, 0.0)
+        a_ii, a_ib, a_bi = ext[self._ii], ext[self._ib], ext[self._bi]
+        try:
+            inv = np.linalg.inv(a_ii)
+        except np.linalg.LinAlgError as err:
+            for e, block in enumerate(a_ii):
+                try:
+                    np.linalg.inv(block)
+                except np.linalg.LinAlgError:
+                    break
+            raise RuntimeError("%s: the interior block of element %d is "
+                               "singular (%s)" % (self.name, self._elems[e],
+                                                  err)) from err
+        x_ib = inv @ a_ib                                   # A_II^-1 A_IB
+        m, nnz = self._m, self._s_nnz
+        s_data = (np.bincount(self._bb_to, data[self._bb], minlength=nnz)
+                  - np.bincount(self._s_to.ravel(), (a_bi @ x_ib).ravel(),
+                                minlength=nnz + 1)[:nnz])
+        if self._border is None:
+            schur = sps.csc_matrix((s_data, self._s_rows, self._s_ptr),
+                                   shape=(m, m))
+            schur_inverse = _factor(schur, self.name).solve
+        else:
+            schur_inverse = self._border.inverse(s_data)
+        int_pos, tr_pos, s = self._int_pos, self._tr_pos, self._s
+
+        def apply(r):
+            y = (inv @ r[int_pos][..., None])[..., 0]
+            r_b = r[tr_pos] - np.bincount(
+                s.ravel(), (a_bi @ y[..., None]).ravel(),
+                minlength=m + 1)[:m]
+            x_b = schur_inverse(r_b)
+            x = np.empty_like(r)
+            x[tr_pos] = x_b
+            x[int_pos] = y - (x_ib @ np.append(x_b, 0.0)[s][..., None]
+                              )[..., 0]
+            return x
+
+        return apply
+
+
+class _Border:
+    """The grounded matrix and the dense border n of CSC matrices with one
+    pattern, for _bordered_inverse: the grounded pattern drops row and
+    column n and holds (n, n) and (q, q)."""
+
+    def __init__(self, rows, indptr, n, q):
+        cols = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+        inner = np.flatnonzero((rows != n) & (cols != n))
+        g_rows, g_cols = np.append(rows[inner], n), np.append(cols[inner], n)
+        self._take = np.append(inner, len(rows))     # (n, n): a 1 appended
+        self._rows = g_rows
+        self._ptr = np.zeros_like(indptr)
+        np.cumsum(np.bincount(g_cols, minlength=len(indptr) - 1),
+                  out=self._ptr[1:])
+        self._qq = np.flatnonzero((g_rows == q) & (g_cols == q))[0]
+        self._col = np.flatnonzero(cols == n)
+        self._col_rows = rows[self._col]
+        self._row = np.flatnonzero(rows == n)
+        self._row_cols = cols[self._row]
+        self.n, self.q = n, q
+
+    def inverse(self, data):
+        """_bordered_inverse of the matrix with this data."""
+        size = len(self._ptr) - 1
+        grounded = np.append(data, 1.0)[self._take]
+        grounded[self._qq] += 1.0
+        col = np.zeros(size)
+        col[self._col_rows] = data[self._col]
+        row = np.zeros(size)
+        row[self._row_cols] = data[self._row]
+        mat = sps.csc_matrix((grounded, self._rows, self._ptr),
+                             shape=(size, size))
+        return _bordered_inverse(mat, col, row, self.n, self.q)
 
 
 class StepAssembler:
@@ -377,7 +602,6 @@ class StepAssembler:
         del r, c, v
         self._static_data = static.data
         self._indices, self._indptr = static.indices, static.indptr
-        self._ground_index = int(con_r[0])
         self._vel_fixed = dm.fixed_mask.copy()
         self._vel_fixed[dm.offset["p_int"]:] = False
 
@@ -385,7 +609,7 @@ class StepAssembler:
         # the first flow_size ones and the multiplier follows the rest
         flow_size = int(np.sum(~dm.fixed_mask[:dm.offset["t_int"]]))
         self._flow_index = np.append(np.arange(flow_size), n)
-        self._blocks = BlockMaps(static, flow_size, n)
+        self._blocks = BlockMaps(static, dm, flow_size, n)
         self._map_convection(static, vloc, sloc[fe])
 
     def _map_convection(self, static, vloc, sloc_f):
@@ -480,7 +704,6 @@ class StepAssembler:
                              shape=(n + 1, n + 1))
         mat.has_canonical_format = True
         return GlobalSystem(mat, rhs, dm, border_index=n,
-                            ground_index=self._ground_index,
                             flow_index=self._flow_index, blocks=self._blocks)
 
 
@@ -513,38 +736,41 @@ class HeldFactor:
         self.last = None
 
 
+# both trace Schur complements are factored with minimum degree on S + S^T
+# and threshold pivoting that prefers the diagonal
+PERMC_SPEC = "MMD_AT_PLUS_A"
+DIAG_PIVOT_THRESH = 1e-3
+SPLU_OPTIONS = {"SymmetricMode": True}
+
+
 def _factor(mat, block):
-    """splu of one diagonal block; a failure raises naming the block."""
+    """splu of a CSC Schur complement; a failure raises naming the block."""
     try:
-        return spla.splu(mat.tocsc())
+        return spla.splu(mat, permc_spec=PERMC_SPEC,
+                         diag_pivot_thresh=DIAG_PIVOT_THRESH,
+                         options=SPLU_OPTIONS)
     except RuntimeError as err:
         raise RuntimeError("%s factorization failed (%s); the block is "
                            "singular or near-singular" % (block, err)) from err
 
 
-def _bordered_inverse(mat, n, q):
-    """Factor a system whose row/column n is dense (the mean constraint).
+def _bordered_inverse(grounded, col, row, n, q):
+    """Invert a system whose row/column n is dense (the mean constraint).
 
-    Clears row/column n, puts 1 at (n, n) and 1 at (q, q) to ground the
-    constant-pressure mode, factors that sparse matrix once, and restores
-    the difference as a rank-3 correction (Woodbury).  Returns a function
-    applying the approximate inverse of mat: each call costs two triangular
-    solves and one 3x3 product, so solve_sparse can sweep against mat, and
-    against the flow blocks of later steps, without refactoring.  Raises
-    when the grounded factorization or the 3x3 capacitance matrix is
-    singular.
+    grounded is the system with row/column n cleared and 1 put at (n, n)
+    and added at (q, q), q a pressure trace, to ground the constant-pressure
+    mode; col and row are the dense column and row n of the system itself.
+    Once the element interiors are eliminated the border couples to every
+    trace, so it is kept out of the sparse factor: grounded is factored
+    once, and the difference is restored as a rank-3 correction
+    (Woodbury).  Returns a function applying the inverse of the system:
+    each call costs two triangular solves and one 3x3 product, so
+    solve_sparse can sweep against the flow blocks of this and later steps
+    without refactoring.  Raises when the grounded factorization or the
+    3x3 capacitance matrix is singular.
     """
-    coo = mat.tocoo()
-    keep = (coo.row != n) & (coo.col != n)
-    size = mat.shape[0]
-    grounded = sps.coo_matrix(
-        (np.concatenate([coo.data[keep], [1.0, 1.0]]),
-         (np.concatenate([coo.row[keep], [n, q]]),
-          np.concatenate([coo.col[keep], [n, q]]))),
-        shape=mat.shape)
     lu = _factor(grounded, "grounded flow block")
-    col = np.asarray(mat[:, n].todense()).ravel()
-    row = np.asarray(mat[n].todense()).ravel()
+    size = grounded.shape[0]
     diag = col[n]
     U = np.zeros((size, 3))
     U[:, 0] = col
@@ -621,11 +847,13 @@ def solve_sparse(system, held=None):
     """Solve one assembled step block by block, with a residual guarantee.
 
     The temperature block matrix[f:n, f:n] (f = flow_size, n =
-    border_index) is solved first, through its splu factor.  The flow
-    block, rows and columns flow_index, is then solved with the buoyancy
-    columns times the temperature moved to its right-hand side, through
-    the bordered inverse of _bordered_inverse.  The blocks are gathered
-    from matrix.data through system.blocks.
+    border_index) is solved first.  The flow block, rows and columns
+    flow_index, is then solved with the buoyancy columns times the
+    temperature moved to its right-hand side.  Each block is factored
+    through its element interiors (system.blocks.temperature and .flow,
+    see Condensation), the flow block's trace Schur complement through
+    _bordered_inverse.  The blocks are gathered from matrix.data through
+    system.blocks.
 
     held is a (temperature, flow) pair of HeldFactor that keeps each
     block's inverse and solution between calls; None makes a fresh pair
@@ -650,16 +878,19 @@ def solve_sparse(system, held=None):
     meshes.
 
     Every failure raises RuntimeError naming the block: a singular
-    temperature or grounded flow factorization, a singular 3x3 capacitance
-    matrix, or a residual (NaN included) above 1e-10, reported with the
-    residual of the temperature rows and of the flow rows.
+    element interior block (naming the element too), a singular
+    temperature or grounded flow Schur factorization, a singular 3x3
+    capacitance matrix, or a residual (NaN included) above 1e-10,
+    reported with the residual of the temperature rows and of the flow
+    rows.
     """
     mat, rhs = system.matrix, system.rhs
     flow = system.flow_index
     f, n = system.flow_size, system.border_index
     bnorm = np.linalg.norm(rhs)
     target = SWEEP_TOL * max(bnorm, 1.0)
-    temp_mat, flow_mat, coupling = system.blocks.gather(mat.data)
+    blocks = system.blocks
+    temp_mat, flow_mat, coupling = blocks.gather(mat.data)
     if held is None:
         held = (HeldFactor(), HeldFactor())
     for block in held:
@@ -667,10 +898,9 @@ def solve_sparse(system, held=None):
             block.age += 1
     x = np.empty_like(rhs)
     x[f:n] = _swept(temp_mat, rhs[f:n], target, held[0],
-                    lambda: _factor(temp_mat, "temperature block").solve)
-    x[flow] = _swept(
-        flow_mat, rhs[flow] - coupling @ x[f:n], target, held[1],
-        lambda: _bordered_inverse(flow_mat, f, system.ground_index))
+                    lambda: blocks.temperature.factor(mat.data))
+    x[flow] = _swept(flow_mat, rhs[flow] - coupling @ x[f:n], target,
+                     held[1], lambda: blocks.flow.factor(mat.data))
 
     r = mat @ x - rhs
     resid = np.linalg.norm(r)

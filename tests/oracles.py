@@ -5,7 +5,8 @@
 * the commuting diagram of the weak gradient with the projections;
 * the inf-sup constant of the pressure Schur block;
 * the WG interpolant of a closed-form solution;
-* a triplet (COO) assembler of one linearized step.
+* a triplet (COO) assembler of one linearized step;
+* the shapes of the two trace Schur complements a step factors.
 """
 
 import numpy as np
@@ -406,3 +407,17 @@ def coo_step(asm, w_prev=None):
     rows, cols, vals = (np.concatenate(a) for a in zip(*parts))
     mat = sps.coo_matrix((vals, (rows, cols)), shape=(n + 1, n + 1)).tocsr()
     return mat, np.append(rhs, 0.0)
+
+
+def schur_shapes(system):
+    """Shapes of the matrices solve_sparse factors for one step: the trace
+    Schur complements of the temperature block (the free temperature
+    traces) and of the flow block (the free velocity traces, the pressure
+    traces and the multiplier), counted from the DOF map."""
+    dm = system.dofmap
+    free = ~dm.fixed_mask
+    temp = np.count_nonzero(free[dm.offset["t_tr"]:])
+    flow = (np.count_nonzero(free[dm.offset["u_tr"]:dm.offset["p_int"]])
+            + np.count_nonzero(free[dm.offset["p_tr"]:dm.offset["t_int"]])
+            + 1)
+    return [(temp, temp), (flow, flow)]

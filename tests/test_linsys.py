@@ -109,6 +109,22 @@ def test_velocity_dofs_rejected_on_solid():
         dm.u_interior(solid)
 
 
+def test_pressure_dofs_rejected_on_solid():
+    # a solid element or face has no pressure DOFs: asking for them must
+    # raise, as for the velocity, not return another block's indices
+    prob, mesh, params = manufactured_setup(4, 2)
+    dm = linsys.DofMap(mesh, params)
+    solid = np.flatnonzero(~mesh.is_fluid)[:1]
+    solid_face = np.setdiff1d(np.arange(mesh.n_faces), mesh.fluid_faces)[:1]
+    assert len(solid) == 1 and len(solid_face) == 1
+    with pytest.raises(ValueError, match="solid element"):
+        dm.p_interior(solid)
+    with pytest.raises(ValueError, match="solid element"):
+        dm.pressure_local(solid)
+    with pytest.raises(ValueError, match="solid face"):
+        dm.p_trace(solid_face)
+
+
 def test_temperature_dirichlet_values_projected():
     prob = problems.cavity(1e3)
     mesh = build_structured_mesh(4, 4, prob.domain, prob.fluid_rect)
@@ -142,9 +158,10 @@ def test_missing_wall_data_rejected():
 def test_system_dimension_is_free_count_plus_multiplier():
     prob, mesh, params = manufactured_setup(4, 2)
     system = linsys.assemble_oseen_step(mesh, params, prob)
-    assert system.dim == system.dofmap.n_free + 1
-    assert system.matrix.shape == (system.dim, system.dim)
-    assert system.rhs.shape == (system.dim,)
+    size = system.matrix.shape[0]
+    assert size == system.dofmap.n_free + 1
+    assert system.matrix.shape == (size, size)
+    assert system.rhs.shape == (size,)
 
 
 def test_stokes_velocity_block_symmetric():
@@ -296,8 +313,7 @@ def test_gathered_blocks_equal_scipy_slices(case, variant, degree):
     f, n = system.flow_size, system.border_index
     sliced = [mat[f:n, f:n], mat[flow][:, flow], mat[flow][:, f:n]]
     # a GlobalSystem without the assembler's maps computes its own
-    alone = linsys.GlobalSystem(mat, system.rhs, system.dofmap, n,
-                                system.ground_index, flow)
+    alone = linsys.GlobalSystem(mat, system.rhs, system.dofmap, n, flow)
     assert alone.blocks is not system.blocks
     for blocks in (system.blocks, alone.blocks):
         for got, want in zip(blocks.gather(mat.data), sliced):
@@ -338,21 +354,26 @@ def test_dirichlet_lifting_moves_data_to_rhs():
 
 
 def test_solve_reports_singular():
-    # a zero temperature row, a zero velocity row, then a zero multiplier
-    # row, which the grounded flow factor replaces but the 3x3 capacitance
-    # matrix does not: each must fail and the error must name the block
+    # a zero temperature row and a zero velocity row make an element's
+    # interior block singular, and a zero multiplier row, which the
+    # grounded flow factor replaces, makes the 3x3 capacitance matrix
+    # singular: each must fail and the error must name the block (and the
+    # element)
     prob, mesh, params = manufactured_setup(4, 2)
     system = linsys.assemble_oseen_step(mesh, params, prob)
-    for row, block in ((system.flow_size, "temperature block"),
-                       (0, "grounded flow block"),
-                       (system.border_index, "flow block: the 3x3")):
-        scale = np.ones(system.dim)
+    n = system.matrix.shape[0]
+    for row, block in (
+            (system.flow_size,
+             "temperature block: the interior block of element 0 "),
+            (0, "flow block: the interior block of element %d "
+             % mesh.fluid_elems[0]),
+            (system.border_index, "flow block: the 3x3")):
+        scale = np.ones(n)
         scale[row] = 0.0
         mat = (sps.diags(scale) @ system.matrix).tocsr()
         mat.eliminate_zeros()
         broken = linsys.GlobalSystem(mat, system.rhs, system.dofmap,
-                                     system.border_index,
-                                     system.ground_index, system.flow_index)
+                                     system.border_index, system.flow_index)
         with pytest.raises(RuntimeError, match="singular") as info:
             linsys.solve_sparse(broken)
         assert block in str(info.value)
@@ -383,15 +404,66 @@ def test_refined_bordered_solve_is_divergence_free(monkeypatch):
 
     factorizations = counting_factorizations(monkeypatch)
     x = linsys.solve_sparse(system)
-    n_temp = system.border_index - system.flow_size
-    n_flow = system.flow_size + 1               # the multiplier included
-    assert factorizations == [(n_temp, n_temp), (n_flow, n_flow)]
+    assert factorizations == oracles.schur_shapes(system)
 
     full, lam = system.expand(x)
     fields = postproc.WgFields(mesh, params, asm.dofmap, full, lam)
     div_h, jump = postproc.divergence_diagnostic(fields)
     assert div_h <= 1e-10
     assert jump <= 1e-10
+
+
+def test_trace_factors_keep_the_fill_down(monkeypatch):
+    # the Stokes step of a 12x12 cavity: the grounded flow Schur complement
+    # factors to at most 400k stored entries (the whole grounded flow block
+    # took 870,060 under COLAMD), and neither factored Schur complement
+    # has a zero on its diagonal
+    prob = problems.cavity(1e3)
+    mesh = build_structured_mesh(12, 12, prob.domain, prob.fluid_rect)
+    params = forms.MethodParams.from_variant("wg1", 1)
+    system = linsys.StepAssembler(mesh, params, prob).assemble(None)
+    factored = []
+    splu = spla.splu
+
+    def recording_splu(mat, *args, **kwargs):
+        lu = splu(mat, *args, **kwargs)
+        factored.append((mat, lu))
+        return lu
+
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    linsys.solve_sparse(system)
+    assert [mat.shape for mat, _ in factored] == oracles.schur_shapes(system)
+    assert factored[1][1].nnz <= 400_000
+    for mat, _ in factored:
+        assert np.all(mat.diagonal() != 0.0)
+
+
+@pytest.mark.parametrize("advected", [False, True])
+@pytest.mark.parametrize("variant,degree", [("wg1", 1), ("wg3", 2)])
+def test_condensed_inverse_equals_direct_solve(variant, degree, advected):
+    # eliminating the element interiors is exact: on the 4x2 conjugate
+    # mesh, whose solid elements carry only temperature interiors, the
+    # inverse each block's factor applies equals a direct solve with the
+    # block (the flow block with its multiplier row and column)
+    prob, mesh, params = manufactured_setup(4, 2, degree, variant)
+    asm = linsys.StepAssembler(mesh, params, prob)
+    dm = asm.dofmap
+    w = None
+    if advected:
+        w = np.random.default_rng(3).standard_normal(dm.n_dofs)
+        w[dm.fixed_mask & (np.arange(dm.n_dofs) < dm.offset["p_int"])] = 0
+    system = asm.assemble(w)
+    data = system.matrix.data
+    temp_mat, flow_mat, _ = system.blocks.gather(data)
+    rng = np.random.default_rng(11)
+    for block, mat in ((system.blocks.temperature, temp_mat),
+                       (system.blocks.flow, flow_mat)):
+        inverse = block.factor(data)
+        for _ in range(3):
+            r = rng.standard_normal(mat.shape[0])
+            want = spla.spsolve(mat.tocsc(), r)
+            assert np.linalg.norm(inverse(r) - want) \
+                <= 1e-10 * np.linalg.norm(want)
 
 
 def flow_rows_without_w(system):
@@ -466,9 +538,7 @@ def test_stalled_held_factor_is_refactored(monkeypatch):
     stale = [h.inverse for h in held]
     factorizations = counting_factorizations(monkeypatch)
     x = linsys.solve_sparse(system, held)
-    n_temp = system.border_index - system.flow_size
-    n_flow = system.flow_size + 1
-    assert factorizations == [(n_temp, n_temp), (n_flow, n_flow)]
+    assert factorizations == oracles.schur_shapes(system)
     for h, old in zip(held, stale):
         assert h.inverse is not old and h.age == 0
     full, lam = system.expand(x)
@@ -568,7 +638,6 @@ def test_block_solve_that_misses_the_contract_raises(monkeypatch):
     coupled[f, 0] = coupled[f, f]
     broken = linsys.GlobalSystem(coupled.tocsr(), system.rhs, system.dofmap,
                                  border_index=system.border_index,
-                                 ground_index=system.ground_index,
                                  flow_index=system.flow_index)
     factorizations = counting_factorizations(monkeypatch)
     with pytest.raises(RuntimeError, match="exceeds the 1e-10") as info:
