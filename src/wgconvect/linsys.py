@@ -32,9 +32,10 @@ LU through its interiors (Condensation): the small dense interior blocks
 are inverted as one batch, and only the Schur complement on the traces is
 a sparse factor, ordered by minimum degree on S + S^T.  No diagonal entry
 of it is zero, unlike the uncondensed flow block's pressure rows.  The
-multiplier is a flow trace; its row of the flow Schur complement is dense,
-and _bordered_inverse restores it around a factor grounded on a pressure
-trace.  The applied inverse is exactly that of the factored block.
+velocity-pressure part of the flow block fixes the pressure only up to a
+constant; its Schur factor is grounded on one pressure trace, and
+MeanPressureBlock meets the mean-pressure row and column through the
+constant pressure, so the applied inverse is exactly that of the block.
 
 A step's matrix has the same sparsity pattern at every advecting field:
 StepAssembler builds it once, with the static values, and a step sums its
@@ -51,9 +52,9 @@ depend on w, so M equals A in those rows, A M^-1 is the identity there,
 and each sweep sets their residual to rounding.  The whole-matrix
 1e-10 check, relative to the whole right-hand side, does not bound those
 rows on its own, since their right side is zero.  A singular element
-interior block or Schur factor, a singular capacitance matrix of the
-bordered flow factor, or a residual above 1e-10 raises RuntimeError naming
-the block (and the element).
+interior block or Schur factor, a mean-pressure row or column that misses
+the constant pressure, or a residual above 1e-10 raises RuntimeError
+naming the block (and the element).
 """
 
 import numpy as np
@@ -112,6 +113,9 @@ class DofMap:
         self.free_index = np.full(self.n_dofs, -1, dtype=np.int64)
         free = ~self.fixed_mask
         self.n_free = int(np.sum(free))
+        # free DOFs keep the global block order: the free velocity and
+        # pressure DOFs come first, then the free temperature DOFs
+        self.n_free_flow = int(np.sum(free[:self.offset["t_int"]]))
         self.free_index[free] = np.arange(self.n_free)
         self.free_dofs = np.flatnonzero(free)
 
@@ -229,31 +233,26 @@ class GlobalSystem:
     flow_index lists the flow block: the free velocity and pressure DOFs,
     which come first in the free ordering, then the multiplier.  The free
     temperature DOFs fill the range between them, flow_size:border_index,
-    and their rows have no entry in the flow columns.
+    and their rows have no entry in the flow columns.  All three are read
+    from the DofMap.
 
     blocks locates the entries of those blocks in matrix.data and
     eliminates their element interiors (a BlockMaps); a StepAssembler
     passes the maps of its fixed pattern, and without them they are
-    computed from matrix and dofmap here.  The multiplier's row is dense
-    once the interiors are eliminated, and the flow factor grounds the
-    constant-pressure mode on a pressure trace (see _bordered_inverse).
+    computed from matrix and dofmap here.
     """
 
-    def __init__(self, matrix, rhs, dofmap, border_index, flow_index,
-                 blocks=None):
+    def __init__(self, matrix, rhs, dofmap, blocks=None):
         self.matrix = matrix
         self.rhs = rhs
         self.dofmap = dofmap
-        self.border_index = border_index
-        self.flow_index = flow_index
+        self.border_index = dofmap.n_free
+        self.flow_size = dofmap.n_free_flow
+        self.flow_index = np.append(np.arange(self.flow_size),
+                                    self.border_index)
         if blocks is None:
-            blocks = BlockMaps(matrix, dofmap, self.flow_size, border_index)
+            blocks = BlockMaps(matrix, dofmap)
         self.blocks = blocks
-
-    @property
-    def flow_size(self):
-        """Number of free velocity and pressure DOFs."""
-        return len(self.flow_index) - 1
 
     def expand(self, x):
         """Scatter a reduced solution to the full coefficient vector.
@@ -269,17 +268,20 @@ class GlobalSystem:
 class BlockMaps:
     """Where the blocks solve_sparse works with sit in the data of a CSR
     step matrix: the temperature block [f:n, f:n], the flow block (rows and
-    columns 0..f-1 and n) and the flow rows' temperature columns [f:n].
+    columns 0..f-1 and n) and the flow rows' temperature columns [f:n],
+    with f = dofmap.n_free_flow and n = dofmap.n_free.
 
     The maps depend only on the matrix pattern, and `gather` builds the
     three blocks of any matrix with that pattern from its `data`, equal to
-    scipy's slices of it.  `temperature` and `flow` are the Condensation of
-    each diagonal block, built from the same pattern: the temperature
-    block's interiors are every element's T_0, the flow block's every
-    fluid element's [u_0 | p_0], and the multiplier is a flow trace.
+    scipy's slices of it.  `temperature` (a Condensation) and `flow` (a
+    MeanPressureBlock) factor each diagonal block, built from the same
+    pattern: the temperature block's interiors are every element's T_0,
+    the flow block's every fluid element's [u_0 | p_0].
     """
 
-    def __init__(self, matrix, dofmap, f, n):
+    def __init__(self, matrix, dofmap):
+        dm = dofmap
+        f, n = dm.n_free_flow, dm.n_free
         cols = matrix.indices
         rows = np.repeat(np.arange(matrix.shape[0], dtype=cols.dtype),
                          np.diff(matrix.indptr))
@@ -304,28 +306,33 @@ class BlockMaps:
                       out=indptr[1:])
             self._parts.append((take, col_pos(cols[take]), indptr, shape))
 
-        # reduced index of every full-layout DOF, n + 1 for a fixed one (it
-        # is in no row or column), and of the multiplier, appended last
-        dm = dofmap
+        # reduced indices of per-element index arrays, joined; n for a
+        # fixed DOF, which is in no block
+        free = np.where(dm.fixed_mask, n, dm.free_index)
+
+        def by_element(*parts):
+            return free[np.concatenate([p.reshape(len(p), -1)
+                                        for p in parts], axis=1)]
+
         mesh = dm.mesh
-        free = np.append(np.where(dm.fixed_mask, n + 1, dm.free_index), n)
         fe, faces = mesh.fluid_elems, mesh.elem_faces
-        take = [part[0] for part in self._parts]
+        all_e = np.arange(mesh.n_elems)
+        take = self._parts[0][0]
         self.temperature = Condensation(
-            take[0], rows[take[0]], cols[take[0]], n + 2, np.arange(f, n),
-            free[dm.t_interior(np.arange(mesh.n_elems))],
-            free[dm.t_trace(faces).reshape(mesh.n_elems, -1)],
-            np.arange(mesh.n_elems), "temperature block")
-        self.flow = Condensation(
-            take[1], rows[take[1]], cols[take[1]], n + 2,
-            np.append(np.arange(f), n),
-            free[np.concatenate([dm.u_interior(fe).reshape(len(fe), -1),
-                                 dm.p_interior(fe)], axis=1)],
-            free[np.concatenate([dm.u_trace(faces[fe]).reshape(len(fe), -1),
-                                 dm.p_trace(faces[fe]).reshape(len(fe), -1),
-                                 np.full((len(fe), 1), dm.n_dofs)], axis=1)],
+            take, rows[take], cols[take], n + 1, np.arange(f, n),
+            by_element(dm.t_interior(all_e)), by_element(dm.t_trace(faces)),
+            all_e, "temperature block")
+        take = self._parts[1][0]
+        border = (rows[take] == n) | (cols[take] == n)
+        inner, border = take[~border], take[border]
+        condensed = Condensation(
+            inner, rows[inner], cols[inner], n + 1, np.arange(f),
+            by_element(dm.u_interior(fe), dm.p_interior(fe)),
+            by_element(dm.u_trace(faces[fe]), dm.p_trace(faces[fe])),
             fe, "flow block",
             ground=free[dm.p_trace(mesh.fluid_faces[0])[0, 0]])
+        self.flow = MeanPressureBlock(condensed, dm, border, rows[border],
+                                      cols[border])
 
     def gather(self, data):
         """(temperature block, flow block, flow-temperature coupling) of
@@ -348,6 +355,8 @@ class Condensation:
     trace Schur complement S = A_BB - A_BI A_II^-1 A_IB and factors it; the
     function it returns applies the exact inverse of the block, as
     y = A_II^-1 r_I, x_B = S^-1 (r_B - A_BI y), x_I = y - A_II^-1 A_IB x_B.
+    With `ground`, a trace, 1 is added to S at (ground, ground) first, so
+    the inverse is that of the block with that 1 added.
 
     Everything that depends on the pattern alone is found here once: the
     slots of each element's dense blocks in matrix.data, S's pattern in
@@ -355,11 +364,8 @@ class Condensation:
     in it.  `index` lists the block's rows and columns in reduced
     numbering, `take`, `rows` and `cols` the positions in matrix.data and
     the reduced rows and columns of its entries, and `interior` (E, b) and
-    `traces` (E, t) each element's reduced indices; size - 1 (n + 1) marks
-    a fixed trace.  `elems` names the elements in errors.  With `ground`,
-    the block's largest index (the multiplier) is a trace of every
-    element: S's last row and column are its dense border, and S is
-    inverted by _bordered_inverse, grounded at the trace `ground`.
+    `traces` (E, t) each element's reduced indices; size - 1 marks a fixed
+    trace.  `elems` names the elements in errors.
     """
 
     def __init__(self, take, rows, cols, size, index, interior, traces,
@@ -424,12 +430,15 @@ class Condensation:
         self._s_to[valid] = sorted_to
         bb = np.flatnonzero(in_tr[rows] & in_tr[cols])
         bb_keys = spos[cols[bb]] * m + spos[rows[bb]]
+        self._bb = take[bb]
+        if ground is not None:                 # -1: the 1 appended to data
+            bb_keys = np.append(bb_keys, spos[ground] * (m + 1))
+            self._bb = np.append(self._bb, -1)
         self._bb_to = np.minimum(np.searchsorted(s_keys, bb_keys),
                                  self._s_nnz - 1)
         if not np.array_equal(s_keys[self._bb_to], bb_keys):
             raise RuntimeError("%s: a trace entry lies outside the elements' "
                                "trace blocks" % name)
-        self._bb = take[bb]
         self._s_rows = s_keys % m
         self._s_ptr = np.zeros(m + 1, dtype=np.int64)
         np.cumsum(np.bincount(s_keys // m, minlength=m), out=self._s_ptr[1:])
@@ -437,10 +446,6 @@ class Condensation:
         self._int_pos = pos[interior]
         self._tr_pos = pos[tr]
         self._m = m
-        self._border = None
-        if ground is not None:
-            self._border = _Border(self._s_rows, self._s_ptr, m - 1,
-                                   spos[ground])
 
     def factor(self, data):
         """Factor the block of the matrix with this data; returns the
@@ -460,15 +465,13 @@ class Condensation:
                                                   err)) from err
         x_ib = inv @ a_ib                                   # A_II^-1 A_IB
         m, nnz = self._m, self._s_nnz
-        s_data = (np.bincount(self._bb_to, data[self._bb], minlength=nnz)
+        s_data = (np.bincount(self._bb_to, np.append(data, 1.0)[self._bb],
+                              minlength=nnz)
                   - np.bincount(self._s_to.ravel(), (a_bi @ x_ib).ravel(),
                                 minlength=nnz + 1)[:nnz])
-        if self._border is None:
-            schur = sps.csc_matrix((s_data, self._s_rows, self._s_ptr),
-                                   shape=(m, m))
-            schur_inverse = _factor(schur, self.name).solve
-        else:
-            schur_inverse = self._border.inverse(s_data)
+        schur = sps.csc_matrix((s_data, self._s_rows, self._s_ptr),
+                               shape=(m, m))
+        schur_inverse = _factor(schur, self.name).solve
         int_pos, tr_pos, s = self._int_pos, self._tr_pos, self._s
 
         def apply(r):
@@ -486,39 +489,58 @@ class Condensation:
         return apply
 
 
-class _Border:
-    """The grounded matrix and the dense border n of CSC matrices with one
-    pattern, for _bordered_inverse: the grounded pattern drops row and
-    column n and holds (n, n) and (q, q)."""
+class MeanPressureBlock:
+    """The inverse of the flow block [[K, c], [r^T, 0]]: K on the free
+    velocity and pressure DOFs, c and r the mean-pressure column and row.
 
-    def __init__(self, rows, indptr, n, q):
-        cols = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
-        inner = np.flatnonzero((rows != n) & (cols != n))
-        g_rows, g_cols = np.append(rows[inner], n), np.append(cols[inner], n)
-        self._take = np.append(inner, len(rows))     # (n, n): a 1 appended
-        self._rows = g_rows
-        self._ptr = np.zeros_like(indptr)
-        np.cumsum(np.bincount(g_cols, minlength=len(indptr) - 1),
-                  out=self._ptr[1:])
-        self._qq = np.flatnonzero((g_rows == q) & (g_cols == q))[0]
-        self._col = np.flatnonzero(cols == n)
-        self._col_rows = rows[self._col]
-        self._row = np.flatnonzero(rows == n)
-        self._row_cols = cols[self._row]
-        self.n, self.q = n, q
+    K fixes the pressure only up to a constant: the constant pressure z
+    (`constant_pressure`, 1 projected onto every pressure interior and
+    trace) has K z = 0 = z^T K.  `condensed` factors K grounded on a
+    pressure trace q, G = K + e_q e_q^T, with z_q = 1; `take`, `rows` and
+    `cols` locate the entries of c and r as for a Condensation.  `factor`
+    returns the exact inverse of the block: for the block vector [v; s],
 
-    def inverse(self, data):
-        """_bordered_inverse of the matrix with this data."""
-        size = len(self._ptr) - 1
-        grounded = np.append(data, 1.0)[self._take]
-        grounded[self._qq] += 1.0
-        col = np.zeros(size)
-        col[self._col_rows] = data[self._col]
-        row = np.zeros(size)
-        row[self._row_cols] = data[self._row]
-        mat = sps.csc_matrix((grounded, self._rows, self._ptr),
-                             shape=(size, size))
-        return _bordered_inverse(mat, col, row, self.n, self.q)
+        lam = z.v / z.c,   y = G^-1 (v - lam c),   x = y + ((s - r.y) / r.z) z,
+
+    since z^T (v - lam c) = 0 makes y_q = 0 and K y = v - lam c.
+    """
+
+    def __init__(self, condensed, dofmap, take, rows, cols):
+        self._condensed = condensed
+        n = dofmap.n_free
+        self._col = take[cols == n], rows[cols == n]
+        self._row = take[rows == n], cols[rows == n]
+
+        def one(x, y):
+            return np.ones_like(x)
+
+        # a rule exact to degree k: the pressure traces have degree k
+        mesh, k = dofmap.mesh, dofmap.params.degree
+        fe, faces = mesh.fluid_elems, mesh.fluid_faces
+        z = np.zeros(dofmap.n_dofs)
+        z[dofmap.p_interior(fe)] = pb.project_interior(mesh, fe, k - 1, one, k)
+        z[dofmap.p_trace(faces)] = pb.project_face(mesh, faces, k, one, k)
+        self.constant_pressure = z[dofmap.free_dofs[:dofmap.n_free_flow]]
+
+    def factor(self, data):
+        """Factor the flow block of the matrix with this data; returns the
+        function applying its inverse to a flow block vector."""
+        inverse = self._condensed.factor(data)
+        z = self.constant_pressure
+        c, r = (np.bincount(at, data[take], minlength=len(z))
+                for take, at in (self._col, self._row))
+        zc, rz = z @ c, r @ z
+        if zc == 0.0 or rz == 0.0:
+            raise RuntimeError("flow block: the mean-pressure row or column "
+                               "misses the constant pressure, so the block "
+                               "is singular")
+
+        def apply(v):
+            lam = z @ v[:-1] / zc
+            y = inverse(v[:-1] - lam * c)
+            return np.append(y + (v[-1] - r @ y) / rz * z, lam)
+
+        return apply
 
 
 class StepAssembler:
@@ -604,12 +626,7 @@ class StepAssembler:
         self._indices, self._indptr = static.indices, static.indptr
         self._vel_fixed = dm.fixed_mask.copy()
         self._vel_fixed[dm.offset["p_int"]:] = False
-
-        # free DOFs keep the global block order, so the free flow DOFs are
-        # the first flow_size ones and the multiplier follows the rest
-        flow_size = int(np.sum(~dm.fixed_mask[:dm.offset["t_int"]]))
-        self._flow_index = np.append(np.arange(flow_size), n)
-        self._blocks = BlockMaps(static, dm, flow_size, n)
+        self._blocks = BlockMaps(static, dm)
         self._map_convection(static, vloc, sloc[fe])
 
     def _map_convection(self, static, vloc, sloc_f):
@@ -703,8 +720,7 @@ class StepAssembler:
         mat = sps.csr_matrix((data, self._indices, self._indptr),
                              shape=(n + 1, n + 1))
         mat.has_canonical_format = True
-        return GlobalSystem(mat, rhs, dm, border_index=n,
-                            flow_index=self._flow_index, blocks=self._blocks)
+        return GlobalSystem(mat, rhs, dm, self._blocks)
 
 
 def assemble_oseen_step(mesh, params, problem, w_prev=None, dofmap=None):
@@ -752,48 +768,6 @@ def _factor(mat, block):
     except RuntimeError as err:
         raise RuntimeError("%s factorization failed (%s); the block is "
                            "singular or near-singular" % (block, err)) from err
-
-
-def _bordered_inverse(grounded, col, row, n, q):
-    """Invert a system whose row/column n is dense (the mean constraint).
-
-    grounded is the system with row/column n cleared and 1 put at (n, n)
-    and added at (q, q), q a pressure trace, to ground the constant-pressure
-    mode; col and row are the dense column and row n of the system itself.
-    Once the element interiors are eliminated the border couples to every
-    trace, so it is kept out of the sparse factor: grounded is factored
-    once, and the difference is restored as a rank-3 correction
-    (Woodbury).  Returns a function applying the inverse of the system:
-    each call costs two triangular solves and one 3x3 product, so
-    solve_sparse can sweep against the flow blocks of this and later steps
-    without refactoring.  Raises when the grounded factorization or the
-    3x3 capacitance matrix is singular.
-    """
-    lu = _factor(grounded, "grounded flow block")
-    size = grounded.shape[0]
-    diag = col[n]
-    U = np.zeros((size, 3))
-    U[:, 0] = col
-    U[n, 1] = 1.0
-    U[q, 2] = 1.0
-    W = np.zeros((size, 3))
-    W[n, 0] = 1.0
-    W[:, 1] = row
-    W[n, 1] -= diag + 1.0
-    W[q, 2] = -1.0
-    Z = lu.solve(U)
-    try:
-        small_inv = np.linalg.inv(np.eye(3) + W.T @ Z)
-    except np.linalg.LinAlgError as err:
-        raise RuntimeError("flow block: the 3x3 capacitance matrix of the "
-                           "mean-pressure border is singular (%s)"
-                           % err) from err
-
-    def apply(r):
-        y = lu.solve(r)
-        return y - Z @ (small_inv @ (W.T @ y))
-
-    return apply
 
 
 def _swept(mat, rhs, target, held, factor):
@@ -851,9 +825,8 @@ def solve_sparse(system, held=None):
     flow_index, is then solved with the buoyancy columns times the
     temperature moved to its right-hand side.  Each block is factored
     through its element interiors (system.blocks.temperature and .flow,
-    see Condensation), the flow block's trace Schur complement through
-    _bordered_inverse.  The blocks are gathered from matrix.data through
-    system.blocks.
+    see Condensation and MeanPressureBlock).  The blocks are gathered from
+    matrix.data through system.blocks.
 
     held is a (temperature, flow) pair of HeldFactor that keeps each
     block's inverse and solution between calls; None makes a fresh pair
@@ -862,27 +835,20 @@ def solve_sparse(system, held=None):
     the block's previous solution, and the inverse is refactored only when
     it stalls, after which the block is solved from zero (see _swept).
 
-    Both blocks are solved by the sweep loop of _swept against their
-    current matrices, down to a block residual of SWEEP_TOL * max(||b||, 1)
-    with b the whole right-hand side.  The flow result is divergence free
-    to rounding at any factor age: the rows b(u,q) = 0 and the
-    mean-pressure row of the flow block do not involve w, so the held
-    factor's matrix agrees with the current block there, and every sweep
-    solves those rows exactly and leaves their residual at rounding.
-
-    The 1e-10 residual check is relative to the whole right-hand side and
-    runs against the whole system.matrix; it also catches a temperature row
-    that touches the flow, which the block split would ignore.  On its own
-    it does not bound the divergence rows, whose right side is zero: an
-    unswept Woodbury solve leaves them at 1e-9..1e-8 on fine cavity
-    meshes.
+    Both blocks are swept against their current matrices down to a block
+    residual of SWEEP_TOL * max(||b||, 1), b the whole right-hand side;
+    the sweeps keep the divergence rows at rounding (see the module
+    docstring), which the 1e-10 check alone would not: an unswept solve
+    leaves them at 1e-9..1e-8 on fine cavity meshes.  That check runs
+    against the whole system.matrix, so it also catches a temperature row
+    that touches the flow, which the block split would ignore.
 
     Every failure raises RuntimeError naming the block: a singular
     element interior block (naming the element too), a singular
-    temperature or grounded flow Schur factorization, a singular 3x3
-    capacitance matrix, or a residual (NaN included) above 1e-10,
-    reported with the residual of the temperature rows and of the flow
-    rows.
+    temperature or grounded flow Schur factorization, a mean-pressure row
+    or column that misses the constant pressure, or a residual (NaN
+    included) above 1e-10, reported with the residual of the temperature
+    rows and of the flow rows.
     """
     mat, rhs = system.matrix, system.rhs
     flow = system.flow_index

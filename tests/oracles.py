@@ -412,12 +412,11 @@ def coo_step(asm, w_prev=None):
 def schur_shapes(system):
     """Shapes of the matrices solve_sparse factors for one step: the trace
     Schur complements of the temperature block (the free temperature
-    traces) and of the flow block (the free velocity traces, the pressure
-    traces and the multiplier), counted from the DOF map."""
+    traces) and of the flow block (the free velocity traces and the
+    pressure traces), counted from the DOF map."""
     dm = system.dofmap
     free = ~dm.fixed_mask
     temp = np.count_nonzero(free[dm.offset["t_tr"]:])
     flow = (np.count_nonzero(free[dm.offset["u_tr"]:dm.offset["p_int"]])
-            + np.count_nonzero(free[dm.offset["p_tr"]:dm.offset["t_int"]])
-            + 1)
+            + np.count_nonzero(free[dm.offset["p_tr"]:dm.offset["t_int"]]))
     return [(temp, temp), (flow, flow)]

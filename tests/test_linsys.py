@@ -313,7 +313,7 @@ def test_gathered_blocks_equal_scipy_slices(case, variant, degree):
     f, n = system.flow_size, system.border_index
     sliced = [mat[f:n, f:n], mat[flow][:, flow], mat[flow][:, f:n]]
     # a GlobalSystem without the assembler's maps computes its own
-    alone = linsys.GlobalSystem(mat, system.rhs, system.dofmap, n, flow)
+    alone = linsys.GlobalSystem(mat, system.rhs, system.dofmap)
     assert alone.blocks is not system.blocks
     for blocks in (system.blocks, alone.blocks):
         for got, want in zip(blocks.gather(mat.data), sliced):
@@ -355,10 +355,9 @@ def test_dirichlet_lifting_moves_data_to_rhs():
 
 def test_solve_reports_singular():
     # a zero temperature row and a zero velocity row make an element's
-    # interior block singular, and a zero multiplier row, which the
-    # grounded flow factor replaces, makes the 3x3 capacitance matrix
-    # singular: each must fail and the error must name the block (and the
-    # element)
+    # interior block singular, and a zero multiplier row misses the
+    # constant pressure that the grounded flow factor leaves out: each
+    # must fail and the error must name the block (and the element)
     prob, mesh, params = manufactured_setup(4, 2)
     system = linsys.assemble_oseen_step(mesh, params, prob)
     n = system.matrix.shape[0]
@@ -367,13 +366,12 @@ def test_solve_reports_singular():
              "temperature block: the interior block of element 0 "),
             (0, "flow block: the interior block of element %d "
              % mesh.fluid_elems[0]),
-            (system.border_index, "flow block: the 3x3")):
+            (system.border_index, "flow block: the mean-pressure row")):
         scale = np.ones(n)
         scale[row] = 0.0
         mat = (sps.diags(scale) @ system.matrix).tocsr()
         mat.eliminate_zeros()
-        broken = linsys.GlobalSystem(mat, system.rhs, system.dofmap,
-                                     system.border_index, system.flow_index)
+        broken = linsys.GlobalSystem(mat, system.rhs, system.dofmap)
         with pytest.raises(RuntimeError, match="singular") as info:
             linsys.solve_sparse(broken)
         assert block in str(info.value)
@@ -464,6 +462,28 @@ def test_condensed_inverse_equals_direct_solve(variant, degree, advected):
             want = spla.spsolve(mat.tocsc(), r)
             assert np.linalg.norm(inverse(r) - want) \
                 <= 1e-10 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("variant,degree", [("wg1", 1), ("wg1", 2),
+                                            ("wg3", 2)])
+def test_constant_pressure_spans_the_flow_null_space(variant, degree):
+    # on the 4x2 conjugate mesh, at a random admissible w, the constant
+    # pressure the flow inverse deflates annihilates the velocity-pressure
+    # block from both sides, and a solve leaves the mean-pressure
+    # multiplier at rounding
+    prob, mesh, params = manufactured_setup(4, 2, degree, variant)
+    asm = linsys.StepAssembler(mesh, params, prob)
+    dm = asm.dofmap
+    w = np.random.default_rng(3).standard_normal(dm.n_dofs)
+    w[dm.fixed_mask & (np.arange(dm.n_dofs) < dm.offset["p_int"])] = 0
+    system = asm.assemble(w)
+    f = system.flow_size
+    k = system.matrix[:f, :f]
+    z = system.blocks.flow.constant_pressure
+    assert np.max(np.abs(k @ z)) <= 1e-13
+    assert np.max(np.abs(k.T @ z)) <= 1e-13
+    _, multiplier = system.expand(linsys.solve_sparse(system))
+    assert abs(multiplier) <= 1e-12
 
 
 def flow_rows_without_w(system):
@@ -636,9 +656,7 @@ def test_block_solve_that_misses_the_contract_raises(monkeypatch):
     f = system.flow_size
     coupled = system.matrix.tolil()
     coupled[f, 0] = coupled[f, f]
-    broken = linsys.GlobalSystem(coupled.tocsr(), system.rhs, system.dofmap,
-                                 border_index=system.border_index,
-                                 flow_index=system.flow_index)
+    broken = linsys.GlobalSystem(coupled.tocsr(), system.rhs, system.dofmap)
     factorizations = counting_factorizations(monkeypatch)
     with pytest.raises(RuntimeError, match="exceeds the 1e-10") as info:
         linsys.solve_sparse(broken)
