@@ -28,33 +28,34 @@ diagonal blocks is, so nothing is factored whole.
 
 Each element's interior unknowns (T_0; u_0 and p_0) couple only to each
 other and to the element's own traces, so each block is factored by block
-LU through its interiors (Condensation): the small dense interior blocks
-are inverted as one batch, and only the Schur complement on the traces is
-a sparse factor, ordered by minimum degree on S + S^T.  No diagonal entry
-of it is zero, unlike the uncondensed flow block's pressure rows.  The
-velocity-pressure part of the flow block fixes the pressure only up to a
-constant; its Schur factor is grounded on one pressure trace, and
-MeanPressureBlock meets the mean-pressure row and column through the
-constant pressure, so the applied inverse is exactly that of the block.
+LU through its interiors (Condensation), straight from the element
+matrices that StepAssembler keeps: the small dense interior blocks are
+inverted as one batch, and only the Schur complement on the traces, summed
+over the elements, is a sparse factor, ordered by minimum degree on
+S + S^T.  No diagonal entry of it is zero, unlike the uncondensed flow
+block's pressure rows.  The velocity-pressure part of the flow block fixes
+the pressure only up to a constant; its Schur factor is grounded on one
+pressure trace, and MeanPressureBlock meets the mean-pressure row and
+column through the constant pressure, so the applied inverse is exactly
+that of the block.
 
 A step's matrix has the same sparsity pattern at every advecting field:
 StepAssembler builds it once, with the static values, and a step sums its
 convection values into fixed slots of it.  solve_sparse solves each block
 with a held factor: oseen_solve keeps one HeldFactor per block for its
 Picard steps, since both blocks change only through w.  Each block is
-solved by sweeps x += M^-1 (b - A x) against its current matrix A, where M
-is the factored matrix, starting from the block's solution of the previous
-step, until the block residual is a tenth of the 1e-10 contract; a held
-factor that stalls is dropped, the block refactored and solved from zero.
-The sweeps are what make the velocity divergence free to rounding, at any
-factor age: the divergence rows b(u,q) and the mean-pressure row do not
-depend on w, so M equals A in those rows, A M^-1 is the identity there,
-and each sweep sets their residual to rounding.  The whole-matrix
-1e-10 check, relative to the whole right-hand side, does not bound those
-rows on its own, since their right side is zero.  A singular element
-interior block or Schur factor, a mean-pressure row or column that misses
-the constant pressure, or a residual above 1e-10 raises RuntimeError
-naming the block (and the element).
+solved by sweeps x += M^-1 (b - A x) against its rows of the current step
+matrix A, where M is the factored matrix, starting from the block's
+solution of the previous step, until the block residual is a tenth of the
+1e-10 contract; a held factor that stalls is dropped, the block refactored
+and solved from zero.  The sweeps are what make the velocity divergence
+free to rounding, at any factor age: the divergence rows b(u,q) and the
+mean-pressure row do not depend on w, so M equals A in those rows, A M^-1
+is the identity there, and each sweep sets their residual to rounding.
+The whole-matrix 1e-10 check, relative to the whole right-hand side, does
+not bound those rows on its own, since their right side is zero.  A
+singular element interior block or Schur factor, or a residual above
+1e-10, raises RuntimeError naming the block (and the element).
 """
 
 import numpy as np
@@ -236,13 +237,13 @@ class GlobalSystem:
     and their rows have no entry in the flow columns.  All three are read
     from the DofMap.
 
-    blocks locates the entries of those blocks in matrix.data and
-    eliminates their element interiors (a BlockMaps); a StepAssembler
-    passes the maps of its fixed pattern, and without them they are
-    computed from matrix and dofmap here.
+    factors is a (temperature, flow) pair of functions: each factors its
+    diagonal block of matrix from the element matrices and returns the
+    function applying the block's inverse (see Condensation and
+    MeanPressureBlock).  StepAssembler.assemble supplies them.
     """
 
-    def __init__(self, matrix, rhs, dofmap, blocks=None):
+    def __init__(self, matrix, rhs, dofmap, factors):
         self.matrix = matrix
         self.rhs = rhs
         self.dofmap = dofmap
@@ -250,9 +251,7 @@ class GlobalSystem:
         self.flow_size = dofmap.n_free_flow
         self.flow_index = np.append(np.arange(self.flow_size),
                                     self.border_index)
-        if blocks is None:
-            blocks = BlockMaps(matrix, dofmap)
-        self.blocks = blocks
+        self.factors = factors
 
     def expand(self, x):
         """Scatter a reduced solution to the full coefficient vector.
@@ -265,82 +264,6 @@ class GlobalSystem:
         return full, float(x[dm.n_free])
 
 
-class BlockMaps:
-    """Where the blocks solve_sparse works with sit in the data of a CSR
-    step matrix: the temperature block [f:n, f:n], the flow block (rows and
-    columns 0..f-1 and n) and the flow rows' temperature columns [f:n],
-    with f = dofmap.n_free_flow and n = dofmap.n_free.
-
-    The maps depend only on the matrix pattern, and `gather` builds the
-    three blocks of any matrix with that pattern from its `data`, equal to
-    scipy's slices of it.  `temperature` (a Condensation) and `flow` (a
-    MeanPressureBlock) factor each diagonal block, built from the same
-    pattern: the temperature block's interiors are every element's T_0,
-    the flow block's every fluid element's [u_0 | p_0].
-    """
-
-    def __init__(self, matrix, dofmap):
-        dm = dofmap
-        f, n = dm.n_free_flow, dm.n_free
-        cols = matrix.indices
-        rows = np.repeat(np.arange(matrix.shape[0], dtype=cols.dtype),
-                         np.diff(matrix.indptr))
-        temp_r = (rows >= f) & (rows < n)
-        temp_c = (cols >= f) & (cols < n)
-        flow_r = ~temp_r
-
-        def flow(i):                   # the multiplier n sits at f
-            return np.minimum(i, f)
-
-        def temp(i):
-            return i - f
-
-        self._parts = []
-        for sel, shape, row_pos, col_pos in (
-                (temp_r & temp_c, (n - f, n - f), temp, temp),
-                (flow_r & ~temp_c, (f + 1, f + 1), flow, flow),
-                (flow_r & temp_c, (f + 1, n - f), flow, temp)):
-            take = np.flatnonzero(sel)
-            indptr = np.zeros(shape[0] + 1, dtype=cols.dtype)
-            np.cumsum(np.bincount(row_pos(rows[take]), minlength=shape[0]),
-                      out=indptr[1:])
-            self._parts.append((take, col_pos(cols[take]), indptr, shape))
-
-        # reduced indices of per-element index arrays, joined; n for a
-        # fixed DOF, which is in no block
-        free = np.where(dm.fixed_mask, n, dm.free_index)
-
-        def by_element(*parts):
-            return free[np.concatenate([p.reshape(len(p), -1)
-                                        for p in parts], axis=1)]
-
-        mesh = dm.mesh
-        fe, faces = mesh.fluid_elems, mesh.elem_faces
-        all_e = np.arange(mesh.n_elems)
-        take = self._parts[0][0]
-        self.temperature = Condensation(
-            take, rows[take], cols[take], n + 1, np.arange(f, n),
-            by_element(dm.t_interior(all_e)), by_element(dm.t_trace(faces)),
-            all_e, "temperature block")
-        take = self._parts[1][0]
-        border = (rows[take] == n) | (cols[take] == n)
-        inner, border = take[~border], take[border]
-        condensed = Condensation(
-            inner, rows[inner], cols[inner], n + 1, np.arange(f),
-            by_element(dm.u_interior(fe), dm.p_interior(fe)),
-            by_element(dm.u_trace(faces[fe]), dm.p_trace(faces[fe])),
-            fe, "flow block",
-            ground=free[dm.p_trace(mesh.fluid_faces[0])[0, 0]])
-        self.flow = MeanPressureBlock(condensed, dm, border, rows[border],
-                                      cols[border])
-
-    def gather(self, data):
-        """(temperature block, flow block, flow-temperature coupling) of
-        the matrix whose data this is, as CSR matrices."""
-        return [sps.csr_matrix((data[take], indices, indptr), shape=shape)
-                for take, indices, indptr, shape in self._parts]
-
-
 class Condensation:
     """Block LU of one diagonal block through its element interiors.
 
@@ -349,31 +272,31 @@ class Condensation:
     traces B,
 
         [A_II  A_IB]      A_II block diagonal, one small dense block
-        [A_BI  A_BB]      per element.
+        [A_BI  A_BB]      per element,
 
-    `factor` inverts the element blocks of A_II all at once, forms the
-    trace Schur complement S = A_BB - A_BI A_II^-1 A_IB and factors it; the
-    function it returns applies the exact inverse of the block, as
-    y = A_II^-1 r_I, x_B = S^-1 (r_B - A_BI y), x_I = y - A_II^-1 A_IB x_B.
-    With `ground`, a trace, 1 is added to S at (ground, ground) first, so
-    the inverse is that of the block with that 1 added.
+    and it is the sum of its element matrices, a stack (E, L, L) in the
+    elements' local layout.  `local` (E, L) holds each element's reduced
+    indices in that layout, size - 1 for a fixed DOF: its first `n_inner`
+    positions are the interiors, the others traces.  `index` lists the
+    block's rows and columns in reduced numbering, and `elems` names the
+    elements in errors.
 
-    Everything that depends on the pattern alone is found here once: the
-    slots of each element's dense blocks in matrix.data, S's pattern in
-    CSC order, and where each element block and each entry of A_BB land
-    in it.  `index` lists the block's rows and columns in reduced
-    numbering, `take`, `rows` and `cols` the positions in matrix.data and
-    the reduced rows and columns of its entries, and `interior` (E, b) and
-    `traces` (E, t) each element's reduced indices; size - 1 marks a fixed
-    trace.  `elems` names the elements in errors.
+    `factor(stack)` inverts the element blocks of A_II all at once, sums
+    the elements' A_BB - A_BI A_II^-1 A_IB into the trace Schur complement
+    S and factors it; the function it returns applies the exact inverse of
+    the block, as y = A_II^-1 r_I, x_B = S^-1 (r_B - A_BI y),
+    x_I = y - A_II^-1 A_IB x_B.  With `ground`, a trace, 1 is added to S at
+    (ground, ground) first, so the inverse is that of the block with that
+    1 added.  S's pattern, the union of the elements' trace blocks, is
+    found here once.
     """
 
-    def __init__(self, take, rows, cols, size, index, interior, traces,
-                 elems, name, ground=None):
+    def __init__(self, local, n_inner, size, index, elems, name,
+                 ground=None):
         self.name = name
         self._elems = elems
-        in_int = np.zeros(size, dtype=bool)
-        in_int[interior] = True
+        self._k = n_inner
+        traces = local[:, n_inner:]
         in_tr = np.zeros(size, dtype=bool)
         in_tr[traces] = True
         in_tr[-1] = False
@@ -381,77 +304,34 @@ class Condensation:
         m = len(tr)
         pos = np.full(size, -1)
         pos[index] = np.arange(len(index))
-        if interior.size + m != len(index) or np.any(pos[tr] < 0):
-            raise RuntimeError("%s: the element interiors and traces do not "
-                               "partition the block" % name)
 
-        # the block's entries (at `take` in matrix.data), keyed row-major
-        keys = rows.astype(np.int64) * size + cols
-        if np.any(keys[1:] <= keys[:-1]):
-            order = np.argsort(keys, kind="stable")
-            keys, take = keys[order], take[order]
-            rows, cols = rows[order], cols[order]
-        nnz = len(keys)
-        take = np.append(take, -1)      # -1: the zero appended to data
-
-        def slots(r, c):
-            want = r.astype(np.int64) * size + c
-            at = np.minimum(np.searchsorted(keys, want), nnz - 1)
-            return np.where(keys[at] == want, at, nnz)
-
-        found = [slots(interior[:, :, None], interior[:, None, :]),
-                 slots(interior[:, :, None], traces[:, None, :]),
-                 slots(traces[:, :, None], interior[:, None, :])]
-        hit = np.zeros(nnz + 1, dtype=bool)
-        for at in found:
-            hit[at] = True
-        if (np.count_nonzero(hit[:-1])
-                != np.count_nonzero(in_int[rows] | in_int[cols])):
-            raise RuntimeError("%s: an entry couples an element interior to "
-                               "another element's unknowns" % name)
-        self._ii, self._ib, self._bi = [take[at] for at in found]
-
-        # S numbers the traces in reduced order, m stands for a fixed one;
-        # its pattern, the union of the elements' dense trace blocks, is
-        # kept in CSC order
+        # S numbers the free traces in reduced order, m stands for a fixed
+        # one; its pattern is kept in CSC order, and _s_to is the slot of
+        # each element's trace block entry (nnz for a fixed row or column)
         spos = np.full(size, m)
         spos[tr] = np.arange(m)
         s = spos[traces]                                    # (E, t)
         valid = (s[:, :, None] < m) & (s[:, None, :] < m)
         pair = (s[:, None, :] * m + s[:, :, None])[valid]   # col * m + row
-        order = np.argsort(pair)
-        pair = pair[order]
-        first = np.append(True, pair[1:] != pair[:-1])
-        s_keys = pair[first]
+        s_keys, to = np.unique(pair, return_inverse=True)
         self._s_nnz = len(s_keys)
-        sorted_to = np.empty_like(order)
-        sorted_to[order] = np.cumsum(first) - 1
         self._s_to = np.full(valid.shape, self._s_nnz)
-        self._s_to[valid] = sorted_to
-        bb = np.flatnonzero(in_tr[rows] & in_tr[cols])
-        bb_keys = spos[cols[bb]] * m + spos[rows[bb]]
-        self._bb = take[bb]
-        if ground is not None:                 # -1: the 1 appended to data
-            bb_keys = np.append(bb_keys, spos[ground] * (m + 1))
-            self._bb = np.append(self._bb, -1)
-        self._bb_to = np.minimum(np.searchsorted(s_keys, bb_keys),
-                                 self._s_nnz - 1)
-        if not np.array_equal(s_keys[self._bb_to], bb_keys):
-            raise RuntimeError("%s: a trace entry lies outside the elements' "
-                               "trace blocks" % name)
+        self._s_to[valid] = to
+        self._ground = (None if ground is None else
+                        int(np.searchsorted(s_keys, spos[ground] * (m + 1))))
         self._s_rows = s_keys % m
         self._s_ptr = np.zeros(m + 1, dtype=np.int64)
         np.cumsum(np.bincount(s_keys // m, minlength=m), out=self._s_ptr[1:])
         self._s = s
-        self._int_pos = pos[interior]
+        self._int_pos = pos[local[:, :n_inner]]
         self._tr_pos = pos[tr]
         self._m = m
 
-    def factor(self, data):
-        """Factor the block of the matrix with this data; returns the
+    def factor(self, stack):
+        """Factor the block whose element matrices are stack; returns the
         function applying its inverse to a block vector."""
-        ext = np.append(data, 0.0)
-        a_ii, a_ib, a_bi = ext[self._ii], ext[self._ib], ext[self._bi]
+        k = self._k
+        a_ii = stack[:, :k, :k]
         try:
             inv = np.linalg.inv(a_ii)
         except np.linalg.LinAlgError as err:
@@ -463,12 +343,16 @@ class Condensation:
             raise RuntimeError("%s: the interior block of element %d is "
                                "singular (%s)" % (self.name, self._elems[e],
                                                   err)) from err
-        x_ib = inv @ a_ib                                   # A_II^-1 A_IB
+        x_ib = inv @ stack[:, :k, k:]                       # A_II^-1 A_IB
+        # a copy, so that a held inverse does not keep the stack alive
+        a_bi = stack[:, k:, :k].copy()
         m, nnz = self._m, self._s_nnz
-        s_data = (np.bincount(self._bb_to, np.append(data, 1.0)[self._bb],
-                              minlength=nnz)
-                  - np.bincount(self._s_to.ravel(), (a_bi @ x_ib).ravel(),
-                                minlength=nnz + 1)[:nnz])
+        s_el = a_bi @ x_ib
+        np.subtract(stack[:, k:, k:], s_el, out=s_el)
+        s_data = np.bincount(self._s_to.ravel(), s_el.ravel(),
+                             minlength=nnz + 1)[:nnz]
+        if self._ground is not None:
+            s_data[self._ground] += 1.0
         schur = sps.csc_matrix((s_data, self._s_rows, self._s_ptr),
                                shape=(m, m))
         schur_inverse = _factor(schur, self.name).solve
@@ -490,26 +374,24 @@ class Condensation:
 
 
 class MeanPressureBlock:
-    """The inverse of the flow block [[K, c], [r^T, 0]]: K on the free
-    velocity and pressure DOFs, c and r the mean-pressure column and row.
+    """The inverse of the flow block [[K, c], [c^T, 0]]: K on the free
+    velocity and pressure DOFs, c (a static vector of the assembler) the
+    mean-pressure column, which is also the row.
 
     K fixes the pressure only up to a constant: the constant pressure z
     (`constant_pressure`, 1 projected onto every pressure interior and
-    trace) has K z = 0 = z^T K.  `condensed` factors K grounded on a
-    pressure trace q, G = K + e_q e_q^T, with z_q = 1; `take`, `rows` and
-    `cols` locate the entries of c and r as for a Condensation.  `factor`
-    returns the exact inverse of the block: for the block vector [v; s],
+    trace) has K z = 0 = z^T K, and z.c is the fluid area.  `condensed`
+    factors K grounded on a pressure trace q, G = K + e_q e_q^T, with
+    z_q = 1.  `factor` returns the exact inverse of the block: for the
+    block vector [v; s],
 
-        lam = z.v / z.c,   y = G^-1 (v - lam c),   x = y + ((s - r.y) / r.z) z,
+        lam = z.v / z.c,   y = G^-1 (v - lam c),   x = y + ((s - c.y) / z.c) z,
 
     since z^T (v - lam c) = 0 makes y_q = 0 and K y = v - lam c.
     """
 
-    def __init__(self, condensed, dofmap, take, rows, cols):
+    def __init__(self, condensed, dofmap, c):
         self._condensed = condensed
-        n = dofmap.n_free
-        self._col = take[cols == n], rows[cols == n]
-        self._row = take[rows == n], cols[rows == n]
 
         def one(x, y):
             return np.ones_like(x)
@@ -521,24 +403,19 @@ class MeanPressureBlock:
         z[dofmap.p_interior(fe)] = pb.project_interior(mesh, fe, k - 1, one, k)
         z[dofmap.p_trace(faces)] = pb.project_face(mesh, faces, k, one, k)
         self.constant_pressure = z[dofmap.free_dofs[:dofmap.n_free_flow]]
+        self._c = c
+        self._zc = self.constant_pressure @ c
 
-    def factor(self, data):
-        """Factor the flow block of the matrix with this data; returns the
-        function applying its inverse to a flow block vector."""
-        inverse = self._condensed.factor(data)
-        z = self.constant_pressure
-        c, r = (np.bincount(at, data[take], minlength=len(z))
-                for take, at in (self._col, self._row))
-        zc, rz = z @ c, r @ z
-        if zc == 0.0 or rz == 0.0:
-            raise RuntimeError("flow block: the mean-pressure row or column "
-                               "misses the constant pressure, so the block "
-                               "is singular")
+    def factor(self, stack):
+        """Factor the flow block whose element matrices are stack; returns
+        the function applying its inverse to a flow block vector."""
+        inverse = self._condensed.factor(stack)
+        z, c, zc = self.constant_pressure, self._c, self._zc
 
         def apply(v):
             lam = z @ v[:-1] / zc
             y = inverse(v[:-1] - lam * c)
-            return np.append(y + (v[-1] - r @ y) / rz * z, lam)
+            return np.append(y + (v[-1] - c @ y) / zc * z, lam)
 
         return apply
 
@@ -546,7 +423,13 @@ class MeanPressureBlock:
 class StepAssembler:
     """Assembles Oseen steps, reusing everything that does not depend on the
     frozen advecting field (diffusion, pressure coupling, buoyancy,
-    conduction, forcing moments, the mean-pressure row)."""
+    conduction, forcing moments, the mean-pressure row).
+
+    It also keeps the element matrices of both diagonal blocks without
+    convection; a step's factor functions add its convection blocks to
+    them and factor through `temperature` (a Condensation) and `flow` (a
+    MeanPressureBlock).
+    """
 
     def __init__(self, mesh, params, problem, dofmap=None):
         self.mesh = mesh
@@ -626,8 +509,41 @@ class StepAssembler:
         self._indices, self._indptr = static.indices, static.indptr
         self._vel_fixed = dm.fixed_mask.copy()
         self._vel_fixed[dm.offset["p_int"]:] = False
-        self._blocks = BlockMaps(static, dm)
         self._map_convection(static, vloc, sloc[fe])
+
+        # the element matrices the block factors are summed from: C, in
+        # scalar_local, and the flow stack in velocity_local ++
+        # pressure_local, with A on the velocity block, B in the u_0 rows
+        # and -B^T in the u_0 columns, both reordered with the interiors
+        # [u_0 | p_0] first; _conv_at is where each velocity component's
+        # convection block lands in it; free gives a fixed DOF the index n
+        nv, ns = vloc.shape[1], params.scalar_size
+        u0 = (ns * np.arange(2)[:, None] + np.arange(nk)).ravel()
+        p = nv + np.arange(ploc.shape[1])
+        flow = np.zeros((len(fe), nv + len(p), nv + len(p)))
+        flow[:, :nv, :nv] = A
+        B = B.reshape(len(fe), len(u0), len(p))
+        flow[:, u0[:, None], p] = B
+        flow[:, p[:, None], u0] = -np.swapaxes(B, 1, 2)
+        inner = np.append(u0, p[:params.pressure_interior_dim])
+        order = np.append(inner, np.setdiff1d(np.arange(flow.shape[1]),
+                                              inner))
+        self._flow_stack = np.ascontiguousarray(flow[:, order[:, None],
+                                                     order])
+        self._temp_stack = C
+        self._conv_at = np.argsort(order)[:nv].reshape(2, ns)
+        free = np.where(dm.fixed_mask, n, dm.free_index)
+        f = dm.n_free_flow
+        self.temperature = Condensation(
+            free[sloc], nk, n + 1, np.arange(f, n), all_e,
+            "temperature block")
+        mean = np.zeros(f)
+        mean[con_r] = con_v
+        self.flow = MeanPressureBlock(
+            Condensation(free[np.concatenate([vloc, ploc], axis=1)[:, order]],
+                         len(inner), n + 1, np.arange(f), fe, "flow block",
+                         ground=free[dm.p_trace(mesh.fluid_faces[0])[0, 0]]),
+            dm, mean)
 
     def _map_convection(self, static, vloc, sloc_f):
         """Slots in the static pattern for the convection triplets.
@@ -696,6 +612,7 @@ class StepAssembler:
         n = dm.n_free
         rhs = np.append(self._static_rhs, 0.0)
         data = self._static_data
+        S = None
         if w_prev is not None:
             w_prev = np.asarray(w_prev, dtype=float)
             if w_prev.shape != (dm.n_dofs,):
@@ -709,8 +626,8 @@ class StepAssembler:
             w_int = w_prev[dm.u_interior(fe)]            # (Ef, 2, nk)
             w_tr = w_prev[dm.u_trace(mesh.elem_faces[fe])]   # (Ef, 3, 2, nt)
             S = forms.skew_convection_blocks(mesh, fe, self.params, w_int,
-                                             w_tr).ravel()
-            vals = np.concatenate([S, S, S])
+                                             w_tr)            # (Ef, ns, ns)
+            vals = np.tile(S.ravel(), 3)
             data = data + np.bincount(self._conv_slot, vals,
                                       minlength=len(data) + 1)[:len(data)]
             np.subtract.at(rhs, self._lift_rows,
@@ -720,7 +637,29 @@ class StepAssembler:
         mat = sps.csr_matrix((data, self._indices, self._indptr),
                              shape=(n + 1, n + 1))
         mat.has_canonical_format = True
-        return GlobalSystem(mat, rhs, dm, self._blocks)
+        return GlobalSystem(mat, rhs, dm, self._factors(S))
+
+    def _factors(self, S):
+        """The (temperature, flow) factor functions of a step with skew
+        convection blocks S, None for none.  S is added, on copies of the
+        static stacks, to the fluid elements' temperature matrices and to
+        both velocity components' diagonal blocks."""
+        def temperature():
+            stack = self._temp_stack
+            if S is not None:
+                stack = stack.copy()
+                stack[self.mesh.fluid_elems] += S
+            return self.temperature.factor(stack)
+
+        def flow():
+            stack = self._flow_stack
+            if S is not None:
+                stack = stack.copy()
+                for at in self._conv_at:
+                    stack[:, at[:, None], at] += S
+            return self.flow.factor(stack)
+
+        return temperature, flow
 
 
 def assemble_oseen_step(mesh, params, problem, w_prev=None, dofmap=None):
@@ -770,36 +709,35 @@ def _factor(mat, block):
                            "singular or near-singular" % (block, err)) from err
 
 
-def _swept(mat, rhs, target, held, factor):
-    """Solve mat @ x = rhs with held.inverse, building it with factor()
-    when there is none.
+def _swept(rows, rhs, x, at, target, held, factor):
+    """Solve rows @ x = rhs for the block x[at], with the rest of x fixed,
+    using held.inverse, built with factor() when there is none.
 
-    The first application is the solve; from zero, or, when held.last
-    holds an earlier solve's solution, the correction x = last +
-    inverse(rhs - mat @ last).  Sweeps x += inverse(rhs - mat @ x) follow,
-    at least one, until the residual is at most target.  A held factor from
-    an earlier solve that stalls (one application cuts a residual above
-    target less than STALL_RATIO-fold) or misses the target in MAX_SWEEPS
-    sweeps is dropped before factor() builds its replacement, and the solve
-    starts over from zero at age 0, exactly as a fresh solve would.  A
-    fresh factor is never replaced: it makes at least one sweep, and where
-    it stalls after that, the caller's residual check decides.  The
-    solution is kept in held.last.
+    rows are the block's rows of the step matrix, over all of x, so the
+    columns outside the block multiply the part of x solved before.  The
+    first application is the solve: from x[at] = 0, or from the solution
+    of an earlier solve when held.last holds one, x[at] += inverse(rhs -
+    rows @ x).  Sweeps of the same follow, at least one, until the residual
+    is at most target.  A held factor from an earlier solve that stalls
+    (one application cuts a residual above target less than
+    STALL_RATIO-fold) or misses the target in MAX_SWEEPS sweeps is dropped
+    before factor() builds its replacement, and the solve starts over from
+    zero at age 0, exactly as a fresh solve would.  A fresh factor is never
+    replaced: it makes at least one sweep, and where it stalls after that,
+    the caller's residual check decides.  A copy of the block solution is
+    kept in held.last.
     """
     while True:
         if held.inverse is None:
             held.inverse = factor()
             held.age = 0
             held.last = None
-        if held.last is None:
-            before = np.linalg.norm(rhs)
-            x = held.inverse(rhs)
-        else:
-            r = rhs - mat @ held.last
-            before = np.linalg.norm(r)
-            x = held.last + held.inverse(r)
+        x[at] = 0.0 if held.last is None else held.last
+        r = rhs - rows @ x
+        before = np.linalg.norm(r)
+        x[at] += held.inverse(r)
         for sweep in range(MAX_SWEEPS + 1):
-            r = rhs - mat @ x
+            r = rhs - rows @ x
             now = np.linalg.norm(r)
             if sweep > 0 and now <= target:
                 break
@@ -810,23 +748,22 @@ def _swept(mat, rhs, target, held, factor):
                 if held.age:
                     held.inverse = None
                 break
-            x = x + held.inverse(r)
+            x[at] += held.inverse(r)
             before = now
         if held.inverse is not None:
-            held.last = x
-            return x
+            held.last = x[at].copy()
+            return
 
 
 def solve_sparse(system, held=None):
     """Solve one assembled step block by block, with a residual guarantee.
 
-    The temperature block matrix[f:n, f:n] (f = flow_size, n =
-    border_index) is solved first.  The flow block, rows and columns
-    flow_index, is then solved with the buoyancy columns times the
-    temperature moved to its right-hand side.  Each block is factored
-    through its element interiors (system.blocks.temperature and .flow,
-    see Condensation and MeanPressureBlock).  The blocks are gathered from
-    matrix.data through system.blocks.
+    The temperature block, rows and columns f:n (f = flow_size, n =
+    border_index), is solved first.  The flow block, rows and columns
+    flow_index, is solved next; its rows' buoyancy columns multiply the
+    temperature just solved.  Each block is factored through its element
+    interiors by system.factors (see Condensation and MeanPressureBlock)
+    and swept with its rows of system.matrix.
 
     held is a (temperature, flow) pair of HeldFactor that keeps each
     block's inverse and solution between calls; None makes a fresh pair
@@ -835,7 +772,7 @@ def solve_sparse(system, held=None):
     the block's previous solution, and the inverse is refactored only when
     it stalls, after which the block is solved from zero (see _swept).
 
-    Both blocks are swept against their current matrices down to a block
+    Both blocks are swept against their current rows down to a block
     residual of SWEEP_TOL * max(||b||, 1), b the whole right-hand side;
     the sweeps keep the divergence rows at rounding (see the module
     docstring), which the 1e-10 check alone would not: an unswept solve
@@ -845,8 +782,7 @@ def solve_sparse(system, held=None):
 
     Every failure raises RuntimeError naming the block: a singular
     element interior block (naming the element too), a singular
-    temperature or grounded flow Schur factorization, a mean-pressure row
-    or column that misses the constant pressure, or a residual (NaN
+    temperature or grounded flow Schur factorization, or a residual (NaN
     included) above 1e-10, reported with the residual of the temperature
     rows and of the flow rows.
     """
@@ -855,18 +791,15 @@ def solve_sparse(system, held=None):
     f, n = system.flow_size, system.border_index
     bnorm = np.linalg.norm(rhs)
     target = SWEEP_TOL * max(bnorm, 1.0)
-    blocks = system.blocks
-    temp_mat, flow_mat, coupling = blocks.gather(mat.data)
     if held is None:
         held = (HeldFactor(), HeldFactor())
     for block in held:
         if block.inverse is not None:
             block.age += 1
-    x = np.empty_like(rhs)
-    x[f:n] = _swept(temp_mat, rhs[f:n], target, held[0],
-                    lambda: blocks.temperature.factor(mat.data))
-    x[flow] = _swept(flow_mat, rhs[flow] - coupling @ x[f:n], target,
-                     held[1], lambda: blocks.flow.factor(mat.data))
+    x = np.zeros_like(rhs)
+    temperature, flow_factor = system.factors
+    _swept(mat[f:n], rhs[f:n], x, slice(f, n), target, held[0], temperature)
+    _swept(mat[flow], rhs[flow], x, flow, target, held[1], flow_factor)
 
     r = mat @ x - rhs
     resid = np.linalg.norm(r)

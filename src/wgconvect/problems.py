@@ -9,15 +9,12 @@ rectangle with heat transport on the whole domain:
 with u = 0 on the fluid boundary, u extended by zero outside the fluid zone,
 and per-wall temperature conditions (Dirichlet or insulated).  Exact
 solutions carry their fields symbolically; the matching forcings are derived
-by symbolic differentiation and cross-checked against an independent
-numerical differentiation (Chebyshev fits along axis-parallel lines, which
-are exact for polynomial data).
+by symbolic differentiation.
 """
 
 import configparser
 
 import numpy as np
-from numpy.polynomial import chebyshev as cheb
 
 from .mesh import WALLS
 
@@ -38,30 +35,6 @@ def _lambdify(expr):
         return np.broadcast_to(np.asarray(out, dtype=float), shape).copy()
 
     return wrapped
-
-
-def _cheb_derivative(fn, center, along, order):
-    """Derivative of fn along one axis by Chebyshev fitting.
-
-    Fits a degree-22 Chebyshev series to fn at 24 nodes on a 1D window of
-    half-width 0.4 through `center` and differentiates the fit; exact (to
-    rounding) for polynomial fields, spectrally accurate otherwise.
-    """
-    half_width, npts = 0.4, 24
-    x0, y0 = center
-    nodes = np.cos(np.pi * (2 * np.arange(npts) + 1) / (2 * npts))
-    if along == 0:
-        xs, ys = x0 + half_width * nodes, np.full(npts, y0)
-        lo, hi = x0 - half_width, x0 + half_width
-    else:
-        xs, ys = np.full(npts, x0), y0 + half_width * nodes
-        lo, hi = y0 - half_width, y0 + half_width
-    vals = fn(xs, ys)
-    t = nodes  # nodes already live on [-1, 1]
-    coef = cheb.chebfit(t, vals, npts - 2)
-    for _ in range(order):
-        coef = cheb.chebder(coef, scl=2.0 / (hi - lo))
-    return cheb.chebval(0.0, coef)
 
 
 class ExactSolution:
@@ -98,7 +71,6 @@ class ExactSolution:
         self._f2 = _lambdify(f2)
         self._g_fluid = _lambdify(g_fluid)
         self._g_solid = _lambdify(g_solid)
-        self._pr, self._ra, self._kappa = pr, ra, kappa
 
     def _in_fluid(self, x, y):
         x0, x1, y0, y1 = self.fluid_rect
@@ -129,7 +101,7 @@ class ExactSolution:
                                        np.asarray(y, dtype=float)),
                         self._g_fluid(x, y), self._g_solid(x, y))
 
-    # -- consistency checks -------------------------------------------
+    # -- consistency check ----------------------------------------------
 
     def divergence_residual(self, n=100, seed=0):
         """Max |div u| over n random points of the fluid rectangle."""
@@ -139,37 +111,6 @@ class ExactSolution:
         ys = rng.uniform(y0, y1, n)
         div = self._du[0][0](xs, ys) + self._du[1][1](xs, ys)
         return float(np.abs(div).max())
-
-    def forcing_residual(self, n=20, seed=1):
-        """Max relative gap between the stored forcing and the equations with
-        all derivatives recomputed numerically."""
-        rng = np.random.default_rng(seed)
-        x0, x1, y0, y1 = self.fluid_rect
-        pr, ra, kappa = self._pr, self._ra, self._kappa
-        worst, scale = 0.0, 1.0
-        for _ in range(n):
-            c = (rng.uniform(x0, x1), rng.uniform(y0, y1))
-            lap_u = [sum(_cheb_derivative(f, c, d, 2) for d in range(2))
-                     for f in (self._u1, self._u2)]
-            conv = [sum(_cheb_derivative(
-                        lambda x, y, i=i, d=d: (self._u1, self._u2)[d](x, y)
-                        * (self._u1, self._u2)[i](x, y), c, d, 1)
-                        for d in range(2)) for i in range(2)]
-            gp = [_cheb_derivative(self._p, c, d, 1) for d in range(2)]
-            Tval = self._T(*c)
-            want = np.array([
-                -pr * lap_u[0] + conv[0] + gp[0],
-                -pr * lap_u[1] + conv[1] + gp[1] - pr * ra * Tval])
-            got = self.f(*c)
-            lap_T = sum(_cheb_derivative(self._T, c, d, 2) for d in range(2))
-            conv_T = sum(_cheb_derivative(
-                lambda x, y, d=d: (self._u1, self._u2)[d](x, y) * self._T(x, y),
-                c, d, 1) for d in range(2))
-            want_g = -kappa * lap_T + conv_T
-            got_g = self._g_fluid(*c)
-            worst = max(worst, np.abs(got - want).max(), abs(got_g - want_g))
-            scale = max(scale, np.abs(got).max(), abs(got_g))
-        return worst / scale
 
 
 class ProblemSpec:
@@ -211,10 +152,6 @@ class ProblemSpec:
             if div > 1e-12:
                 raise ValueError("exact velocity is not divergence-free "
                                  "(residual %.2e)" % div)
-            resid = exact.forcing_residual()
-            if resid > 1e-8:
-                raise ValueError("stored forcing is inconsistent with the "
-                                 "exact fields (residual %.2e)" % resid)
 
     def with_rayleigh(self, ra):
         """Copy of this problem at a different Rayleigh number.

@@ -6,10 +6,14 @@
 * the inf-sup constant of the pressure Schur block;
 * the WG interpolant of a closed-form solution;
 * a triplet (COO) assembler of one linearized step;
-* the shapes of the two trace Schur complements a step factors.
+* the shapes of the two trace Schur complements a step factors;
+* the forcing of a manufactured problem recomputed by numerical
+  differentiation (Chebyshev fits along axis-parallel lines, which are
+  exact for polynomial data).
 """
 
 import numpy as np
+from numpy.polynomial import chebyshev as cheb
 import scipy.linalg as sla
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
@@ -420,3 +424,61 @@ def schur_shapes(system):
     flow = (np.count_nonzero(free[dm.offset["u_tr"]:dm.offset["p_int"]])
             + np.count_nonzero(free[dm.offset["p_tr"]:dm.offset["t_int"]]))
     return [(temp, temp), (flow, flow)]
+
+
+# ----------------------------------------------------------------------
+# manufactured forcing
+
+
+def cheb_derivative(fn, center, along, order):
+    """Derivative of fn along one axis by Chebyshev fitting.
+
+    Fits a degree-22 Chebyshev series to fn at 24 nodes on a 1D window of
+    half-width 0.4 through `center` and differentiates the fit; exact (to
+    rounding) for polynomial fields, spectrally accurate otherwise.
+    """
+    half_width, npts = 0.4, 24
+    x0, y0 = center
+    nodes = np.cos(np.pi * (2 * np.arange(npts) + 1) / (2 * npts))
+    if along == 0:
+        xs, ys = x0 + half_width * nodes, np.full(npts, y0)
+    else:
+        xs, ys = np.full(npts, x0), y0 + half_width * nodes
+    coef = cheb.chebfit(nodes, fn(xs, ys), npts - 2)   # nodes lie on [-1, 1]
+    for _ in range(order):
+        coef = cheb.chebder(coef, scl=1.0 / half_width)
+    return cheb.chebval(0.0, coef)
+
+
+def forcing_residual(problem, n=20, seed=1):
+    """Max relative gap, over n random points of the fluid rectangle,
+    between the forcing of problem (f and the fluid g, derived by sympy
+    from its exact fields) and the equations with every derivative of the
+    exact fields recomputed by cheb_derivative."""
+    exact = problem.exact
+    pr, ra, kappa = problem.pr, problem.ra, problem.kappa
+    rng = np.random.default_rng(seed)
+    x0, x1, y0, y1 = exact.fluid_rect
+    u = [lambda x, y, d=d: exact.u(x, y)[..., d] for d in range(2)]
+    worst, scale = 0.0, 1.0
+    for _ in range(n):
+        c = (rng.uniform(x0, x1), rng.uniform(y0, y1))
+        lap_u = [sum(cheb_derivative(ui, c, d, 2) for d in range(2))
+                 for ui in u]
+        conv = [sum(cheb_derivative(
+                    lambda x, y, i=i, d=d: u[d](x, y) * u[i](x, y), c, d, 1)
+                    for d in range(2)) for i in range(2)]
+        gp = [cheb_derivative(exact.p, c, d, 1) for d in range(2)]
+        want = np.array([
+            -pr * lap_u[0] + conv[0] + gp[0],
+            -pr * lap_u[1] + conv[1] + gp[1] - pr * ra * exact.T(*c)])
+        got = exact.f(*c)
+        lap_T = sum(cheb_derivative(exact.T, c, d, 2) for d in range(2))
+        conv_T = sum(cheb_derivative(
+            lambda x, y, d=d: u[d](x, y) * exact.T(x, y), c, d, 1)
+            for d in range(2))
+        want_g = -kappa * lap_T + conv_T
+        got_g = exact.g(*c)
+        worst = max(worst, np.abs(got - want).max(), abs(got_g - want_g))
+        scale = max(scale, np.abs(got).max(), abs(got_g))
+    return worst / scale

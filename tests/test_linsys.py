@@ -305,24 +305,6 @@ def test_steps_share_one_pattern():
     assert not np.array_equal(one.matrix.data, two.matrix.data)
 
 
-@pytest.mark.parametrize("case,variant,degree", PATTERN_CASES[1:3])
-def test_gathered_blocks_equal_scipy_slices(case, variant, degree):
-    asm, fields = pattern_setup(case, variant, degree)
-    system = asm.assemble(fields["random"])
-    mat, flow = system.matrix, system.flow_index
-    f, n = system.flow_size, system.border_index
-    sliced = [mat[f:n, f:n], mat[flow][:, flow], mat[flow][:, f:n]]
-    # a GlobalSystem without the assembler's maps computes its own
-    alone = linsys.GlobalSystem(mat, system.rhs, system.dofmap)
-    assert alone.blocks is not system.blocks
-    for blocks in (system.blocks, alone.blocks):
-        for got, want in zip(blocks.gather(mat.data), sliced):
-            assert got.shape == want.shape
-            assert np.array_equal(got.data, want.data)
-            assert np.array_equal(got.indices, want.indices)
-            assert np.array_equal(got.indptr, want.indptr)
-
-
 def test_zero_data_gives_zero_solution():
     prob = zero_data_problem()
     mesh = build_structured_mesh(4, 2, prob.domain, prob.fluid_rect)
@@ -353,28 +335,30 @@ def test_dirichlet_lifting_moves_data_to_rhs():
 # ---------------------------------------------------------------- solving
 
 
-def test_solve_reports_singular():
-    # a zero temperature row and a zero velocity row make an element's
-    # interior block singular, and a zero multiplier row misses the
-    # constant pressure that the grounded flow factor leaves out: each
-    # must fail and the error must name the block (and the element)
+def test_solve_reports_singular(monkeypatch):
+    # a zero row and column of the first interior DOF in the first
+    # element's conduction or viscous matrix make that element's interior
+    # block of the temperature or flow block singular: each solve must
+    # fail, and the error must name the block and the element
     prob, mesh, params = manufactured_setup(4, 2)
-    system = linsys.assemble_oseen_step(mesh, params, prob)
-    n = system.matrix.shape[0]
-    for row, block in (
-            (system.flow_size,
-             "temperature block: the interior block of element 0 "),
-            (0, "flow block: the interior block of element %d "
-             % mesh.fluid_elems[0]),
-            (system.border_index, "flow block: the mean-pressure row")):
-        scale = np.ones(n)
-        scale[row] = 0.0
-        mat = (sps.diags(scale) @ system.matrix).tocsr()
-        mat.eliminate_zeros()
-        broken = linsys.GlobalSystem(mat, system.rhs, system.dofmap)
+    for blocks, block, elem in (
+            ("conduction_blocks", "temperature block", 0),
+            ("viscous_blocks", "flow block", mesh.fluid_elems[0])):
+        real = getattr(forms, blocks)
+
+        def broken(*args, real=real, **kwargs):
+            out = real(*args, **kwargs)
+            out[0, 0, :] = 0.0
+            out[0, :, 0] = 0.0
+            return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(forms, blocks, broken)
+            system = linsys.assemble_oseen_step(mesh, params, prob)
         with pytest.raises(RuntimeError, match="singular") as info:
-            linsys.solve_sparse(broken)
-        assert block in str(info.value)
+            linsys.solve_sparse(system)
+        assert ("%s: the interior block of element %d " % (block, elem)
+                in str(info.value))
 
 
 def counting_factorizations(monkeypatch):
@@ -437,12 +421,15 @@ def test_trace_factors_keep_the_fill_down(monkeypatch):
 
 
 @pytest.mark.parametrize("advected", [False, True])
-@pytest.mark.parametrize("variant,degree", [("wg1", 1), ("wg3", 2)])
+@pytest.mark.parametrize("variant,degree", [("wg1", 1), ("wg1", 2),
+                                            ("wg3", 2)])
 def test_condensed_inverse_equals_direct_solve(variant, degree, advected):
     # eliminating the element interiors is exact: on the 4x2 conjugate
     # mesh, whose solid elements carry only temperature interiors, the
     # inverse each block's factor applies equals a direct solve with the
-    # block (the flow block with its multiplier row and column)
+    # block of the step matrix (the flow block with its multiplier row and
+    # column); the factors are summed from the element matrices, so this
+    # ties those to the matrix
     prob, mesh, params = manufactured_setup(4, 2, degree, variant)
     asm = linsys.StepAssembler(mesh, params, prob)
     dm = asm.dofmap
@@ -451,12 +438,12 @@ def test_condensed_inverse_equals_direct_solve(variant, degree, advected):
         w = np.random.default_rng(3).standard_normal(dm.n_dofs)
         w[dm.fixed_mask & (np.arange(dm.n_dofs) < dm.offset["p_int"])] = 0
     system = asm.assemble(w)
-    data = system.matrix.data
-    temp_mat, flow_mat, _ = system.blocks.gather(data)
+    mat, flow = system.matrix, system.flow_index
+    f, n = system.flow_size, system.border_index
     rng = np.random.default_rng(11)
-    for block, mat in ((system.blocks.temperature, temp_mat),
-                       (system.blocks.flow, flow_mat)):
-        inverse = block.factor(data)
+    for factor, mat in zip(system.factors,
+                           (mat[f:n, f:n], mat[flow][:, flow])):
+        inverse = factor()
         for _ in range(3):
             r = rng.standard_normal(mat.shape[0])
             want = spla.spsolve(mat.tocsc(), r)
@@ -479,7 +466,7 @@ def test_constant_pressure_spans_the_flow_null_space(variant, degree):
     system = asm.assemble(w)
     f = system.flow_size
     k = system.matrix[:f, :f]
-    z = system.blocks.flow.constant_pressure
+    z = asm.flow.constant_pressure
     assert np.max(np.abs(k @ z)) <= 1e-13
     assert np.max(np.abs(k.T @ z)) <= 1e-13
     _, multiplier = system.expand(linsys.solve_sparse(system))
@@ -621,9 +608,12 @@ def test_fresh_factor_sweeps_once_even_when_it_stalls():
         return r / 2.0
 
     held = linsys.HeldFactor()
-    x = linsys._swept(mat, np.ones(4), 1e-11, held, lambda: inverse)
+    x = np.zeros(4)
+    linsys._swept(mat, np.ones(4), x, slice(None), 1e-11, held,
+                  lambda: inverse)
     assert len(applied) == 2 and held.age == 0
     assert np.array_equal(x, np.full(4, 0.25))
+    assert np.array_equal(held.last, x) and not np.shares_memory(held.last, x)
 
 
 def advected_step(variant, degree):
@@ -656,7 +646,8 @@ def test_block_solve_that_misses_the_contract_raises(monkeypatch):
     f = system.flow_size
     coupled = system.matrix.tolil()
     coupled[f, 0] = coupled[f, f]
-    broken = linsys.GlobalSystem(coupled.tocsr(), system.rhs, system.dofmap)
+    broken = linsys.GlobalSystem(coupled.tocsr(), system.rhs, system.dofmap,
+                                 system.factors)
     factorizations = counting_factorizations(monkeypatch)
     with pytest.raises(RuntimeError, match="exceeds the 1e-10") as info:
         linsys.solve_sparse(broken)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from wgconvect import problems as pr
 
 
@@ -45,9 +46,9 @@ def test_manufactured_temperature_vanishes_on_outer_boundary():
 
 
 def test_manufactured_forcing_consistency():
-    ex = pr.manufactured_convection().exact
-    assert ex.forcing_residual(n=20, seed=3) <= 1e-8
-    assert ex.forcing_degree == 13
+    prob = pr.manufactured_convection()
+    assert oracles.forcing_residual(prob, n=20, seed=3) <= 1e-8
+    assert prob.exact.forcing_degree == 13
 
 
 def test_forcing_g_is_piecewise():
