@@ -39,9 +39,11 @@ pressure trace, and MeanPressureBlock meets the mean-pressure row and
 column through the constant pressure, so the applied inverse is exactly
 that of the block.
 
-A step's matrix has the same sparsity pattern at every advecting field:
-StepAssembler builds it once, with the static values, and a step sums its
-convection values into fixed slots of it.  solve_sparse solves each block
+The step matrix is summed from the same element matrices, plus the
+buoyancy and the mean-pressure row and column.  It has the same sparsity
+pattern at every advecting field: StepAssembler builds it once, with the
+static values, and a step sums its convection values into fixed slots of
+it.  solve_sparse solves each block
 with a held factor: oseen_solve keeps one HeldFactor per block for its
 Picard steps, since both blocks change only through w.  Each block is
 solved by sweeps x += M^-1 (b - A x) against its rows of the current step
@@ -207,9 +209,10 @@ def apply_nonhomogeneous_dirichlet(dofmap, problem):
     quad_degree = 2 * dofmap.params.degree + 4
     wall_of = mesh.face_wall()
     outer = np.flatnonzero(mesh.face_tag == OUTER)
-    unassigned = [int(f) for f in outer if wall_of[f] == ""]
-    if unassigned:
-        raise ValueError("boundary faces %s lie on no wall" % unassigned)
+    unassigned = outer[wall_of[outer] == ""]
+    if len(unassigned):
+        raise ValueError("boundary faces %s lie on no wall"
+                         % unassigned.tolist())
     missing = sorted(set(wall_of[outer]) - set(problem.temp_bc))
     if missing:
         raise ValueError("walls %s carry neither temperature data nor an "
@@ -264,6 +267,36 @@ class GlobalSystem:
         return full, float(x[dm.n_free])
 
 
+def _pattern(keys, size):
+    """The compressed sparse pattern of entries keyed major * size + minor,
+    duplicates included: (slot, indices, indptr), where slot is each key's
+    place in indices.  indices and indptr are int32, scipy's index dtype, so
+    a matrix built on them keeps them without a copy."""
+    unique, slot = np.unique(keys, return_inverse=True)
+    indptr = np.zeros(size + 1, dtype=np.int32)
+    np.cumsum(np.bincount(unique // size, minlength=size), out=indptr[1:])
+    return slot, (unique % size).astype(np.int32), indptr
+
+
+def _element_keys(loc, size, stored=True):
+    """The keys row * size + col of an element stack's entries over the
+    reduced indices loc (E, L) that lie in free rows and columns and in the
+    (L, L) mask stored: (keys, kept), kept the (E, L, L) mask of them."""
+    kept = (loc[:, :, None] >= 0) & (loc[:, None, :] >= 0) & stored
+    return (loc[:, :, None] * size + loc[:, None, :])[kept], kept
+
+
+def _lifted(loc, dofs, fixed_values):
+    """An element stack's entries in a free row and a fixed column, in
+    entry order, for the stack over the reduced indices loc (E, L) of the
+    DOFs dofs: (at, rows, values), at their flat places in the stack, rows
+    their reduced rows and values the fixed data of their columns."""
+    lift = (loc[:, :, None] >= 0) & (loc[:, None, :] < 0)
+    rows = np.broadcast_to(loc[:, :, None], lift.shape)[lift]
+    cols = np.broadcast_to(dofs[:, None, :], lift.shape)[lift]
+    return np.flatnonzero(lift), rows, fixed_values[cols]
+
+
 class Condensation:
     """Block LU of one diagonal block through its element interiors.
 
@@ -276,7 +309,7 @@ class Condensation:
 
     and it is the sum of its element matrices, a stack (E, L, L) in the
     elements' local layout.  `local` (E, L) holds each element's reduced
-    indices in that layout, size - 1 for a fixed DOF: its first `n_inner`
+    indices in that layout, -1 for a fixed DOF: its first `n_inner`
     positions are the interiors, the others traces.  `index` lists the
     block's rows and columns in reduced numbering, and `elems` names the
     elements in errors.
@@ -297,6 +330,7 @@ class Condensation:
         self._elems = elems
         self._k = n_inner
         traces = local[:, n_inner:]
+        # index size - 1 is the border, never a trace, so this also drops -1
         in_tr = np.zeros(size, dtype=bool)
         in_tr[traces] = True
         in_tr[-1] = False
@@ -313,15 +347,12 @@ class Condensation:
         s = spos[traces]                                    # (E, t)
         valid = (s[:, :, None] < m) & (s[:, None, :] < m)
         pair = (s[:, None, :] * m + s[:, :, None])[valid]   # col * m + row
-        s_keys, to = np.unique(pair, return_inverse=True)
-        self._s_nnz = len(s_keys)
+        to, self._s_rows, self._s_ptr = _pattern(pair, m)
+        self._s_nnz = len(self._s_rows)
         self._s_to = np.full(valid.shape, self._s_nnz)
         self._s_to[valid] = to
         self._ground = (None if ground is None else
-                        int(np.searchsorted(s_keys, spos[ground] * (m + 1))))
-        self._s_rows = s_keys % m
-        self._s_ptr = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(np.bincount(s_keys // m, minlength=m), out=self._s_ptr[1:])
+                        int(to[np.argmax(pair == spos[ground] * (m + 1))]))
         self._s = s
         self._int_pos = pos[local[:, :n_inner]]
         self._tr_pos = pos[tr]
@@ -425,10 +456,11 @@ class StepAssembler:
     frozen advecting field (diffusion, pressure coupling, buoyancy,
     conduction, forcing moments, the mean-pressure row).
 
-    It also keeps the element matrices of both diagonal blocks without
-    convection; a step's factor functions add its convection blocks to
-    them and factor through `temperature` (a Condensation) and `flow` (a
-    MeanPressureBlock).
+    It keeps the element matrices of both diagonal blocks without
+    convection, and sums the static step matrix from them.  A step sums its
+    convection blocks into fixed slots of that matrix, and its factor
+    functions add them to the element matrices and factor through
+    `temperature` (a Condensation) and `flow` (a MeanPressureBlock).
     """
 
     def __init__(self, mesh, params, problem, dofmap=None):
@@ -446,38 +478,12 @@ class StepAssembler:
         dm = self.dofmap
         fe = mesh.fluid_elems
         all_e = np.arange(mesh.n_elems)
-        nk = params.interior_dim
-
-        rows, cols, vals = [], [], []
-
-        def add(block_rows, block_cols, block_vals):
-            rows.append(block_rows.ravel())
-            cols.append(block_cols.ravel())
-            vals.append(block_vals.ravel())
+        nk, ns = params.interior_dim, params.scalar_size
 
         vloc = dm.velocity_local(fe)                     # (Ef, 2ns)
         sloc = dm.scalar_local(all_e)                    # (E, ns)
         ploc = dm.pressure_local(fe)                     # (Ef, np)
-
-        A = forms.viscous_blocks(mesh, fe, params, problem.pr)
-        add(np.repeat(vloc[:, :, None], vloc.shape[1], axis=2),
-            np.repeat(vloc[:, None, :], vloc.shape[1], axis=1), A)
-
-        B = forms.pressure_blocks(mesh, fe, params)      # (Ef, 2, nk, np)
         ui = dm.u_interior(fe)                           # (Ef, 2, nk)
-        r_b = np.broadcast_to(ui[:, :, :, None], B.shape)
-        c_b = np.broadcast_to(ploc[:, None, None, :], B.shape)
-        add(r_b, c_b, B)                                 # + b(v, p)
-        add(c_b, r_b, -B)                                # - b(u, q)
-
-        fac = forms.buoyancy_factor(mesh, fe, problem.pr, problem.ra)
-        ti_f = dm.t_interior(fe)                         # (Ef, nk)
-        diag = np.broadcast_to(fac[:, None], (len(fe), nk))
-        add(ui[:, 1, :], ti_f, -diag)                    # - d(T, v)
-
-        C = forms.conduction_blocks(mesh, all_e, params, problem.kappa)
-        add(np.repeat(sloc[:, :, None], sloc.shape[1], axis=2),
-            np.repeat(sloc[:, None, :], sloc.shape[1], axis=1), C)
 
         rhs = np.zeros(dm.n_dofs)
         qd = max(2 * params.degree + 2,
@@ -488,118 +494,95 @@ class StepAssembler:
         gmom = pb.project_interior(mesh, all_e, params.degree, problem.g, qd)
         rhs[dm.t_interior(all_e).ravel()] += (
             mesh.det_b[all_e][:, None] * gmom).ravel()
-
-        # the static triplets and the mean-pressure border land in the same
-        # reduced rows and columns on every step: they are summed, and their
-        # fixed columns lifted into the right-hand side, once
         self._static_rhs = rhs[dm.free_dofs]
-        r, c, v = self._reduce(np.concatenate(rows), np.concatenate(cols),
-                               np.concatenate(vals), self._static_rhs)
-        n = dm.n_free
-        con_r = dm.free_index[dm.p_interior(fe)[:, 0]]
-        con_v = mesh.det_b[fe] / np.sqrt(2.0)  # integral of p0 over the fluid
-        border = np.full(len(con_r), n)
-        static = sps.coo_matrix(
-            (np.concatenate([v, con_v, con_v]),
-             (np.concatenate([r, border, con_r]),
-              np.concatenate([c, con_r, border]))),
-            shape=(n + 1, n + 1)).tocsr()
-        del r, c, v
-        self._static_data = static.data
-        self._indices, self._indptr = static.indices, static.indptr
-        self._vel_fixed = dm.fixed_mask.copy()
-        self._vel_fixed[dm.offset["p_int"]:] = False
-        self._map_convection(static, vloc, sloc[fe])
 
-        # the element matrices the block factors are summed from: C, in
-        # scalar_local, and the flow stack in velocity_local ++
-        # pressure_local, with A on the velocity block, B in the u_0 rows
-        # and -B^T in the u_0 columns, both reordered with the interiors
-        # [u_0 | p_0] first; _conv_at is where each velocity component's
-        # convection block lands in it; free gives a fixed DOF the index n
-        nv, ns = vloc.shape[1], params.scalar_size
+        # the element matrices both the step matrix and the block factors
+        # are summed from: C, in scalar_local, and the flow stack in
+        # velocity_local ++ pressure_local, with A on the velocity block,
+        # B in the u_0 rows and -B^T in the u_0 columns (the entries
+        # `stored` marks), both reordered with the interiors [u_0 | p_0]
+        # first; _conv_at is where each velocity component's convection
+        # block lands in it
+        nv = vloc.shape[1]
         u0 = (ns * np.arange(2)[:, None] + np.arange(nk)).ravel()
         p = nv + np.arange(ploc.shape[1])
         flow = np.zeros((len(fe), nv + len(p), nv + len(p)))
-        flow[:, :nv, :nv] = A
-        B = B.reshape(len(fe), len(u0), len(p))
-        flow[:, u0[:, None], p] = B
-        flow[:, p[:, None], u0] = -np.swapaxes(B, 1, 2)
+        flow[:, :nv, :nv] = forms.viscous_blocks(mesh, fe, params, problem.pr)
+        B = forms.pressure_blocks(mesh, fe, params).reshape(len(fe), len(u0),
+                                                            len(p))
+        flow[:, u0[:, None], p] = B                      # + b(v, p)
+        flow[:, p[:, None], u0] = -np.swapaxes(B, 1, 2)  # - b(u, q)
+        stored = np.zeros(flow.shape[1:], dtype=bool)
+        stored[:nv, :nv] = True
+        stored[u0[:, None], p] = stored[p[:, None], u0] = True
         inner = np.append(u0, p[:params.pressure_interior_dim])
         order = np.append(inner, np.setdiff1d(np.arange(flow.shape[1]),
                                               inner))
         self._flow_stack = np.ascontiguousarray(flow[:, order[:, None],
                                                      order])
-        self._temp_stack = C
+        del flow, B
+        stored = stored[order[:, None], order]
+        self._temp_stack = C = forms.conduction_blocks(mesh, all_e, params,
+                                                       problem.kappa)
         self._conv_at = np.argsort(order)[:nv].reshape(2, ns)
-        free = np.where(dm.fixed_mask, n, dm.free_index)
+        # each element's reduced indices in its stack's layout, -1 fixed
+        flow_loc = dm.free_index[np.concatenate([vloc, ploc], axis=1)[:, order]]
+        temp_loc = dm.free_index[sloc]
+
+        # the step matrix: the stacks' entries in free rows and columns,
+        # the buoyancy - d(T, v) and the mean-pressure border, summed once
+        # into the static pattern; each slot sums entries of one kind from
+        # at most two elements.  Velocity traces are fixed to zero, so only
+        # the temperature stack lifts fixed columns into the right-hand side
+        n = dm.n_free
+        flow_keys, flow_in = _element_keys(flow_loc, n + 1, stored)
+        temp_keys, temp_in = _element_keys(temp_loc, n + 1)
+        at, rows, fixed = _lifted(temp_loc, sloc, dm.fixed_values)
+        np.subtract.at(self._static_rhs, rows, C.ravel()[at] * fixed)
+        fac = forms.buoyancy_factor(mesh, fe, problem.pr, problem.ra)
+        con_r = dm.free_index[dm.p_interior(fe)[:, 0]]
+        con_v = mesh.det_b[fe] / np.sqrt(2.0)  # integral of p0 over the fluid
+        slot, self._indices, self._indptr = _pattern(np.concatenate([
+            flow_keys, temp_keys,
+            (dm.free_index[ui[:, 1, :]] * (n + 1)
+             + dm.free_index[dm.t_interior(fe)]).ravel(),
+            n * (n + 1) + con_r, con_r * (n + 1) + n]), n + 1)
+        del flow_keys, temp_keys
+        nnz = len(self._indices)
+        self._static_data = np.bincount(slot, np.concatenate([
+            self._flow_stack[flow_in], C[temp_in], -np.repeat(fac, nk),
+            con_v, con_v]), minlength=nnz)
+        self._vel_fixed = dm.fixed_mask.copy()
+        self._vel_fixed[dm.offset["p_int"]:] = False
+
+        # a step's convection values: the skew block S of every fluid
+        # element, at both velocity components' diagonal blocks and at the
+        # temperature, in np.tile(S.ravel(), 3) order; _conv_slot is each
+        # one's slot (nnz for a fixed row or column), and the temperature
+        # entries in free rows and fixed columns lift through _lift_*
+        n_flow = np.count_nonzero(flow_in)
+        flow_slot = np.full(flow_in.shape, nnz)
+        flow_slot[flow_in] = slot[:n_flow]
+        temp_slot = np.full(temp_in.shape, nnz)
+        temp_slot[temp_in] = slot[n_flow:n_flow + np.count_nonzero(temp_in)]
+        self._conv_slot = np.concatenate(
+            [flow_slot[:, a[:, None], a].ravel() for a in self._conv_at]
+            + [temp_slot[fe].ravel()])
+        del flow_slot, temp_slot, slot
+        self._lift, self._lift_rows, self._lift_rhs = _lifted(
+            temp_loc[fe], sloc[fe], dm.fixed_values)
+
         f = dm.n_free_flow
-        self.temperature = Condensation(
-            free[sloc], nk, n + 1, np.arange(f, n), all_e,
-            "temperature block")
+        self.temperature = Condensation(temp_loc, nk, n + 1, np.arange(f, n),
+                                        all_e, "temperature block")
         mean = np.zeros(f)
         mean[con_r] = con_v
         self.flow = MeanPressureBlock(
-            Condensation(free[np.concatenate([vloc, ploc], axis=1)[:, order]],
-                         len(inner), n + 1, np.arange(f), fe, "flow block",
-                         ground=free[dm.p_trace(mesh.fluid_faces[0])[0, 0]]),
+            Condensation(flow_loc, len(inner), n + 1, np.arange(f), fe,
+                         "flow block",
+                         ground=dm.free_index[dm.p_trace(mesh.fluid_faces[0])
+                                              [0, 0]]),
             dm, mean)
-
-    def _map_convection(self, static, vloc, sloc_f):
-        """Slots in the static pattern for the convection triplets.
-
-        A step's convection triplets are the skew block S of every fluid
-        element, scattered three times (both velocity components, then the
-        temperature) over that element's local DOFs.  They lie inside the
-        static pattern, whose viscous and conduction blocks are dense over
-        the same local DOFs, so a step only sums their values into fixed
-        slots of the static data.  `_conv_slot` is that slot for each
-        triplet, or nnz (a discarded bin) for a triplet in a fixed row or
-        column; `_lift` lists the triplets in free rows and fixed columns,
-        whose values times the fixed data `_lift_rhs` subtracts from
-        `_lift_rows` of the right-hand side.
-        """
-        dm = self.dofmap
-        fe = self.mesh.fluid_elems
-        ns = self.params.scalar_size
-        locs = np.concatenate([vloc.reshape(len(fe), 2, ns)
-                               .transpose(1, 0, 2), sloc_f[None]])
-        rows = dm.free_index[np.repeat(locs[..., None], ns, axis=3).ravel()]
-        cols = np.repeat(locs[:, :, None, :], ns, axis=2).ravel()
-        c_free = dm.free_index[cols]
-        keep = (rows >= 0) & (c_free >= 0)
-        self._lift = np.flatnonzero((rows >= 0) & (c_free < 0))
-        self._lift_rows = rows[self._lift]
-        self._lift_rhs = dm.fixed_values[cols[self._lift]]
-        del cols
-
-        n = dm.n_free
-        nnz = len(self._static_data)
-        keys = np.repeat(np.arange(n + 1, dtype=np.int64),
-                         np.diff(static.indptr)) * (n + 1) + static.indices
-        want = rows[keep] * (n + 1) + c_free[keep]
-        del rows, c_free
-        slot = np.searchsorted(keys, want)
-        if not np.array_equal(keys[np.minimum(slot, nnz - 1)], want):
-            raise RuntimeError("a convection entry lies outside the static "
-                               "matrix pattern")
-        self._conv_slot = np.full(len(keep), nnz, dtype=np.int64)
-        self._conv_slot[keep] = slot
-
-    def _reduce(self, rows, cols, vals, rhs):
-        """Full-numbering triplets -> the (rows, cols, vals) of the entries
-        in free rows and free columns, in reduced numbering.  Entries in
-        free rows and fixed columns are lifted into rhs in place, in
-        triplet order."""
-        dm = self.dofmap
-        r_free = dm.free_index[rows]
-        c_free = dm.free_index[cols]
-        keep_row = r_free >= 0
-        lift = keep_row & (c_free < 0)
-        np.subtract.at(rhs, r_free[lift],
-                       vals[lift] * dm.fixed_values[cols[lift]])
-        keep = keep_row & (c_free >= 0)
-        return r_free[keep], c_free[keep], vals[keep]
 
     def assemble(self, w_prev=None):
         """Assemble the step with frozen advecting field w_prev (full-layout
@@ -627,11 +610,10 @@ class StepAssembler:
             w_tr = w_prev[dm.u_trace(mesh.elem_faces[fe])]   # (Ef, 3, 2, nt)
             S = forms.skew_convection_blocks(mesh, fe, self.params, w_int,
                                              w_tr)            # (Ef, ns, ns)
-            vals = np.tile(S.ravel(), 3)
-            data = data + np.bincount(self._conv_slot, vals,
+            data = data + np.bincount(self._conv_slot, np.tile(S.ravel(), 3),
                                       minlength=len(data) + 1)[:len(data)]
             np.subtract.at(rhs, self._lift_rows,
-                           vals[self._lift] * self._lift_rhs)
+                           S.ravel()[self._lift] * self._lift_rhs)
         else:
             data = data.copy()
         mat = sps.csr_matrix((data, self._indices, self._indptr),

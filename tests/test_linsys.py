@@ -12,7 +12,8 @@ from wgconvect import linsys
 from wgconvect import polybasis as pb
 from wgconvect import postproc
 from wgconvect import problems
-from wgconvect.mesh import INTERIOR_FLUID, OUTER, build_structured_mesh
+from wgconvect.mesh import (INTERIOR_FLUID, OUTER, Mesh,
+                            build_structured_mesh)
 
 
 def manufactured_setup(nx, ny, degree=1, variant="wg1"):
@@ -152,6 +153,19 @@ def test_missing_wall_data_rejected():
         linsys.apply_nonhomogeneous_dirichlet(dm, broken)
 
 
+def test_boundary_face_on_no_wall_rejected():
+    # the cavity mesh claims a taller domain, so its top faces lie on none
+    # of the domain's walls
+    prob = problems.cavity(1e3)
+    mesh = build_structured_mesh(4, 4, prob.domain, prob.fluid_rect)
+    mesh = Mesh(mesh.vertices, mesh.triangles, mesh.elem_subdomain,
+                (0, 1, 0, 2), mesh.fluid_rect)
+    dm = linsys.DofMap(mesh, forms.MethodParams.from_variant("wg1", 1))
+    with pytest.raises(ValueError, match=re.escape(
+            "boundary faces [52, 53, 54, 55] lie on no wall")):
+        linsys.apply_nonhomogeneous_dirichlet(dm, prob)
+
+
 # ---------------------------------------------------------------- assembly
 
 
@@ -278,8 +292,9 @@ def pattern_setup(case, variant, degree):
                  "first": w_first}
 
 
-PATTERN_CASES = [("cavity", "wg1", 1), ("cavity", "wg3", 2),
-                 ("manufactured", "wg1", 1), ("manufactured", "wg3", 2)]
+PATTERN_CASES = [("cavity", "wg1", 1), ("cavity", "wg1", 2),
+                 ("cavity", "wg3", 2), ("manufactured", "wg1", 1),
+                 ("manufactured", "wg1", 2), ("manufactured", "wg3", 2)]
 
 
 @pytest.mark.parametrize("case,variant,degree", PATTERN_CASES)
