@@ -558,8 +558,10 @@ class StepAssembler:
         # a step's convection values: the skew block S of every fluid
         # element, at both velocity components' diagonal blocks and at the
         # temperature, in np.tile(S.ravel(), 3) order; _conv_slot is each
-        # one's slot (nnz for a fixed row or column), and the temperature
-        # entries in free rows and fixed columns lift through _lift_*
+        # one's slot (nnz for a fixed row or column).  S lifts nothing into
+        # the right-hand side: its column of a face trace carries w.n on
+        # that face, and a fixed temperature trace of a fluid element lies
+        # on an outer fluid face, where w vanishes
         n_flow = np.count_nonzero(flow_in)
         flow_slot = np.full(flow_in.shape, nnz)
         flow_slot[flow_in] = slot[:n_flow]
@@ -569,8 +571,6 @@ class StepAssembler:
             [flow_slot[:, a[:, None], a].ravel() for a in self._conv_at]
             + [temp_slot[fe].ravel()])
         del flow_slot, temp_slot, slot
-        self._lift, self._lift_rows, self._lift_rhs = _lifted(
-            temp_loc[fe], sloc[fe], dm.fixed_values)
 
         f = dm.n_free_flow
         self.temperature = Condensation(temp_loc, nk, n + 1, np.arange(f, n),
@@ -612,8 +612,6 @@ class StepAssembler:
                                              w_tr)            # (Ef, ns, ns)
             data = data + np.bincount(self._conv_slot, np.tile(S.ravel(), 3),
                                       minlength=len(data) + 1)[:len(data)]
-            np.subtract.at(rhs, self._lift_rows,
-                           S.ravel()[self._lift] * self._lift_rhs)
         else:
             data = data.copy()
         mat = sps.csr_matrix((data, self._indices, self._indptr),

@@ -204,15 +204,14 @@ class Mesh:
 
     def map_points(self, elems, ref_points):
         """Map reference-triangle points to physical coordinates, per element."""
-        return (np.einsum("eij,qj->eqi", self.B[elems], ref_points)
+        return (ref_points @ np.swapaxes(self.B[elems], 1, 2)
                 + self.elem_origin[elems][:, None, :])
 
     def to_reference(self, elems, points):
         """Map (E, q, 2) physical points back to reference coordinates, per
         element; the inverse of map_points."""
-        return np.einsum("eqd,edj->eqj",
-                         points - self.elem_origin[elems][:, None],
-                         self.inv_bt[elems])
+        return ((points - self.elem_origin[elems][:, None])
+                @ self.inv_bt[elems])
 
 
 def _grid_index(value, start, step, n, name):

@@ -45,43 +45,47 @@ class WgFields:
     # -- pointwise evaluation: elems are raw element ids, and reference
     #    points are (q, 2), shared by all elements, or (E, q, 2), per element
 
-    def _basis(self, degree, ref_points):
-        """(1 | E, q, a) values of the degree-`degree` basis."""
-        phi = pb.scalar_basis(degree).eval(ref_points)
-        return phi.reshape((-1,) + phi.shape[-2:])
+    def _values(self, coef, degree, ref_points):
+        """(E, q, c) values of the c polynomials of degree `degree` whose
+        coefficients are coef (E, c, a)."""
+        phi = pb.scalar_basis(degree).eval(ref_points)   # (q | E, q, a)
+        return np.swapaxes(coef @ np.swapaxes(phi, -1, -2), 1, 2)
 
-    def _physical_grad(self, elems, ref_points):
-        """(E, q, a, 2) physical gradients of the degree-k basis."""
+    def _gradients(self, coef, elems, ref_points):
+        """(E, q, c, 2) physical gradients of the c degree-k polynomials
+        whose coefficients are coef (E, c, a): the gradients in reference
+        coordinates, mapped by B^{-T}."""
         gphi = pb.scalar_basis(self.params.degree).grad(ref_points)
-        gphi = gphi.reshape((-1,) + gphi.shape[-3:])
-        return np.einsum("ejk,eqak->eqaj", self.mesh.inv_bt[elems], gphi)
+        gphi = np.swapaxes(gphi, -3, -2)                 # (E |, a, q, 2)
+        grad = coef @ gphi.reshape(gphi.shape[:-2] + (-1,))
+        e, c = coef.shape[:2]
+        grad = grad.reshape(e, -1, 2) @ np.swapaxes(self.mesh.inv_bt[elems],
+                                                    1, 2)
+        return np.swapaxes(grad.reshape(e, c, -1, 2), 1, 2)
 
     def velocity_at(self, elems, ref_points):
         """(E, q, 2) values of the interior velocity polynomial."""
         ui = self.coeffs[self.dofmap.u_interior(elems)]
-        return np.einsum("eda,eqa->eqd", ui,
-                         self._basis(self.params.degree, ref_points))
+        return self._values(ui, self.params.degree, ref_points)
 
     def velocity_gradient_at(self, elems, ref_points):
         """(E, q, 2, 2) broken gradient, [d, j] = du_d/dx_j."""
         ui = self.coeffs[self.dofmap.u_interior(elems)]
-        return np.einsum("eda,eqaj->eqdj", ui,
-                         self._physical_grad(elems, ref_points))
+        return self._gradients(ui, elems, ref_points)
 
     def pressure_at(self, elems, ref_points):
         pi = self.coeffs[self.dofmap.p_interior(elems)]
-        return np.einsum("ea,eqa->eq", pi,
-                         self._basis(self.params.degree - 1, ref_points))
+        return self._values(pi[:, None], self.params.degree - 1,
+                            ref_points)[..., 0]
 
     def temperature_at(self, elems, ref_points):
         ti = self.coeffs[self.dofmap.t_interior(elems)]
-        return np.einsum("ea,eqa->eq", ti,
-                         self._basis(self.params.degree, ref_points))
+        return self._values(ti[:, None], self.params.degree,
+                            ref_points)[..., 0]
 
     def temperature_gradient_at(self, elems, ref_points):
         ti = self.coeffs[self.dofmap.t_interior(elems)]
-        return np.einsum("ea,eqaj->eqj", ti,
-                         self._physical_grad(elems, ref_points))
+        return self._gradients(ti[:, None], elems, ref_points)[:, :, 0]
 
     def _local_vectors(self, elems, kind):
         """(E, c, ns) coefficients in the local layout [interior | face 0 |
@@ -99,9 +103,10 @@ class WgFields:
         G = wo.gradient_matrix(self.mesh, elems, p.degree, p.trace_degree,
                                p.grad_degree)
         vec = self._local_vectors(elems, kind)
-        g = np.einsum("eis,ecs->eci", G, vec).reshape(vec.shape[:2] + (2, -1))
-        return np.einsum("ecja,eqa->eqcj", g,
-                         self._basis(p.grad_degree, ref_points))
+        e, c = vec.shape[:2]
+        g = (vec @ np.swapaxes(G, 1, 2)).reshape(e, 2 * c, -1)
+        return self._values(g, p.grad_degree, ref_points).reshape(
+            e, -1, c, 2)
 
     def velocity_weak_gradient_at(self, elems, ref_points):
         """(E, q, 2, 2) reconstructed weak gradient, [d, j] = d(u_d)/dx_j."""
@@ -280,8 +285,8 @@ def divergence_diagnostic(fields):
     mesh, params = fields.mesh, fields.params
     qr = pb.QuadratureRule.triangle(2 * params.degree + 2)
     fe = mesh.fluid_elems
-    ui = fields.coeffs[fields.dofmap.u_interior(fe)]
-    div = np.einsum("eda,eqad->eq", ui, fields._physical_grad(fe, qr.points))
+    grad = fields.velocity_gradient_at(fe, qr.points)
+    div = grad[..., 0, 0] + grad[..., 1, 1]
     div_norm = np.sqrt(mesh.det_b[fe] * np.sum(qr.weights * div ** 2, axis=1))
     div_h = float(np.max(div_norm / mesh.h_K[fe])) if len(fe) else 0.0
 

@@ -8,8 +8,9 @@ rectangle with heat transport on the whole domain:
 
 with u = 0 on the fluid boundary, u extended by zero outside the fluid zone,
 and per-wall temperature conditions (Dirichlet or insulated).  Exact
-solutions carry their fields symbolically; the matching forcings are derived
-by symbolic differentiation.
+solutions carry their fields as sympy polynomials in x and y; the matching
+forcings are derived by symbolic differentiation, and every field is
+evaluated by Horner's rule.
 """
 
 import configparser
@@ -37,40 +38,81 @@ def _lambdify(expr):
     return wrapped
 
 
+def _polynomial(expr, name):
+    """The sympy Poly in (x, y) of [exact] field `name`, which must be a
+    polynomial in x and y: the forcing quadrature is exact only then."""
+    import sympy as sp
+    X, Y = sp.symbols("x y")
+    expr = sp.sympify(expr)
+    try:
+        poly = sp.Poly(expr, X, Y)
+    except sp.PolynomialError:
+        poly = None
+    if poly is None or poly.free_symbols - {X, Y}:
+        raise ValueError("exact field %s = %s is not a polynomial in x and y"
+                         % (name, expr))
+    return poly
+
+
+def _horner(poly):
+    """Numpy evaluator of a sympy Poly in (x, y), with the broadcast shape
+    of its arguments: Horner's rule in x, whose coefficients are each
+    evaluated by Horner's rule in y."""
+    monoms = np.array(poly.monoms(), dtype=np.int64).reshape(-1, 2)
+    coef = np.zeros(tuple(monoms.max(axis=0) + 1))
+    coef[tuple(monoms.T)] = [float(c) for c in poly.coeffs()]
+    rows = [np.trim_zeros(row, "b") for row in coef[::-1]]
+
+    def evaluate(x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        out = np.zeros(np.broadcast_shapes(x.shape, y.shape))
+        acc = np.empty_like(out)
+        for row in rows:
+            out *= x
+            if len(row):
+                acc.fill(row[-1])
+                for c in row[-2::-1]:
+                    acc *= y
+                    acc += c
+                out += acc
+        return out
+
+    return evaluate
+
+
 class ExactSolution:
     """Closed-form (u, p, T) with the forcing the equations require.
 
-    Expressions may be sympy objects or strings in x and y.
+    Expressions may be sympy objects or strings, and must be polynomials in
+    x and y.  The forcing is kept as the sympy Polys
+    `forcing["f1" | "f2" | "g_fluid" | "g_solid"]`, whose degree sets the
+    forcing quadrature; every field and forcing is evaluated by Horner's
+    rule.
     """
 
     def __init__(self, u1, u2, p, T, pr, ra, kappa, fluid_rect):
         import sympy as sp
         X, Y = sp.symbols("x y")
-        e = {name: sp.sympify(w) for name, w in
-             [("u1", u1), ("u2", u2), ("p", p), ("T", T)]}
+        u1, u2, p, T = (_polynomial(w, name) for name, w in
+                        [("u1", u1), ("u2", u2), ("p", p), ("T", T)])
         self.fluid_rect = tuple(float(c) for c in fluid_rect)
-        lap = lambda w: sp.diff(w, X, 2) + sp.diff(w, Y, 2)
-        conv = [sp.diff(e["u1"] * e[ui], X) + sp.diff(e["u2"] * e[ui], Y)
-                for ui in ("u1", "u2")]
-        f1 = -pr * lap(e["u1"]) + conv[0] + sp.diff(e["p"], X)
-        f2 = -pr * lap(e["u2"]) + conv[1] + sp.diff(e["p"], Y) - pr * ra * e["T"]
-        g_fluid = (-kappa * lap(e["T"]) + sp.diff(e["u1"] * e["T"], X)
-                   + sp.diff(e["u2"] * e["T"], Y))
-        g_solid = -kappa * lap(e["T"])
-        self.forcing_degree = int(max(
-            sp.total_degree(sp.expand(w)) for w in (f1, f2, g_fluid, g_solid)))
+        lap = lambda w: w.diff((X, 2)) + w.diff((Y, 2))
+        conv = [(u1 * w).diff(X) + (u2 * w).diff(Y) for w in (u1, u2, T)]
+        self.forcing = {
+            "f1": -pr * lap(u1) + conv[0] + p.diff(X),
+            "f2": -pr * lap(u2) + conv[1] + p.diff(Y) - pr * ra * T,
+            "g_fluid": -kappa * lap(T) + conv[2],
+            "g_solid": -kappa * lap(T),
+        }
+        self.forcing_degree = max(f.total_degree()
+                                  for f in self.forcing.values())
 
-        self._u1 = _lambdify(e["u1"])
-        self._u2 = _lambdify(e["u2"])
-        self._p = _lambdify(e["p"])
-        self._T = _lambdify(e["T"])
-        self._du = [[_lambdify(sp.diff(e[ui], v)) for v in (X, Y)]
-                    for ui in ("u1", "u2")]
-        self._dT = [_lambdify(sp.diff(e["T"], v)) for v in (X, Y)]
-        self._f1 = _lambdify(f1)
-        self._f2 = _lambdify(f2)
-        self._g_fluid = _lambdify(g_fluid)
-        self._g_solid = _lambdify(g_solid)
+        self._u1, self._u2, self._p, self._T = map(_horner, (u1, u2, p, T))
+        self._du = [[_horner(w.diff(v)) for v in (X, Y)] for w in (u1, u2)]
+        self._dT = [_horner(T.diff(v)) for v in (X, Y)]
+        self._f1, self._f2, self._g_fluid, self._g_solid = map(
+            _horner, self.forcing.values())
 
     def _in_fluid(self, x, y):
         x0, x1, y0, y1 = self.fluid_rect

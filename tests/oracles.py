@@ -5,6 +5,8 @@
 * the commuting diagram of the weak gradient with the projections;
 * the inf-sup constant of the pressure Schur block;
 * the WG interpolant of a closed-form solution;
+* the pointwise evaluators of a solution and the affine element maps,
+  written as per-element einsum contractions;
 * a triplet (COO) assembler of one linearized step;
 * the shapes of the two trace Schur complements a step factors;
 * the forcing of a manufactured problem recomputed by numerical
@@ -333,6 +335,110 @@ def interpolate_exact(mesh, params, dofmap, exact, quad_degree=None):
     free = ~dofmap.fixed_mask[idx]
     coeffs[idx[free]] = tr[free]
     return postproc.WgFields(mesh, params, dofmap, coeffs)
+
+
+# ----------------------------------------------------------------------
+# pointwise evaluation by einsum
+
+
+def map_points(mesh, elems, ref_points):
+    """Mesh.map_points: reference points (q, 2) to physical (E, q, 2)."""
+    return (np.einsum("eij,qj->eqi", mesh.B[elems], ref_points)
+            + mesh.elem_origin[elems][:, None, :])
+
+
+def to_reference(mesh, elems, points):
+    """Mesh.to_reference: physical points (E, q, 2) to reference ones."""
+    return np.einsum("eqd,edj->eqj",
+                     points - mesh.elem_origin[elems][:, None],
+                     mesh.inv_bt[elems])
+
+
+class EinsumFields:
+    """The WgFields evaluators of `fields`, each basis function's physical
+    gradient formed first and every contraction written as an einsum over
+    the element axis; reference points are (q, 2) or (E, q, 2)."""
+
+    def __init__(self, fields):
+        self.fields = fields
+        self.mesh, self.params = fields.mesh, fields.params
+        self.dofmap, self.coeffs = fields.dofmap, fields.coeffs
+
+    def _basis(self, degree, ref_points):
+        phi = pb.scalar_basis(degree).eval(ref_points)
+        return phi.reshape((-1,) + phi.shape[-2:])
+
+    def _physical_grad(self, elems, ref_points):
+        gphi = pb.scalar_basis(self.params.degree).grad(ref_points)
+        gphi = gphi.reshape((-1,) + gphi.shape[-3:])
+        return np.einsum("ejk,eqak->eqaj", self.mesh.inv_bt[elems], gphi)
+
+    def velocity_at(self, elems, ref_points):
+        ui = self.coeffs[self.dofmap.u_interior(elems)]
+        return np.einsum("eda,eqa->eqd", ui,
+                         self._basis(self.params.degree, ref_points))
+
+    def velocity_gradient_at(self, elems, ref_points):
+        ui = self.coeffs[self.dofmap.u_interior(elems)]
+        return np.einsum("eda,eqaj->eqdj", ui,
+                         self._physical_grad(elems, ref_points))
+
+    def pressure_at(self, elems, ref_points):
+        pi = self.coeffs[self.dofmap.p_interior(elems)]
+        return np.einsum("ea,eqa->eq", pi,
+                         self._basis(self.params.degree - 1, ref_points))
+
+    def temperature_at(self, elems, ref_points):
+        ti = self.coeffs[self.dofmap.t_interior(elems)]
+        return np.einsum("ea,eqa->eq", ti,
+                         self._basis(self.params.degree, ref_points))
+
+    def temperature_gradient_at(self, elems, ref_points):
+        ti = self.coeffs[self.dofmap.t_interior(elems)]
+        return np.einsum("ea,eqaj->eqj", ti,
+                         self._physical_grad(elems, ref_points))
+
+    def _weak_gradient_at(self, elems, ref_points, kind):
+        p = self.params
+        G = wo.gradient_matrix(self.mesh, elems, p.degree, p.trace_degree,
+                               p.grad_degree)
+        vec = self.fields._local_vectors(elems, kind)
+        g = np.einsum("eis,ecs->eci", G, vec).reshape(vec.shape[:2] + (2, -1))
+        return np.einsum("ecja,eqa->eqcj", g,
+                         self._basis(p.grad_degree, ref_points))
+
+    def velocity_weak_gradient_at(self, elems, ref_points):
+        return self._weak_gradient_at(elems, ref_points, "velocity")
+
+    def temperature_weak_gradient_at(self, elems, ref_points):
+        return self._weak_gradient_at(elems, ref_points, "temperature")[
+            :, :, 0]
+
+
+def divergence_diagnostic(fields):
+    """postproc.divergence_diagnostic through EinsumFields and the einsum
+    element maps."""
+    mesh, params = fields.mesh, fields.params
+    ein = EinsumFields(fields)
+    qr = pb.QuadratureRule.triangle(2 * params.degree + 2)
+    fe = mesh.fluid_elems
+    ui = fields.coeffs[fields.dofmap.u_interior(fe)]
+    div = np.einsum("eda,eqad->eq", ui, ein._physical_grad(fe, qr.points))
+    div_norm = np.sqrt(mesh.det_b[fe] * np.sum(qr.weights * div ** 2, axis=1))
+    div_h = float(np.max(div_norm / mesh.h_K[fe])) if len(fe) else 0.0
+    eq = pb.QuadratureRule.edge(2 * params.degree + 2)
+    ff = mesh.fluid_faces
+    pts = mesh.face_points(ff, eq.points)
+    jump = np.zeros(pts.shape[:2])
+    for side, sign in ((0, 1.0), (1, -1.0)):
+        e = mesh.face_elems[ff, side]
+        fluid = e >= 0
+        fluid[fluid] = mesh.is_fluid[e[fluid]]
+        f, e = np.flatnonzero(fluid), e[fluid]
+        u = ein.velocity_at(e, to_reference(mesh, e, pts[f]))
+        jump[f] += sign * np.einsum("fqd,fd->fq", u, mesh.normals[ff[f]])
+    per_face = mesh.h_e[ff] * (np.abs(jump) @ eq.weights)
+    return div_h, float(np.max(per_face)) if len(ff) else 0.0
 
 
 # ----------------------------------------------------------------------

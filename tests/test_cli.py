@@ -192,6 +192,17 @@ def test_solve_rejects_unknown_config_key(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_solve_rejects_non_polynomial_exact_field(tmp_path, capsys):
+    path = tmp_path / "bad.ini"
+    path.write_text(manufactured_config(tmp_path).read_text().replace(
+        "p = x**6 - y**6", "p = sin(x)*y"))
+    assert run(["solve", "--config", path, "--mesh", "4x2",
+                "-o", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "exact field p = y*sin(x) is not a polynomial in x and y" in err
+
+
 def test_solve_reports_nonconvergence_with_exit_one(tmp_path):
     assert run(["solve", "--problem", "manufactured", "--mesh", "4x2",
                 "--tol", "1e-14", "--max-iter", "1",

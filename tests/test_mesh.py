@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from wgconvect import mesh as m
 
 UNIT = (0.0, 1.0, 0.0, 1.0)
@@ -69,6 +70,20 @@ def test_to_reference_inverts_map_points():
     back = msh.to_reference(elems, msh.map_points(elems, ref))
     assert back.shape == (msh.n_elems, 5, 2)
     assert np.max(np.abs(back - ref)) < 1e-13
+
+
+def test_element_maps_match_einsum_oracle():
+    msh = m.build_structured_mesh(8, 4, TWO_BY_ONE, UNIT)
+    rng = np.random.default_rng(4)
+    elems = rng.permutation(msh.n_elems)[:40]
+    ref = rng.random((9, 2)) * 0.5
+    mapped = msh.map_points(elems, ref)
+    want = oracles.map_points(msh, elems, ref)
+    assert np.max(np.abs(mapped - want)) <= 1e-14 * np.max(np.abs(want))
+    pts = rng.uniform(-1.0, 1.0, (len(elems), 9, 2))
+    back = msh.to_reference(elems, pts)
+    want = oracles.to_reference(msh, elems, pts)
+    assert np.max(np.abs(back - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_face_normal_points_away_from_first_element():

@@ -184,6 +184,42 @@ def test_evaluators_take_per_element_points(name):
     assert np.max(np.abs(each - shared)) <= 1e-14 * np.max(np.abs(shared))
 
 
+def random_fields(variant, degree):
+    prob, mesh, params = manufactured_setup(8, 4, degree, variant)
+    dm = linsys.DofMap(mesh, params)
+    coeffs = np.random.default_rng(11).standard_normal(dm.n_dofs)
+    return postproc.WgFields(mesh, params, dm, coeffs)
+
+
+def assert_close(got, want, rel):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("variant,degree", [("wg1", 1), ("wg3", 2)])
+@pytest.mark.parametrize("name", EVALUATORS)
+def test_evaluators_match_einsum_oracle(name, variant, degree):
+    fields = random_fields(variant, degree)
+    mesh = fields.mesh
+    elems = (np.arange(mesh.n_elems) if name.startswith("temperature")
+             else mesh.fluid_elems)
+    rng = np.random.default_rng(5)
+    shared = pb.QuadratureRule.triangle(2 * degree + 4).points
+    each = rng.random((len(elems), 7, 2)) * 0.5
+    oracle = oracles.EinsumFields(fields)
+    for pts in (shared, each):
+        assert_close(getattr(fields, name)(elems, pts),
+                     getattr(oracle, name)(elems, pts), 1e-14)
+
+
+@pytest.mark.parametrize("variant,degree", [("wg1", 1), ("wg3", 2)])
+def test_divergence_diagnostic_matches_einsum_oracle(variant, degree):
+    fields = random_fields(variant, degree)
+    got = postproc.divergence_diagnostic(fields)
+    want = oracles.divergence_diagnostic(fields)
+    assert_close(np.array(got), np.array(want), 1e-14)
+
+
 # ---------------------------------------------------------------- errors
 
 

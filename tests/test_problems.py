@@ -51,6 +51,32 @@ def test_manufactured_forcing_consistency():
     assert prob.exact.forcing_degree == 13
 
 
+def test_horner_forcing_matches_lambdify():
+    import sympy as sp
+    X, Y = sp.symbols("x y")
+    ex = pr.manufactured_convection().exact
+    assert set(ex.forcing) == {"f1", "f2", "g_fluid", "g_solid"}
+    rng = np.random.default_rng(2)
+    x, y = rng.uniform(-1.0, 1.0, 500), rng.uniform(0.0, 1.0, 500)
+    polys = [*ex.forcing.values(), sp.Poly(0, X, Y), sp.Poly(2.5, X, Y),
+             sp.Poly(X ** 3 * Y - Y ** 4, X, Y)]
+    for poly in polys:
+        want = np.broadcast_to(
+            sp.lambdify((X, Y), poly.as_expr(), "numpy")(x, y), x.shape)
+        got = pr._horner(poly)(x, y)
+        assert got.shape == x.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(
+            np.max(np.abs(want)), np.finfo(float).tiny)
+        # scalars and mixed arguments give the broadcast shape, as the
+        # lambdified fields do
+        for args in ((0.3, 0.7), (x[:4].reshape(2, 2), 0.7)):
+            got = pr._horner(poly)(*args)
+            want = pr._lambdify(poly.as_expr())(*args)
+            assert got.shape == want.shape
+            assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+    assert ex.f(0.3, 0.7).shape == (2,) and ex.g(0.3, 0.7).shape == ()
+
+
 def test_forcing_g_is_piecewise():
     # outside the fluid box the transport term drops (u is extended by zero)
     ex = pr.manufactured_convection().exact
@@ -127,6 +153,19 @@ def test_inconsistent_exact_fields_rejected():
         bc = {w: ("dirichlet", "0") for w in ("left", "right", "bottom", "top")}
         pr.ProblemSpec(1.0, 1.0, 1.0, (0, 1, 0, 1), (0, 1, 0, 1),
                        ex.f, ex.g, bc, exact=ex)
+
+
+@pytest.mark.parametrize("fields, named", [
+    (("sin(y)", "0", "0", "sin(x)*y"), "u1"),
+    (("0", "0", "exp(x)", "0"), "p"),
+    (("0", "0", "0", "a*x"), "T"),
+    (("0", "x**0.5", "0", "0"), "u2"),
+], ids=["sin", "exp", "parameter", "root"])
+def test_non_polynomial_exact_fields_rejected(fields, named):
+    # the forcing quadrature is exact only for polynomial fields
+    with pytest.raises(ValueError, match="exact field %s = .* is not a "
+                       "polynomial in x and y" % named):
+        pr.ExactSolution(*fields, 1.0, 1.0, 1.0, (0.0, 1.0, 0.0, 1.0))
 
 
 def test_ramp_copy_changes_only_ra():
