@@ -19,43 +19,36 @@ Each linearized step freezes the advecting velocity w and solves
     abar(T,s) + cbar(w;T,s) = (g, s0)
 
 for (u, p, T); Dirichlet data is lifted to the right-hand side.  The
-temperature rows do not involve (u, p), so the step matrix is block lower
-triangular: it is assembled as one sparse system, and solve_sparse, the one
-solve path, solves the temperature block first and then the flow block
+temperature rows do not involve (u, p), so solve_sparse, the one solve
+path, solves the temperature block first and then the flow block
 (velocity, pressure and the multiplier) with the buoyancy d(T, v) moved to
-the right-hand side.  The whole matrix is singular exactly when one of its
-diagonal blocks is, so nothing is factored whole.
+the right-hand side.  No matrix of the whole step is formed.
 
 Each element's interior unknowns (T_0; u_0 and p_0) couple only to each
-other and to the element's own traces, so each block is factored by block
-LU through its interiors (Condensation), straight from the element
-matrices that StepAssembler keeps: the small dense interior blocks are
+other and to the element's own traces, so a step is kept as element
+matrices: the static stacks (E, L, L) of both blocks, which StepAssembler
+keeps, and the step's convection blocks.  A block is applied to a vector
+element by element (gather, multiply, sum back), and factored by block LU
+through its interiors (Condensation): the dense interior blocks are
 inverted as one batch, and only the Schur complement on the traces, summed
 over the elements, is a sparse factor, ordered by minimum degree on
-S + S^T.  No diagonal entry of it is zero, unlike the uncondensed flow
-block's pressure rows.  The velocity-pressure part of the flow block fixes
-the pressure only up to a constant; its Schur factor is grounded on one
-pressure trace, and MeanPressureBlock meets the mean-pressure row and
-column through the constant pressure, so the applied inverse is exactly
-that of the block.
+S + S^T.  The velocity-pressure part of the flow block fixes the pressure
+only up to a constant; its Schur factor is grounded on one pressure trace,
+and MeanPressureBlock meets the mean-pressure row and column through the
+constant pressure, so the applied inverse is exactly that of the block.
 
-The step matrix is summed from the same element matrices, plus the
-buoyancy and the mean-pressure row and column.  It has the same sparsity
-pattern at every advecting field: StepAssembler builds it once, with the
-static values, and a step sums its convection values into fixed slots of
-it.  solve_sparse solves each block
-with a held factor: oseen_solve keeps one HeldFactor per block for its
-Picard steps, since both blocks change only through w.  Each block is
-solved by sweeps x += M^-1 (b - A x) against its rows of the current step
-matrix A, where M is the factored matrix, starting from the block's
-solution of the previous step, until the block residual is a tenth of the
-1e-10 contract; a held factor that stalls is dropped, the block refactored
-and solved from zero.  The sweeps are what make the velocity divergence
-free to rounding, at any factor age: the divergence rows b(u,q) and the
-mean-pressure row do not depend on w, so M equals A in those rows, A M^-1
-is the identity there, and each sweep sets their residual to rounding.
-The whole-matrix 1e-10 check, relative to the whole right-hand side, does
-not bound those rows on its own, since their right side is zero.  A
+oseen_solve keeps one HeldFactor per block for its Picard steps, since
+both blocks change only through w.  Each block is solved by sweeps
+x += M^-1 (b - A x) against the current block A, M the factored matrix,
+from the block's solution of the previous step, until the block residual
+is a tenth of the 1e-10 contract; a held factor that stalls is dropped,
+the block refactored and solved from zero.  The sweeps are what make the
+velocity divergence free to rounding, at any factor age: the divergence
+rows b(u,q) and the mean-pressure row do not depend on w, so M equals A in
+those rows, and each sweep sets their residual to rounding.  The 1e-10
+check, relative to the whole right-hand side, is made on the residuals of
+both blocks' last sweeps, which make up the whole step's; it does not bound
+the divergence rows on its own, since their right side is zero.  A
 singular element interior block or Schur factor, or a residual above
 1e-10, raises RuntimeError naming the block (and the element).
 """
@@ -231,30 +224,79 @@ def apply_nonhomogeneous_dirichlet(dofmap, problem):
 
 
 class GlobalSystem:
-    """One assembled linear step over the free DOFs plus the multiplier.
+    """One linear step over the free DOFs plus the multiplier: the static
+    element matrices of StepAssembler and the step's skew convection
+    blocks S (None for none).
 
     border_index is the mean-pressure multiplier's row and column.
     flow_index lists the flow block: the free velocity and pressure DOFs,
     which come first in the free ordering, then the multiplier.  The free
-    temperature DOFs fill the range between them, flow_size:border_index,
-    and their rows have no entry in the flow columns.  All three are read
-    from the DofMap.
+    temperature DOFs fill the range between them, flow_size:border_index.
+    All three are read from the DofMap.
 
-    factors is a (temperature, flow) pair of functions: each factors its
-    diagonal block of matrix from the element matrices and returns the
-    function applying the block's inverse (see Condensation and
-    MeanPressureBlock).  StepAssembler.assemble supplies them.
+    temperature_rows and flow_rows apply the diagonal blocks to the block
+    vectors x[flow_size:border_index] and x[flow_index]; buoyancy applies
+    the flow rows' only temperature columns, - d(T, v).  matrix is the
+    whole step, a scipy LinearOperator over the same products.  factors is
+    a (temperature, flow) pair of functions: each factors its block and
+    returns the function applying the block's inverse (see Condensation
+    and MeanPressureBlock).
     """
 
-    def __init__(self, matrix, rhs, dofmap, factors):
-        self.matrix = matrix
-        self.rhs = rhs
-        self.dofmap = dofmap
-        self.border_index = dofmap.n_free
-        self.flow_size = dofmap.n_free_flow
-        self.flow_index = np.append(np.arange(self.flow_size),
-                                    self.border_index)
-        self.factors = factors
+    def __init__(self, assembler, S):
+        dm = assembler.dofmap
+        self.rhs = np.append(assembler._static_rhs, 0.0)
+        self.dofmap = dm
+        self.border_index = dm.n_free
+        self.flow_size = dm.n_free_flow
+        self.flow_index = np.append(np.arange(self.flow_size), dm.n_free)
+        self._asm = assembler
+        self._S = S
+        self.factors = assembler._factors(S)
+
+    @property
+    def matrix(self):
+        # made on each access: held, it would make a reference cycle
+        n = self.border_index
+        return spla.LinearOperator((n + 1, n + 1), matvec=self._apply,
+                                   dtype=float)
+
+    def _apply(self, x):
+        x = np.ravel(x)
+        f, n, flow = self.flow_size, self.border_index, self.flow_index
+        y = np.empty(n + 1)
+        y[f:n] = self.temperature_rows(x[f:n])
+        y[flow] = self.flow_rows(x[flow]) + self.buoyancy(x[f:n])
+        return y
+
+    # each element's values of a block vector x, (E, L, 1), are gathered
+    # at its positions, multiplied and summed back (see StepAssembler)
+    def temperature_rows(self, x):
+        asm, S, pos = self._asm, self._S, self._asm._temp_pos
+        local = np.append(x, 0.0)[pos][..., None]
+        y = asm._temp_stack @ local
+        if S is not None:
+            fe = asm.mesh.fluid_elems
+            y[fe] += S @ local[fe]
+        return np.bincount(pos.ravel(), y.ravel(), minlength=len(x) + 1)[:-1]
+
+    def flow_rows(self, x):
+        asm, S, pos = self._asm, self._S, self._asm._flow_pos
+        local = np.append(x, 0.0)[pos][..., None]
+        y = asm._flow_stack @ local
+        if S is not None:
+            at = asm._conv_at
+            y[:, at] += S[:, None] @ local[:, at]
+        y = np.bincount(pos.ravel(), y.ravel(), minlength=len(x) + 1)[:-1]
+        y[:-1] += asm._mean * x[-1]
+        y[-1] = asm._mean @ x[:-1]
+        return y
+
+    def buoyancy(self, t):
+        rows, cols, values = self._asm._buoyancy
+        y = np.zeros(self.flow_size + 1)
+        y[rows] = values * t[cols]
+        return y
 
     def expand(self, x):
         """Scatter a reduced solution to the full coefficient vector.
@@ -276,14 +318,6 @@ def _pattern(keys, size):
     indptr = np.zeros(size + 1, dtype=np.int32)
     np.cumsum(np.bincount(unique // size, minlength=size), out=indptr[1:])
     return slot, (unique % size).astype(np.int32), indptr
-
-
-def _element_keys(loc, size, stored=True):
-    """The keys row * size + col of an element stack's entries over the
-    reduced indices loc (E, L) that lie in free rows and columns and in the
-    (L, L) mask stored: (keys, kept), kept the (E, L, L) mask of them."""
-    kept = (loc[:, :, None] >= 0) & (loc[:, None, :] >= 0) & stored
-    return (loc[:, :, None] * size + loc[:, None, :])[kept], kept
 
 
 def _lifted(loc, dofs, fixed_values):
@@ -457,10 +491,10 @@ class StepAssembler:
     conduction, forcing moments, the mean-pressure row).
 
     It keeps the element matrices of both diagonal blocks without
-    convection, and sums the static step matrix from them.  A step sums its
-    convection blocks into fixed slots of that matrix, and its factor
-    functions add them to the element matrices and factor through
-    `temperature` (a Condensation) and `flow` (a MeanPressureBlock).
+    convection, with each element's positions in its block vector.  A
+    step's factor functions add its convection blocks to copies of them
+    and factor through `temperature` (a Condensation) and `flow` (a
+    MeanPressureBlock).
     """
 
     def __init__(self, mesh, params, problem, dofmap=None):
@@ -496,13 +530,12 @@ class StepAssembler:
             mesh.det_b[all_e][:, None] * gmom).ravel()
         self._static_rhs = rhs[dm.free_dofs]
 
-        # the element matrices both the step matrix and the block factors
-        # are summed from: C, in scalar_local, and the flow stack in
+        # the element matrices both the products and the block factors are
+        # summed from: C, in scalar_local, and the flow stack in
         # velocity_local ++ pressure_local, with A on the velocity block,
-        # B in the u_0 rows and -B^T in the u_0 columns (the entries
-        # `stored` marks), both reordered with the interiors [u_0 | p_0]
-        # first; _conv_at is where each velocity component's convection
-        # block lands in it
+        # B in the u_0 rows and -B^T in the u_0 columns, both reordered
+        # with the interiors [u_0 | p_0] first; _conv_at is where each
+        # velocity component's convection block lands in it
         nv = vloc.shape[1]
         u0 = (ns * np.arange(2)[:, None] + np.arange(nk)).ravel()
         p = nv + np.arange(ploc.shape[1])
@@ -512,16 +545,12 @@ class StepAssembler:
                                                             len(p))
         flow[:, u0[:, None], p] = B                      # + b(v, p)
         flow[:, p[:, None], u0] = -np.swapaxes(B, 1, 2)  # - b(u, q)
-        stored = np.zeros(flow.shape[1:], dtype=bool)
-        stored[:nv, :nv] = True
-        stored[u0[:, None], p] = stored[p[:, None], u0] = True
         inner = np.append(u0, p[:params.pressure_interior_dim])
         order = np.append(inner, np.setdiff1d(np.arange(flow.shape[1]),
                                               inner))
         self._flow_stack = np.ascontiguousarray(flow[:, order[:, None],
                                                      order])
         del flow, B
-        stored = stored[order[:, None], order]
         self._temp_stack = C = forms.conduction_blocks(mesh, all_e, params,
                                                        problem.kappa)
         self._conv_at = np.argsort(order)[:nv].reshape(2, ns)
@@ -529,72 +558,52 @@ class StepAssembler:
         flow_loc = dm.free_index[np.concatenate([vloc, ploc], axis=1)[:, order]]
         temp_loc = dm.free_index[sloc]
 
-        # the step matrix: the stacks' entries in free rows and columns,
-        # the buoyancy - d(T, v) and the mean-pressure border, summed once
-        # into the static pattern; each slot sums entries of one kind from
-        # at most two elements.  Velocity traces are fixed to zero, so only
-        # the temperature stack lifts fixed columns into the right-hand side
-        n = dm.n_free
-        flow_keys, flow_in = _element_keys(flow_loc, n + 1, stored)
-        temp_keys, temp_in = _element_keys(temp_loc, n + 1)
+        # velocity traces are fixed to zero, so only the temperature stack
+        # lifts fixed columns into the right-hand side
         at, rows, fixed = _lifted(temp_loc, sloc, dm.fixed_values)
         np.subtract.at(self._static_rhs, rows, C.ravel()[at] * fixed)
+
+        # the same as positions in the block vectors; the flow block ends
+        # in the multiplier, the temperature block starts at f.  A fixed
+        # DOF's position is the block size, which gathers a zero appended
+        # to the block vector and is summed into a dropped last entry
+        n, f = dm.n_free, dm.n_free_flow
+        self._flow_pos = np.where(flow_loc >= 0, flow_loc, f + 1)
+        self._temp_pos = np.where(temp_loc >= 0, temp_loc - f, n - f)
+        # - d(T, v) couples each fluid element's T_0 to the same moments of
+        # its second velocity component: (rows, cols, values)
         fac = forms.buoyancy_factor(mesh, fe, problem.pr, problem.ra)
+        self._buoyancy = (dm.free_index[ui[:, 1, :]].ravel(),
+                          dm.free_index[dm.t_interior(fe)].ravel() - f,
+                          -np.repeat(fac, nk))
+        # the mean-pressure row and column: the integral of p_0
         con_r = dm.free_index[dm.p_interior(fe)[:, 0]]
-        con_v = mesh.det_b[fe] / np.sqrt(2.0)  # integral of p0 over the fluid
-        slot, self._indices, self._indptr = _pattern(np.concatenate([
-            flow_keys, temp_keys,
-            (dm.free_index[ui[:, 1, :]] * (n + 1)
-             + dm.free_index[dm.t_interior(fe)]).ravel(),
-            n * (n + 1) + con_r, con_r * (n + 1) + n]), n + 1)
-        del flow_keys, temp_keys
-        nnz = len(self._indices)
-        self._static_data = np.bincount(slot, np.concatenate([
-            self._flow_stack[flow_in], C[temp_in], -np.repeat(fac, nk),
-            con_v, con_v]), minlength=nnz)
+        self._mean = np.zeros(f)
+        self._mean[con_r] = mesh.det_b[fe] / np.sqrt(2.0)
         self._vel_fixed = dm.fixed_mask.copy()
         self._vel_fixed[dm.offset["p_int"]:] = False
 
-        # a step's convection values: the skew block S of every fluid
-        # element, at both velocity components' diagonal blocks and at the
-        # temperature, in np.tile(S.ravel(), 3) order; _conv_slot is each
-        # one's slot (nnz for a fixed row or column).  S lifts nothing into
-        # the right-hand side: its column of a face trace carries w.n on
-        # that face, and a fixed temperature trace of a fluid element lies
-        # on an outer fluid face, where w vanishes
-        n_flow = np.count_nonzero(flow_in)
-        flow_slot = np.full(flow_in.shape, nnz)
-        flow_slot[flow_in] = slot[:n_flow]
-        temp_slot = np.full(temp_in.shape, nnz)
-        temp_slot[temp_in] = slot[n_flow:n_flow + np.count_nonzero(temp_in)]
-        self._conv_slot = np.concatenate(
-            [flow_slot[:, a[:, None], a].ravel() for a in self._conv_at]
-            + [temp_slot[fe].ravel()])
-        del flow_slot, temp_slot, slot
-
-        f = dm.n_free_flow
         self.temperature = Condensation(temp_loc, nk, n + 1, np.arange(f, n),
                                         all_e, "temperature block")
-        mean = np.zeros(f)
-        mean[con_r] = con_v
         self.flow = MeanPressureBlock(
             Condensation(flow_loc, len(inner), n + 1, np.arange(f), fe,
                          "flow block",
                          ground=dm.free_index[dm.p_trace(mesh.fluid_faces[0])
                                               [0, 0]]),
-            dm, mean)
+            dm, self._mean)
 
     def assemble(self, w_prev=None):
         """Assemble the step with frozen advecting field w_prev (full-layout
         coefficients; None means zero, i.e. a Stokes-like step).
 
-        Every step's matrix has the static pattern: its `indices` and
-        `indptr` are the same arrays on every step, and only `data` is new.
+        A step is the static element matrices plus the skew convection
+        block S of every fluid element, in its temperature matrix and in
+        both velocity components' diagonal blocks; a zero field has none.
+        S lifts nothing into the right-hand side: its column of a face
+        trace carries w.n on that face, and a fixed temperature trace of a
+        fluid element lies on an outer fluid face, where w vanishes.
         """
         dm = self.dofmap
-        n = dm.n_free
-        rhs = np.append(self._static_rhs, 0.0)
-        data = self._static_data
         S = None
         if w_prev is not None:
             w_prev = np.asarray(w_prev, dtype=float)
@@ -610,14 +619,7 @@ class StepAssembler:
             w_tr = w_prev[dm.u_trace(mesh.elem_faces[fe])]   # (Ef, 3, 2, nt)
             S = forms.skew_convection_blocks(mesh, fe, self.params, w_int,
                                              w_tr)            # (Ef, ns, ns)
-            data = data + np.bincount(self._conv_slot, np.tile(S.ravel(), 3),
-                                      minlength=len(data) + 1)[:len(data)]
-        else:
-            data = data.copy()
-        mat = sps.csr_matrix((data, self._indices, self._indptr),
-                             shape=(n + 1, n + 1))
-        mat.has_canonical_format = True
-        return GlobalSystem(mat, rhs, dm, self._factors(S))
+        return GlobalSystem(self, S)
 
     def _factors(self, S):
         """The (temperature, flow) factor functions of a step with skew
@@ -689,35 +691,34 @@ def _factor(mat, block):
                            "singular or near-singular" % (block, err)) from err
 
 
-def _swept(rows, rhs, x, at, target, held, factor):
-    """Solve rows @ x = rhs for the block x[at], with the rest of x fixed,
-    using held.inverse, built with factor() when there is none.
+def _swept(rows, rhs, target, held, factor):
+    """Solve rows(x) = rhs for a block vector x, using held.inverse, built
+    with factor() when there is none; returns x and its residual
+    rhs - rows(x).
 
-    rows are the block's rows of the step matrix, over all of x, so the
-    columns outside the block multiply the part of x solved before.  The
-    first application is the solve: from x[at] = 0, or from the solution
-    of an earlier solve when held.last holds one, x[at] += inverse(rhs -
-    rows @ x).  Sweeps of the same follow, at least one, until the residual
+    The first application is the solve: from x = 0, or from the solution
+    of an earlier solve when held.last holds one, x += inverse(rhs -
+    rows(x)).  Sweeps of the same follow, at least one, until the residual
     is at most target.  A held factor from an earlier solve that stalls
     (one application cuts a residual above target less than
     STALL_RATIO-fold) or misses the target in MAX_SWEEPS sweeps is dropped
     before factor() builds its replacement, and the solve starts over from
     zero at age 0, exactly as a fresh solve would.  A fresh factor is never
     replaced: it makes at least one sweep, and where it stalls after that,
-    the caller's residual check decides.  A copy of the block solution is
-    kept in held.last.
+    the caller's residual check decides.  A copy of the solution is kept
+    in held.last.
     """
     while True:
         if held.inverse is None:
             held.inverse = factor()
             held.age = 0
             held.last = None
-        x[at] = 0.0 if held.last is None else held.last
-        r = rhs - rows @ x
+        x = np.zeros_like(rhs) if held.last is None else held.last.copy()
+        r = rhs - rows(x)
         before = np.linalg.norm(r)
-        x[at] += held.inverse(r)
+        x += held.inverse(r)
         for sweep in range(MAX_SWEEPS + 1):
-            r = rhs - rows @ x
+            r = rhs - rows(x)
             now = np.linalg.norm(r)
             if sweep > 0 and now <= target:
                 break
@@ -728,22 +729,21 @@ def _swept(rows, rhs, x, at, target, held, factor):
                 if held.age:
                     held.inverse = None
                 break
-            x[at] += held.inverse(r)
+            x += held.inverse(r)
             before = now
         if held.inverse is not None:
-            held.last = x[at].copy()
-            return
+            held.last = x.copy()
+            return x, r
 
 
 def solve_sparse(system, held=None):
     """Solve one assembled step block by block, with a residual guarantee.
 
     The temperature block, rows and columns f:n (f = flow_size, n =
-    border_index), is solved first.  The flow block, rows and columns
-    flow_index, is solved next; its rows' buoyancy columns multiply the
-    temperature just solved.  Each block is factored through its element
-    interiors by system.factors (see Condensation and MeanPressureBlock)
-    and swept with its rows of system.matrix.
+    border_index), is solved first, then the flow block, rows and columns
+    flow_index, with the buoyancy of that temperature on its right-hand
+    side.  Each block is factored by system.factors and swept with its
+    rows, system.temperature_rows or system.flow_rows.
 
     held is a (temperature, flow) pair of HeldFactor that keeps each
     block's inverse and solution between calls; None makes a fresh pair
@@ -756,9 +756,9 @@ def solve_sparse(system, held=None):
     residual of SWEEP_TOL * max(||b||, 1), b the whole right-hand side;
     the sweeps keep the divergence rows at rounding (see the module
     docstring), which the 1e-10 check alone would not: an unswept solve
-    leaves them at 1e-9..1e-8 on fine cavity meshes.  That check runs
-    against the whole system.matrix, so it also catches a temperature row
-    that touches the flow, which the block split would ignore.
+    leaves them at 1e-9..1e-8 on fine cavity meshes.  The check is made
+    on the residuals of the blocks' last sweeps, which make up the whole
+    step's, as the temperature rows have no flow column.
 
     Every failure raises RuntimeError naming the block: a singular
     element interior block (naming the element too), a singular
@@ -766,8 +766,7 @@ def solve_sparse(system, held=None):
     included) above 1e-10, reported with the residual of the temperature
     rows and of the flow rows.
     """
-    mat, rhs = system.matrix, system.rhs
-    flow = system.flow_index
+    rhs, flow = system.rhs, system.flow_index
     f, n = system.flow_size, system.border_index
     bnorm = np.linalg.norm(rhs)
     target = SWEEP_TOL * max(bnorm, 1.0)
@@ -776,17 +775,16 @@ def solve_sparse(system, held=None):
     for block in held:
         if block.inverse is not None:
             block.age += 1
-    x = np.zeros_like(rhs)
     temperature, flow_factor = system.factors
-    _swept(mat[f:n], rhs[f:n], x, slice(f, n), target, held[0], temperature)
-    _swept(mat[flow], rhs[flow], x, flow, target, held[1], flow_factor)
-
-    r = mat @ x - rhs
-    resid = np.linalg.norm(r)
+    t, r_t = _swept(system.temperature_rows, rhs[f:n], target, held[0],
+                    temperature)
+    v, r_v = _swept(system.flow_rows, rhs[flow] - system.buoyancy(t),
+                    target, held[1], flow_factor)
+    r_t, r_v = np.linalg.norm(r_t), np.linalg.norm(r_v)
+    resid = np.hypot(r_t, r_v)
     if not resid <= 1e-10 * max(bnorm, 1.0):     # a NaN residual fails too
         raise RuntimeError(
             "block solve residual %.3e exceeds the 1e-10 contract (rhs norm "
             "%.3e; temperature block rows %.3e, flow block rows %.3e)"
-            % (resid, bnorm, np.linalg.norm(r[f:n]),
-               np.linalg.norm(r[flow])))
-    return x
+            % (resid, bnorm, r_t, r_v))
+    return np.concatenate([v[:-1], t, v[-1:]])

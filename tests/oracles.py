@@ -7,6 +7,7 @@
 * the WG interpolant of a closed-form solution;
 * the pointwise evaluators of a solution and the affine element maps,
   written as per-element einsum contractions;
+* the structured mesh with its cell diagonals alternating;
 * a triplet (COO) assembler of one linearized step;
 * the shapes of the two trace Schur complements a step factors;
 * the forcing of a manufactured problem recomputed by numerical
@@ -25,6 +26,7 @@ from wgconvect import linsys
 from wgconvect import polybasis as pb
 from wgconvect import postproc
 from wgconvect import weakops as wo
+from wgconvect.mesh import Mesh, build_structured_mesh
 
 
 def tri_monomial_powers(degree):
@@ -260,8 +262,7 @@ def pressure_schur_smallest(mesh, params, problem):
     """
     dm = linsys.apply_nonhomogeneous_dirichlet(linsys.DofMap(mesh, params),
                                                problem)
-    system = linsys.StepAssembler(mesh, params, problem, dm).assemble(None)
-    A = system.matrix.tocsr()
+    A, _ = coo_step(linsys.StepAssembler(mesh, params, problem, dm))
 
     fe = mesh.fluid_elems
     u_dofs = np.concatenate([
@@ -439,6 +440,26 @@ def divergence_diagnostic(fields):
         jump[f] += sign * np.einsum("fqd,fd->fq", u, mesh.normals[ff[f]])
     per_face = mesh.h_e[ff] * (np.abs(jump) @ eq.weights)
     return div_h, float(np.max(per_face)) if len(ff) else 0.0
+
+
+# ----------------------------------------------------------------------
+# a mesh the package does not build
+
+
+def alternating_mesh(nx, ny, domain, fluid_rect):
+    """build_structured_mesh's grid, with every other cell, in a
+    checkerboard, cut along the other diagonal (lower left to upper
+    right)."""
+    base = build_structured_mesh(nx, ny, domain, fluid_rect)
+    lower, upper = base.triangles[0::2], base.triangles[1::2]
+    v00, v10, v01, v11 = lower[:, 0], lower[:, 1], lower[:, 2], upper[:, 1]
+    cell = np.arange(nx * ny)
+    flip = (cell % nx + cell // nx) % 2 == 1
+    triangles = base.triangles.copy()
+    triangles[0::2][flip] = np.column_stack([v00, v10, v11])[flip]
+    triangles[1::2][flip] = np.column_stack([v00, v11, v01])[flip]
+    return Mesh(base.vertices, triangles, base.elem_subdomain, base.domain,
+                base.fluid_rect)
 
 
 # ----------------------------------------------------------------------

@@ -16,9 +16,10 @@ from wgconvect.mesh import (INTERIOR_FLUID, OUTER, Mesh,
                             build_structured_mesh)
 
 
-def manufactured_setup(nx, ny, degree=1, variant="wg1"):
+def manufactured_setup(nx, ny, degree=1, variant="wg1",
+                       build=build_structured_mesh):
     prob = problems.manufactured_convection()
-    mesh = build_structured_mesh(nx, ny, prob.domain, prob.fluid_rect)
+    mesh = build(nx, ny, prob.domain, prob.fluid_rect)
     params = forms.MethodParams.from_variant(variant, degree)
     return prob, mesh, params
 
@@ -181,13 +182,13 @@ def test_system_dimension_is_free_count_plus_multiplier():
 def test_stokes_velocity_block_symmetric():
     prob, mesh, params = manufactured_setup(4, 2, degree=2)
     asm = linsys.StepAssembler(mesh, params, prob)
-    system = asm.assemble(None)
+    mat, _ = oracles.coo_step(asm)
     dm = asm.dofmap
     u_free = np.unique(np.concatenate([
         dm.free_index[dm.u_interior(mesh.fluid_elems).ravel()],
         dm.free_index[dm.u_trace(mesh.fluid_faces).ravel()]]))
     u_free = u_free[u_free >= 0]
-    block = system.matrix[u_free][:, u_free]
+    block = mat[u_free][:, u_free]
     gap = sps.linalg.norm(block - block.T) / sps.linalg.norm(block)
     assert gap <= 1e-12
 
@@ -198,6 +199,7 @@ def test_heat_rows_do_not_touch_flow_unknowns():
     x0 = linsys.solve_sparse(asm.assemble(None))
     w, _ = asm.assemble(None).expand(x0)
     system = asm.assemble(w)
+    mat, _ = oracles.coo_step(asm, w)
     dm = system.dofmap
     t_rows = np.unique(np.concatenate([
         dm.free_index[dm.t_interior(np.arange(mesh.n_elems)).ravel()],
@@ -213,11 +215,11 @@ def test_heat_rows_do_not_touch_flow_unknowns():
     assert np.array_equal(t_rows, np.arange(system.flow_size,
                                             system.border_index))
     assert np.array_equal(system.flow_index, np.append(flow_cols, dm.n_free))
-    assert system.matrix[t_rows][:, system.flow_index].nnz == 0
+    assert mat[t_rows][:, system.flow_index].nnz == 0
     # while momentum rows do feel the temperature through buoyancy
     u_rows = dm.free_index[dm.u_interior(mesh.fluid_elems)[:, 1, :].ravel()]
     t_cols = dm.free_index[dm.t_interior(mesh.fluid_elems).ravel()]
-    assert system.matrix[u_rows][:, t_cols].nnz > 0
+    assert mat[u_rows][:, t_cols].nnz > 0
 
 
 def test_convection_never_reaches_the_solid():
@@ -231,7 +233,8 @@ def test_convection_never_reaches_the_solid():
     vel_fixed = dm.fixed_mask.copy()
     vel_fixed[dm.offset["p_int"]:] = False
     w[vel_fixed] = 0.0
-    diff = abs(asm.assemble(w).matrix - asm.assemble(None).matrix).tocsr()
+    diff = abs(oracles.coo_step(asm, w)[0]
+               - oracles.coo_step(asm, None)[0]).tocsr()
     solid_only = dm.free_index[np.concatenate([
         dm.t_interior(np.flatnonzero(~mesh.is_fluid)).ravel(),
         dm.t_trace(np.setdiff1d(np.arange(mesh.n_faces),
@@ -250,8 +253,9 @@ def test_multiplier_row_is_fluid_mean():
     system = linsys.assemble_oseen_step(mesh, params, prob)
     dm = system.dofmap
     n = dm.n_free
-    row = system.matrix[n].toarray().ravel()
-    col = system.matrix[:, n].toarray().ravel()
+    # the step as a dense matrix, one product per column
+    mat = system.matrix @ np.eye(n + 1)
+    row, col = mat[n], mat[:, n]
     assert np.allclose(row, col, atol=1e-15)
     p0 = dm.free_index[dm.p_interior(mesh.fluid_elems)[:, 0]]
     expect = np.zeros(n + 1)
@@ -271,16 +275,17 @@ def test_w_prev_validation():
         asm.assemble(bad)
 
 
-def pattern_setup(case, variant, degree):
+def pattern_setup(case, variant, degree, build=build_structured_mesh):
     """An assembler for the 6x6 cavity (lifted hot and cold walls) or the
-    8x4 conjugate manufactured problem (solid elements), plus advecting
-    fields: zero, a random admissible one and the first iterate."""
+    8x4 conjugate manufactured problem (solid elements), on the mesh build
+    makes, plus advecting fields: zero, a random admissible one and the
+    first iterate."""
     if case == "cavity":
         prob = problems.cavity(1e4)
-        mesh = build_structured_mesh(6, 6, prob.domain, prob.fluid_rect)
+        mesh = build(6, 6, prob.domain, prob.fluid_rect)
         params = forms.MethodParams.from_variant(variant, degree)
     else:
-        prob, mesh, params = manufactured_setup(8, 4, degree, variant)
+        prob, mesh, params = manufactured_setup(8, 4, degree, variant, build)
     asm = linsys.StepAssembler(mesh, params, prob)
     dm = asm.dofmap
     rng = np.random.default_rng(7)
@@ -297,17 +302,37 @@ PATTERN_CASES = [("cavity", "wg1", 1), ("cavity", "wg1", 2),
                  ("manufactured", "wg1", 2), ("manufactured", "wg3", 2)]
 
 
-@pytest.mark.parametrize("case,variant,degree", PATTERN_CASES)
-def test_fixed_pattern_assembly_equals_triplet_assembly(case, variant,
-                                                        degree):
-    asm, fields = pattern_setup(case, variant, degree)
+def assert_steps_match_triplets(asm, fields):
+    """Each step of asm, applied from its element stacks over the positions
+    fixed at set-up, is the step the triplet oracle sums: on random
+    vectors the products agree to rounding, in the temperature rows and in
+    the flow rows apart, and the right-hand sides agree bit for bit."""
+    rng = np.random.default_rng(2)
     for w in [None, *fields.values()]:
         system = asm.assemble(w)
         mat, rhs = oracles.coo_step(asm, w)
-        assert np.array_equal(system.matrix.data, mat.data)
-        assert np.array_equal(system.matrix.indices, mat.indices)
-        assert np.array_equal(system.matrix.indptr, mat.indptr)
+        assert system.matrix.shape == mat.shape
         assert np.array_equal(system.rhs, rhs)
+        for _ in range(3):
+            v = rng.standard_normal(mat.shape[1])
+            got, want = system.matrix @ v, mat @ v
+            for rows in (slice(system.flow_size, system.border_index),
+                         system.flow_index):
+                assert np.linalg.norm(got[rows] - want[rows]) \
+                    <= 1e-14 * np.linalg.norm(want[rows])
+
+
+@pytest.mark.parametrize("case,variant,degree", PATTERN_CASES)
+def test_fixed_pattern_assembly_equals_triplet_assembly(case, variant,
+                                                        degree):
+    assert_steps_match_triplets(*pattern_setup(case, variant, degree))
+
+
+@pytest.mark.parametrize("case,variant,degree", PATTERN_CASES)
+def test_alternating_diagonals_assembly_equals_triplet_assembly(
+        case, variant, degree):
+    assert_steps_match_triplets(*pattern_setup(case, variant, degree,
+                                               oracles.alternating_mesh))
 
 
 @pytest.mark.parametrize("case,variant,degree", PATTERN_CASES)
@@ -320,14 +345,39 @@ def test_advected_step_lifts_nothing(case, variant, degree):
         assert asm.assemble(w).rhs.tobytes() == stokes.tobytes()
 
 
-def test_steps_share_one_pattern():
-    asm, fields = pattern_setup("manufactured", "wg1", 1)
-    one, two = asm.assemble(None), asm.assemble(fields["first"])
-    # scipy wraps the arrays in views; no step copies them
-    assert np.shares_memory(one.matrix.indices, two.matrix.indices)
-    assert np.shares_memory(one.matrix.indptr, two.matrix.indptr)
-    assert not np.shares_memory(one.matrix.data, two.matrix.data)
-    assert not np.array_equal(one.matrix.data, two.matrix.data)
+def test_steps_share_one_pattern(monkeypatch):
+    # the only sparse patterns are the two trace Schur complements', found
+    # once, when the assembler is set up: no step builds one, and the
+    # Schur complements that two steps factor share their index arrays
+    # (scipy wraps them in views) but not their values
+    sizes = []
+    pattern = linsys._pattern
+
+    def counting(keys, size):
+        sizes.append(size)
+        return pattern(keys, size)
+
+    monkeypatch.setattr(linsys, "_pattern", counting)
+    prob, mesh, params = manufactured_setup(8, 4)
+    asm = linsys.StepAssembler(mesh, params, prob)
+    first = asm.assemble(None)
+    assert [(m, m) for m in sizes] == oracles.schur_shapes(first)
+    factored = []
+    splu = spla.splu
+
+    def recording_splu(mat, *args, **kwargs):
+        factored.append(mat)
+        return splu(mat, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    w, _ = first.expand(linsys.solve_sparse(first))
+    linsys.solve_sparse(asm.assemble(w))
+    assert len(sizes) == 2 and len(factored) == 4
+    for one, two in zip(factored[:2], factored[2:]):
+        assert np.shares_memory(one.indices, two.indices)
+        assert np.shares_memory(one.indptr, two.indptr)
+        assert not np.shares_memory(one.data, two.data)
+        assert not np.array_equal(one.data, two.data)
 
 
 def test_zero_data_gives_zero_solution():
@@ -463,7 +513,8 @@ def test_condensed_inverse_equals_direct_solve(variant, degree, advected):
         w = np.random.default_rng(3).standard_normal(dm.n_dofs)
         w[dm.fixed_mask & (np.arange(dm.n_dofs) < dm.offset["p_int"])] = 0
     system = asm.assemble(w)
-    mat, flow = system.matrix, system.flow_index
+    mat, _ = oracles.coo_step(asm, w)
+    flow = system.flow_index
     f, n = system.flow_size, system.border_index
     rng = np.random.default_rng(11)
     for factor, mat in zip(system.factors,
@@ -490,7 +541,7 @@ def test_constant_pressure_spans_the_flow_null_space(variant, degree):
     w[dm.fixed_mask & (np.arange(dm.n_dofs) < dm.offset["p_int"])] = 0
     system = asm.assemble(w)
     f = system.flow_size
-    k = system.matrix[:f, :f]
+    k = oracles.coo_step(asm, w)[0][:f, :f]
     z = asm.flow.constant_pressure
     assert np.max(np.abs(k @ z)) <= 1e-13
     assert np.max(np.abs(k.T @ z)) <= 1e-13
@@ -521,10 +572,8 @@ def test_stale_factor_keeps_divergence_rows_exact():
     system = asm.assemble(w)
     flow, f = system.flow_index, system.flow_size
     x = linsys.solve_sparse(system)
-    flow_rows = system.matrix[flow]
-    b = system.rhs[flow] - flow_rows[:, f:system.border_index] \
-        @ x[f:system.border_index]
-    r = b - flow_rows[:, flow] @ held[1].inverse(b)
+    b = system.rhs[flow] - system.buoyancy(x[f:system.border_index])
+    r = b - system.flow_rows(held[1].inverse(b))
     exact = flow_rows_without_w(system)
     rest = np.setdiff1d(np.arange(len(flow)), exact)
     assert np.linalg.norm(r[exact]) <= 1e-12 * np.linalg.norm(b)
@@ -633,9 +682,7 @@ def test_fresh_factor_sweeps_once_even_when_it_stalls():
         return r / 2.0
 
     held = linsys.HeldFactor()
-    x = np.zeros(4)
-    linsys._swept(mat, np.ones(4), x, slice(None), 1e-11, held,
-                  lambda: inverse)
+    x, _ = linsys._swept(mat.dot, np.ones(4), 1e-11, held, lambda: inverse)
     assert len(applied) == 2 and held.age == 0
     assert np.array_equal(x, np.full(4, 0.25))
     assert np.array_equal(held.last, x) and not np.shares_memory(held.last, x)
@@ -643,44 +690,49 @@ def test_fresh_factor_sweeps_once_even_when_it_stalls():
 
 def advected_step(variant, degree):
     """A step of the conjugate manufactured problem (fluid plus solid)
-    assembled at a nonzero advecting velocity."""
+    assembled at a nonzero advecting velocity, and its triplet matrix."""
     prob, mesh, params = manufactured_setup(8, 4, degree, variant)
     asm = linsys.StepAssembler(mesh, params, prob)
     first = asm.assemble(None)
     w, _ = first.expand(linsys.solve_sparse(first))
-    return asm.assemble(w)
+    return asm.assemble(w), oracles.coo_step(asm, w)[0]
 
 
 @pytest.mark.parametrize("variant,degree", [("wg1", 1), ("wg3", 2)])
 def test_block_solve_matches_whole_matrix_solve(monkeypatch, variant,
                                                 degree):
-    system = advected_step(variant, degree)
+    system, mat = advected_step(variant, degree)
     factorizations = counting_factorizations(monkeypatch)
     x_block = linsys.solve_sparse(system)
     assert len(factorizations) == 2             # served by the block solve
-    x_whole = spla.splu(system.matrix.tocsc()).solve(system.rhs)
+    x_whole = spla.splu(mat.tocsc()).solve(system.rhs)
     assert np.linalg.norm(x_block - x_whole) \
         <= 1e-10 * np.linalg.norm(x_whole)
 
 
 def test_block_solve_that_misses_the_contract_raises(monkeypatch):
-    # a temperature row that sees the flow breaks the block triangular
-    # split, so the block answer fails the whole-matrix residual check
+    # a fresh temperature inverse scaled by 1.5 halves the error and flips
+    # its sign at each application, so the temperature rows stall far
+    # above the contract, and a fresh factor is never replaced: the
+    # residual check fails, naming the temperature rows, while the flow
+    # block meets its rows at the temperature it was given
     prob, mesh, params = manufactured_setup(4, 2)
     system = linsys.assemble_oseen_step(mesh, params, prob)
-    f = system.flow_size
-    coupled = system.matrix.tolil()
-    coupled[f, 0] = coupled[f, f]
-    broken = linsys.GlobalSystem(coupled.tocsr(), system.rhs, system.dofmap,
-                                 system.factors)
+    temperature, flow = system.factors
+
+    def scaled():
+        inverse = temperature()
+        return lambda r: 1.5 * inverse(r)
+
+    system.factors = (scaled, flow)
     factorizations = counting_factorizations(monkeypatch)
     with pytest.raises(RuntimeError, match="exceeds the 1e-10") as info:
-        linsys.solve_sparse(broken)
+        linsys.solve_sparse(system)
     assert len(factorizations) == 2             # nothing is factored whole
     found = re.search(r"residual (\S+) .*temperature block rows (\S+), "
                       r"flow block rows (\S+)\)", str(info.value))
     resid, temp_resid, flow_resid = map(float, found.groups())
-    limit = 1e-10 * np.linalg.norm(broken.rhs)
+    limit = 1e-10 * np.linalg.norm(system.rhs)
     assert resid > limit and temp_resid > limit and flow_resid <= limit
 
 

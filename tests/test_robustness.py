@@ -18,6 +18,7 @@ Ra.
 import numpy as np
 import pytest
 
+import oracles
 from wgconvect import forms
 from wgconvect import polybasis as pb
 from wgconvect import postproc
@@ -58,19 +59,33 @@ def check_at_rest(fields, exact_t):
     return np.abs(velocity).max() / p_norm, p_norm, t_err
 
 
-@pytest.mark.parametrize("hot_top", [True, False], ids=["stable", "unstable"])
-@pytest.mark.parametrize("variant,degree", METHODS)
-def test_first_step_keeps_stratified_fluid_at_rest(variant, degree, hot_top):
+def assert_first_step_at_rest(build, variant, degree, hot_top):
+    """The first step on the 12x12 mesh that build makes keeps the fluid
+    at rest, from Ra = 1e3 to 1e7."""
     params = forms.MethodParams.from_variant(variant, degree)
     for ra in (1e3, 1e4, 1e5, 1e6, 1e7):
         prob, exact_t = stratified(ra, hot_top)
-        mesh = build_structured_mesh(12, 12, prob.domain, prob.fluid_rect)
+        mesh = build(12, 12, prob.domain, prob.fluid_rect)
         fields, state = solver.oseen_solve(mesh, params, prob, max_iter=1)
         u_rel, p_norm, t_err = check_at_rest(fields, exact_t)
         assert u_rel <= 1e-13, (ra, u_rel)
         # the buoyancy is carried by a pressure of size Pr Ra
         assert p_norm >= 0.01 * 0.71 * ra
         assert t_err <= 1e-12, (ra, t_err)
+
+
+@pytest.mark.parametrize("hot_top", [True, False], ids=["stable", "unstable"])
+@pytest.mark.parametrize("variant,degree", METHODS)
+def test_first_step_keeps_stratified_fluid_at_rest(variant, degree, hot_top):
+    assert_first_step_at_rest(build_structured_mesh, variant, degree, hot_top)
+
+
+@pytest.mark.parametrize("hot_top", [True, False], ids=["stable", "unstable"])
+@pytest.mark.parametrize("variant,degree", METHODS)
+def test_rest_holds_with_alternating_diagonals(variant, degree, hot_top):
+    # the same, with every other cell cut along the other diagonal
+    assert_first_step_at_rest(oracles.alternating_mesh, variant, degree,
+                              hot_top)
 
 
 @pytest.mark.parametrize("variant,degree", METHODS)
