@@ -698,23 +698,26 @@ def _swept(rows, rhs, target, held, factor):
 
     The first application is the solve: from x = 0, or from the solution
     of an earlier solve when held.last holds one, x += inverse(rhs -
-    rows(x)).  Sweeps of the same follow, at least one, until the residual
-    is at most target.  A held factor from an earlier solve that stalls
-    (one application cuts a residual above target less than
-    STALL_RATIO-fold) or misses the target in MAX_SWEEPS sweeps is dropped
-    before factor() builds its replacement, and the solve starts over from
-    zero at age 0, exactly as a fresh solve would.  A fresh factor is never
-    replaced: it makes at least one sweep, and where it stalls after that,
-    the caller's residual check decides.  A copy of the solution is kept
-    in held.last.
+    rows(x)), where rows(0) = 0 is not applied.  Sweeps of the same
+    follow, at least one, until the residual is at most target.  A held
+    factor from an earlier solve that stalls (one application cuts a
+    residual above target less than STALL_RATIO-fold) or misses the
+    target in MAX_SWEEPS sweeps is dropped before factor() builds its
+    replacement, and the solve starts over from zero at age 0, exactly as
+    a fresh solve would.  A fresh factor is never replaced: it makes at
+    least one sweep, and where it stalls after that, the caller's residual
+    check decides.  A copy of the solution is kept in held.last.
     """
     while True:
         if held.inverse is None:
             held.inverse = factor()
             held.age = 0
             held.last = None
-        x = np.zeros_like(rhs) if held.last is None else held.last.copy()
-        r = rhs - rows(x)
+        if held.last is None:
+            x, r = np.zeros_like(rhs), rhs      # rows(0) is exactly zero
+        else:
+            x = held.last.copy()
+            r = rhs - rows(x)
         before = np.linalg.norm(r)
         x += held.inverse(r)
         for sweep in range(MAX_SWEEPS + 1):

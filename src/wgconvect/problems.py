@@ -8,20 +8,22 @@ rectangle with heat transport on the whole domain:
 
 with u = 0 on the fluid boundary, u extended by zero outside the fluid zone,
 and per-wall temperature conditions (Dirichlet or insulated).  Exact
-solutions carry their fields as sympy polynomials in x and y; the matching
-forcings are derived by symbolic differentiation, and every field is
-evaluated by Horner's rule.
+solutions carry their fields as polynomials in x and y, dense arrays of
+coefficients parsed from the expressions; the matching forcings are
+derived by differentiating and multiplying those arrays, and every field
+is evaluated by Horner's rule.
 """
 
+import ast
 import configparser
 
 import numpy as np
 
 from .mesh import WALLS
 
-# sympy is imported inside the functions that do symbolic work: it costs
-# about 35 MB and a quarter of a second per process, and a problem with
-# numeric data (the cavity) needs none of it
+# sympy is imported only to evaluate a non-numeric wall temperature: it
+# costs about 31 MB and a third of a second per process, and neither the
+# cavity nor an exact solution needs it
 
 
 def _lambdify(expr):
@@ -38,30 +40,96 @@ def _lambdify(expr):
     return wrapped
 
 
+_VARIABLES = {"x": np.array([[0.0], [1.0]]), "y": np.array([[0.0, 1.0]])}
+
+
+def _add(*terms):
+    """Sum of coefficient arrays, padded to their common shape."""
+    out = np.zeros(np.max([c.shape for c in terms], axis=0))
+    for c in terms:
+        out[:c.shape[0], :c.shape[1]] += c
+    return out
+
+
+def _mul(a, b):
+    """Product of two coefficient arrays: b shifted over, and scaled by,
+    each nonzero coefficient of a."""
+    out = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1))
+    for i, j in zip(*np.nonzero(a)):
+        out[i:i + b.shape[0], j:j + b.shape[1]] += a[i, j] * b
+    return out
+
+
+def _diff(c, axis):
+    """Derivative of a coefficient array in x (axis 0) or y (axis 1)."""
+    c = np.swapaxes(c, 0, axis)
+    d = c[1:] * np.arange(1.0, len(c))[:, None]
+    return np.swapaxes(d if len(d) else np.zeros_like(c), 0, axis)
+
+
 def _polynomial(expr, name):
-    """The sympy Poly in (x, y) of [exact] field `name`, which must be a
-    polynomial in x and y: the forcing quadrature is exact only then."""
-    import sympy as sp
-    X, Y = sp.symbols("x y")
-    expr = sp.sympify(expr)
+    """The coefficient array c of [exact] field `name`, c[i, j] that of
+    x^i y^j.  The field must be a polynomial in x and y, for the forcing
+    quadrature is exact only then: numbers, x and y, combined by unary and
+    binary + and -, *, / by a number and ** (or ^) to a non-negative
+    integer power.  expr is a string or a sympy expression (read through
+    its str)."""
+    text = str(expr)
+
+    def constant(c):
+        return None if np.any(c.ravel()[1:]) else float(c[0, 0])
+
+    def walk(node):
+        if isinstance(node, ast.Constant):
+            if type(node.value) in (int, float):
+                return np.array([[float(node.value)]])
+        elif isinstance(node, ast.Name):
+            if node.id in _VARIABLES:
+                return _VARIABLES[node.id].copy()
+        elif isinstance(node, ast.UnaryOp):
+            if isinstance(node.op, (ast.UAdd, ast.USub)):
+                c = walk(node.operand)
+                return -c if isinstance(node.op, ast.USub) else c
+        elif isinstance(node, ast.BinOp):
+            a, b = walk(node.left), walk(node.right)
+            if isinstance(node.op, ast.Add):
+                return _add(a, b)
+            if isinstance(node.op, ast.Sub):
+                return _add(a, -b)
+            if isinstance(node.op, ast.Mult):
+                return _mul(a, b)
+            value = constant(b)
+            if isinstance(node.op, ast.Div) and value:      # nonzero
+                return a / value
+            if (isinstance(node.op, ast.Pow) and value is not None
+                    and value >= 0 and value == int(value)):
+                out = np.ones((1, 1))
+                for _ in range(int(value)):
+                    out = _mul(a, out)
+                return out
+        raise ValueError
+
     try:
-        poly = sp.Poly(expr, X, Y)
-    except sp.PolynomialError:
-        poly = None
-    if poly is None or poly.free_symbols - {X, Y}:
+        # sympify reads ^ as a power too, with the precedence of **
+        return walk(ast.parse(text.strip().replace("^", "**"),
+                              mode="eval").body)
+    except (ValueError, SyntaxError, OverflowError):
         raise ValueError("exact field %s = %s is not a polynomial in x and y"
-                         % (name, expr))
-    return poly
+                         % (name, text)) from None
 
 
-def _horner(poly):
-    """Numpy evaluator of a sympy Poly in (x, y), with the broadcast shape
-    of its arguments: Horner's rule in x, whose coefficients are each
-    evaluated by Horner's rule in y."""
-    monoms = np.array(poly.monoms(), dtype=np.int64).reshape(-1, 2)
-    coef = np.zeros(tuple(monoms.max(axis=0) + 1))
-    coef[tuple(monoms.T)] = [float(c) for c in poly.coeffs()]
-    rows = [np.trim_zeros(row, "b") for row in coef[::-1]]
+def _degree(c):
+    """The largest i + j of a nonzero coefficient c[i, j] (0 for zero)."""
+    return max((int(i + j) for i, j in zip(*np.nonzero(c))), default=0)
+
+
+def _horner(c):
+    """Numpy evaluator of the polynomial with coefficient array c, with the
+    broadcast shape of its arguments: Horner's rule in x, whose
+    coefficients are each evaluated by Horner's rule in y."""
+    nonzero = np.flatnonzero(np.any(c != 0, axis=1))
+    top = nonzero[-1] + 1 if len(nonzero) else 1
+    rows = [np.trim_zeros(row, "b") for row in c[:top][::-1]]
 
     def evaluate(x, y):
         x = np.asarray(x, dtype=float)
@@ -84,33 +152,31 @@ def _horner(poly):
 class ExactSolution:
     """Closed-form (u, p, T) with the forcing the equations require.
 
-    Expressions may be sympy objects or strings, and must be polynomials in
-    x and y.  The forcing is kept as the sympy Polys
-    `forcing["f1" | "f2" | "g_fluid" | "g_solid"]`, whose degree sets the
-    forcing quadrature; every field and forcing is evaluated by Horner's
-    rule.
+    Expressions may be strings or sympy objects, and must be polynomials
+    in x and y (see _polynomial).  The forcing is kept as the coefficient
+    arrays `forcing["f1" | "f2" | "g_fluid" | "g_solid"]`, c[i, j] that of
+    x^i y^j, whose degree sets the forcing quadrature; every field and
+    forcing is evaluated by Horner's rule.
     """
 
     def __init__(self, u1, u2, p, T, pr, ra, kappa, fluid_rect):
-        import sympy as sp
-        X, Y = sp.symbols("x y")
         u1, u2, p, T = (_polynomial(w, name) for name, w in
                         [("u1", u1), ("u2", u2), ("p", p), ("T", T)])
         self.fluid_rect = tuple(float(c) for c in fluid_rect)
-        lap = lambda w: w.diff((X, 2)) + w.diff((Y, 2))
-        conv = [(u1 * w).diff(X) + (u2 * w).diff(Y) for w in (u1, u2, T)]
+        dx, dy = (lambda w: _diff(w, 0)), (lambda w: _diff(w, 1))
+        lap = lambda w: _add(dx(dx(w)), dy(dy(w)))
+        conv = [_add(dx(_mul(u1, w)), dy(_mul(u2, w))) for w in (u1, u2, T)]
         self.forcing = {
-            "f1": -pr * lap(u1) + conv[0] + p.diff(X),
-            "f2": -pr * lap(u2) + conv[1] + p.diff(Y) - pr * ra * T,
-            "g_fluid": -kappa * lap(T) + conv[2],
+            "f1": _add(-pr * lap(u1), conv[0], dx(p)),
+            "f2": _add(-pr * lap(u2), conv[1], dy(p), -(pr * ra * T)),
+            "g_fluid": _add(-kappa * lap(T), conv[2]),
             "g_solid": -kappa * lap(T),
         }
-        self.forcing_degree = max(f.total_degree()
-                                  for f in self.forcing.values())
+        self.forcing_degree = max(map(_degree, self.forcing.values()))
 
         self._u1, self._u2, self._p, self._T = map(_horner, (u1, u2, p, T))
-        self._du = [[_horner(w.diff(v)) for v in (X, Y)] for w in (u1, u2)]
-        self._dT = [_horner(T.diff(v)) for v in (X, Y)]
+        self._du = [[_horner(_diff(w, a)) for a in (0, 1)] for w in (u1, u2)]
+        self._dT = [_horner(_diff(T, a)) for a in (0, 1)]
         self._f1, self._f2, self._g_fluid, self._g_solid = map(
             _horner, self.forcing.values())
 

@@ -12,7 +12,7 @@
 * the shapes of the two trace Schur complements a step factors;
 * the forcing of a manufactured problem recomputed by numerical
   differentiation (Chebyshev fits along axis-parallel lines, which are
-  exact for polynomial data).
+  exact for polynomial data), and by sympy's exact Poly arithmetic.
 """
 
 import numpy as np
@@ -579,8 +579,8 @@ def cheb_derivative(fn, center, along, order):
 
 def forcing_residual(problem, n=20, seed=1):
     """Max relative gap, over n random points of the fluid rectangle,
-    between the forcing of problem (f and the fluid g, derived by sympy
-    from its exact fields) and the equations with every derivative of the
+    between the forcing of problem (f and the fluid g, derived from its
+    exact fields) and the equations with every derivative of the
     exact fields recomputed by cheb_derivative."""
     exact = problem.exact
     pr, ra, kappa = problem.pr, problem.ra, problem.kappa
@@ -609,3 +609,37 @@ def forcing_residual(problem, n=20, seed=1):
         worst = max(worst, np.abs(got - want).max(), abs(got_g - want_g))
         scale = max(scale, np.abs(got).max(), abs(got_g))
     return worst / scale
+
+
+def sympy_exact(fields, pr, ra, kappa):
+    """The exact fields of fields["u1" | "u2" | "p" | "T"], their first
+    derivatives and the forcing ExactSolution derives, as sympy Polys in
+    (x, y) over the rationals, with pr, ra and kappa at their exact binary
+    values.  Keys: the field names, "<field>_x" and "<field>_y", and
+    "f1", "f2", "g_fluid", "g_solid"."""
+    import sympy as sp
+    X, Y = sp.symbols("x y")
+    pr, ra, kappa = (sp.Rational(v) for v in (pr, ra, kappa))
+    out = {k: sp.Poly(sp.sympify(fields[k]), X, Y)
+           for k in ("u1", "u2", "p", "T")}
+    u1, u2, p, T = (out[k] for k in ("u1", "u2", "p", "T"))
+    for k in ("u1", "u2", "p", "T"):
+        out[k + "_x"], out[k + "_y"] = out[k].diff(X), out[k].diff(Y)
+    lap = lambda w: w.diff((X, 2)) + w.diff((Y, 2))
+    conv = [(u1 * w).diff(X) + (u2 * w).diff(Y) for w in (u1, u2, T)]
+    out.update({
+        "f1": -pr * lap(u1) + conv[0] + p.diff(X),
+        "f2": -pr * lap(u2) + conv[1] + p.diff(Y) - pr * ra * T,
+        "g_fluid": -kappa * lap(T) + conv[2],
+        "g_solid": -kappa * lap(T),
+    })
+    return out
+
+
+def dense(poly, shape):
+    """The coefficient array of a sympy Poly in (x, y), c[i, j] that of
+    x^i y^j, zero-padded to shape; each coefficient rounded once."""
+    c = np.zeros(shape)
+    for (i, j), a in zip(poly.monoms(), poly.coeffs()):
+        c[i, j] = float(a)
+    return c

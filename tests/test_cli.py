@@ -200,7 +200,7 @@ def test_solve_rejects_non_polynomial_exact_field(tmp_path, capsys):
                 "-o", tmp_path / "out"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
-    assert "exact field p = y*sin(x) is not a polynomial in x and y" in err
+    assert "exact field p = sin(x)*y is not a polynomial in x and y" in err
 
 
 def test_solve_reports_nonconvergence_with_exit_one(tmp_path):

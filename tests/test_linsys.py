@@ -688,6 +688,32 @@ def test_fresh_factor_sweeps_once_even_when_it_stalls():
     assert np.array_equal(held.last, x) and not np.shares_memory(held.last, x)
 
 
+def test_fresh_block_solve_skips_the_product_at_zero():
+    # from x = 0 the first residual is the right-hand side itself: a fresh
+    # solve that meets its target at the first sweep applies its rows
+    # twice (that sweep and the check after it), a warm start from
+    # held.last three times (its first residual too)
+    mat = sps.identity(4, format="csr") * 4.0
+    applied = []
+
+    def rows(x):
+        applied.append(x.copy())
+        return mat @ x
+
+    rhs = np.arange(1.0, 5.0)
+    held = linsys.HeldFactor()
+    x, r = linsys._swept(rows, rhs, 1e-11, held, lambda: lambda v: v / 4.0)
+    assert len(applied) == 2
+    assert np.array_equal(applied[0], rhs / 4.0)
+    assert np.array_equal(x, rhs / 4.0) and not np.any(r)
+    applied.clear()
+    held.age = 1
+    x, r = linsys._swept(rows, rhs, 1e-11, held, None)
+    assert len(applied) == 3
+    assert np.array_equal(applied[0], rhs / 4.0)
+    assert np.array_equal(x, rhs / 4.0) and not np.any(r)
+
+
 def advected_step(variant, degree):
     """A step of the conjugate manufactured problem (fluid plus solid)
     assembled at a nonzero advecting velocity, and its triplet matrix."""

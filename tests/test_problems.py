@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -58,23 +60,120 @@ def test_horner_forcing_matches_lambdify():
     assert set(ex.forcing) == {"f1", "f2", "g_fluid", "g_solid"}
     rng = np.random.default_rng(2)
     x, y = rng.uniform(-1.0, 1.0, 500), rng.uniform(0.0, 1.0, 500)
-    polys = [*ex.forcing.values(), sp.Poly(0, X, Y), sp.Poly(2.5, X, Y),
-             sp.Poly(X ** 3 * Y - Y ** 4, X, Y)]
-    for poly in polys:
+    # (coefficient array, the same polynomial as a sympy expression)
+    cases = [(c, sum(float(c[i, j]) * X ** i * Y ** j
+                     for i, j in zip(*np.nonzero(c))))
+             for c in ex.forcing.values()]
+    for poly in (sp.Poly(0, X, Y), sp.Poly(2.5, X, Y),
+                 sp.Poly(X ** 3 * Y - Y ** 4, X, Y)):
+        shape = np.array(poly.monoms()).max(axis=0) + 1
+        cases.append((oracles.dense(poly, shape), poly.as_expr()))
+    for coef, expr in cases:
         want = np.broadcast_to(
-            sp.lambdify((X, Y), poly.as_expr(), "numpy")(x, y), x.shape)
-        got = pr._horner(poly)(x, y)
+            sp.lambdify((X, Y), expr, "numpy")(x, y), x.shape)
+        got = pr._horner(coef)(x, y)
         assert got.shape == x.shape
         assert np.max(np.abs(got - want)) <= 1e-13 * max(
             np.max(np.abs(want)), np.finfo(float).tiny)
         # scalars and mixed arguments give the broadcast shape, as the
         # lambdified fields do
         for args in ((0.3, 0.7), (x[:4].reshape(2, 2), 0.7)):
-            got = pr._horner(poly)(*args)
-            want = pr._lambdify(poly.as_expr())(*args)
+            got = pr._horner(coef)(*args)
+            want = pr._lambdify(expr)(*args)
             assert got.shape == want.shape
             assert np.allclose(got, want, rtol=1e-13, atol=0.0)
     assert ex.f(0.3, 0.7).shape == (2,) and ex.g(0.3, 0.7).shape == ()
+
+
+def _coefficient_gap(got, poly):
+    """Largest |got - poly| over the coefficients, relative to the largest
+    coefficient of poly (0 when both vanish)."""
+    shape = np.maximum(got.shape, np.array(poly.monoms()).max(axis=0) + 1)
+    want = oracles.dense(poly, shape)
+    padded = np.zeros(shape)
+    padded[:got.shape[0], :got.shape[1]] = got
+    scale = np.max(np.abs(want))
+    gap = np.max(np.abs(padded - want))
+    return gap / scale if scale else gap
+
+
+def _algebra_gaps(fields, pr_, ra, kappa):
+    """The coefficient gap of every field, first derivative and forcing
+    term of ExactSolution(fields) against sympy's Poly arithmetic."""
+    want = oracles.sympy_exact(fields, pr_, ra, kappa)
+    ex = pr.ExactSolution(fields["u1"], fields["u2"], fields["p"],
+                          fields["T"], pr_, ra, kappa, (0.0, 1.0, 0.0, 1.0))
+    gaps = {}
+    for name in ("u1", "u2", "p", "T"):
+        c = pr._polynomial(fields[name], name)
+        gaps[name] = _coefficient_gap(c, want[name])
+        for axis, d in enumerate("xy"):
+            gaps[name + "_" + d] = _coefficient_gap(pr._diff(c, axis),
+                                                    want[name + "_" + d])
+    for key, c in ex.forcing.items():
+        gaps[key] = _coefficient_gap(c, want[key])
+    assert ex.forcing_degree == max(want[k].total_degree() for k in ex.forcing)
+    return gaps
+
+
+def test_polynomial_algebra_matches_sympy_on_the_manufactured_fields():
+    gaps = _algebra_gaps(pr.MANUFACTURED_FIELDS, 1.0, 10.0, 1.0)
+    assert len(gaps) == 16
+    assert all(gap == 0.0 for gap in gaps.values()), gaps
+
+
+def test_polynomial_algebra_matches_sympy_on_random_polynomials():
+    import sympy as sp
+    X, Y = sp.symbols("x y")
+    rng = np.random.default_rng(11)
+
+    def random_polynomial():
+        nx, ny = rng.integers(1, 5, size=2)
+        return sum(sp.Rational(int(rng.integers(-9, 10)),
+                               int(rng.integers(1, 10))) * X ** i * Y ** j
+                   for i in range(nx) for j in range(ny))
+
+    worst = 0.0
+    for _ in range(12):
+        fields = {k: str(random_polynomial()) for k in ("u1", "u2", "p", "T")}
+        gaps = _algebra_gaps(fields, *rng.uniform(0.5, 2.0, 3))
+        worst = max(worst, *gaps.values())
+    assert worst <= 1e-15
+
+
+@pytest.mark.parametrize("text, want", [
+    ("x^2 - y", [[0.0, -1.0], [0.0, 0.0], [1.0, 0.0]]),
+    ("x/2", [[0.0], [0.5]]),
+    ("x**0", [[1.0]]),
+    ("-(x - 3*y)", [[0.0, 3.0], [-1.0, 0.0]]),
+    ("+x*-y", [[0.0, 0.0], [0.0, -1.0]]),
+    ("(1 + 1)**3*x / (4*2)", [[0.0], [1.0]]),
+], ids=["caret", "half", "power-zero", "unary-minus", "unary-signs",
+        "constant-arithmetic"])
+def test_polynomial_parser_accepts(text, want):
+    got = pr._polynomial(text, "u1")
+    assert got.shape == np.shape(want) and np.array_equal(got, want)
+
+
+def test_polynomial_parser_reads_sympy_expressions():
+    import sympy as sp
+    X, Y = sp.symbols("x y")
+    expr = (sp.Rational(3, 4) * X ** 2 * Y - Y / 7
+            + sp.Float(2.5) * (X - 1) ** 3)
+    assert _coefficient_gap(pr._polynomial(expr, "p"),
+                            sp.Poly(expr, X, Y)) == 0.0
+
+
+@pytest.mark.parametrize("text", [
+    "__import__('os')", "x.real", "1/x", "x/(y - y)", "x**-1", "x**0.5",
+    "x**y", "pi*x", "x +* y", "(x", "True*x", "'x'",
+], ids=["call", "attribute", "divide-by-x", "divide-by-zero",
+        "negative-power", "fractional-power", "power-of-y", "pi", "syntax",
+        "unclosed", "bool", "string"])
+def test_polynomial_parser_rejects(text):
+    with pytest.raises(ValueError, match=r"^exact field T = %s is not a "
+                       r"polynomial in x and y$" % re.escape(text)):
+        pr._polynomial(text, "T")
 
 
 def test_forcing_g_is_piecewise():

@@ -168,6 +168,43 @@ def test_cavity_path_does_not_import_sympy():
     assert done.stdout.split() == ["False"]
 
 
+def test_manufactured_path_does_not_import_sympy(tmp_path):
+    # exact fields are parsed and differentiated as coefficient arrays, so
+    # the built-in manufactured problem, a config file with an [exact]
+    # section and constant walls, a solve and its error report never load
+    # sympy
+    config = tmp_path / "manu.ini"
+    config.write_text(
+        "[physics]\npr = 1.0\nra = 10.0\n"
+        "[domain]\nrect = -1 1 0 1\nfluid_rect = 0 1 0 1\n"
+        "[bc]\nleft = dirichlet 0\nright = dirichlet 0\n"
+        "[exact]\n" + "".join("%s = %s\n" % item for item in
+                               problems.MANUFACTURED_FIELDS.items()))
+    code = ("import sys\n"
+            "from wgconvect import cli, forms, postproc, problems, solver\n"
+            "from wgconvect.mesh import build_structured_mesh\n"
+            "built = problems.manufactured_convection()\n"
+            "prob, _, _ = problems.load_config(sys.argv[1])\n"
+            "mesh = build_structured_mesh(4, 2, prob.domain, "
+            "prob.fluid_rect)\n"
+            "params = forms.MethodParams.from_variant('wg1', 1)\n"
+            "fields, state = solver.oseen_solve(mesh, params, prob)\n"
+            "assert state.converged\n"
+            "report = postproc.error_report(fields, prob.exact)\n"
+            "assert vars(report) == vars(postproc.error_report(fields, "
+            "built.exact))\n"
+            "assert report.l2_u < 1\n"
+            "print('sympy' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        solver.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code, str(config)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
+
+
 # ---------------------------------------------------------------- ramping
 
 
