@@ -300,8 +300,9 @@ def build_parser():
     cav.add_argument("--mesh", default="40x40", help="cell counts, NxM")
     cav.add_argument("--ramp", action="store_true",
                      help="force the decade-by-decade Rayleigh ramp "
-                          "(automatic for Ra > 1e3); ramp stages run with "
-                          "dynamic relaxation")
+                          "(automatic for Ra > 1e3); each ramp stage "
+                          "starts with dynamically relaxed Picard steps "
+                          "and ends with Newton steps")
     cav.set_defaults(func=cmd_cavity)
 
     sol = sub.add_parser("solve", help="one solve from a problem config")

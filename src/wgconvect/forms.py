@@ -223,3 +223,64 @@ def skew_convection_blocks(mesh, elems, params, w_interior, w_traces):
                          wn[:, lf] * FS[:, lf], FS[:, lf], F[lf])
         B[:, r0:r0 + nt, :nk] = rows
     return 0.5 * (np.swapaxes(B, 1, 2) - B)
+
+
+def skew_convection_coupling(mesh, elems, params, x):
+    """The skew transport blocks differentiated in the advecting slot and
+    applied to frozen advected fields, (E, X, ns, 2 ns).
+
+    Parameters
+    ----------
+    x : (E, X, ns)
+        Advected scalar fields in the scalar local layout on each element
+        (a velocity component, or the temperature).
+
+    The skew form is bilinear, so for every advecting field dw in the
+    velocity local layout (component-major, length 2 ns)
+
+        J[e, c] @ dw == skew_convection_blocks(dw)[e] @ x[e, c],
+
+    which puts c(dw; u, v) and cbar(dw; T, s), the Newton coupling terms,
+    into element matrices.  With S = (B^T - B)/2 (see the module
+    docstring), B's volume part is linear in the interior of w and its
+    face-lf rows in w's trace on face lf.
+    """
+    elems = np.atleast_1d(np.asarray(elems, dtype=np.int64))
+    k, l = params.degree, params.trace_degree
+    nk = params.interior_dim
+    nt = params.trace_dim
+    ns = params.scalar_size
+    ne, nx = x.shape[:2]
+    x0 = x[..., :nk]
+    J = np.zeros((ne, nx, ns, 2, ns))
+
+    # interior rows b, interior columns (d, g): B x and B^T x both reach
+    # them through B's volume part, dB[a, b] / dw0[d, g] = -det
+    # inv_bt[d, p] T[a, b, g, p], so their difference takes T - T^T in (a, b)
+    T = wo.conv_volume_table(k)                            # (a, b, g, p)
+    Tw = (T - T.swapaxes(0, 1)).transpose(3, 0, 1, 2).reshape(2, -1)
+    M = mesh.det_b[elems][:, None, None] * mesh.inv_bt[elems]   # (E, d, p)
+    W = (M @ Tw).reshape(ne, 2, nk, nk, nk).transpose(0, 2, 3, 1, 4)
+    J[:, :, :nk, :, :nk] = -0.5 * (x0 @ W.reshape(ne, nk, -1)).reshape(
+        ne, nx, nk, 2, nk)
+
+    # face lf: its rows of B, dB[(lf, a), b] / dwb[lf, d, g] =
+    # |e| n_d FS_g FS_a F[lf, a, b, g], enter the interior rows through
+    # B^T x and the face's own rows through - B x
+    F = wo.conv_face_table(k, l)                           # (lf, a, b, g)
+    signs = wo.flip_signs(l)
+    FS = np.where(mesh.elem_face_flip[elems][:, :, None],
+                  signs[None, None, :], 1.0)               # (E, 3, l+1)
+    coef = (0.5 * mesh.elem_face_len[elems][:, None, None, :, None, None]
+            * mesh.elem_face_normal[elems][:, None, None, :, :, None]
+            * FS[:, None, None, :, None, :])       # (E, 1, 1, lf, d, g)
+    xf = x[..., nk:].reshape(ne, nx, 3, nt) * FS[:, None]
+    for lf in range(3):
+        c0 = nk + lf * nt
+        into = (xf[:, :, lf] @ F[lf].reshape(nt, -1)).reshape(ne, nx, nk, 1,
+                                                                 nt)
+        J[:, :, :nk, :, c0:c0 + nt] = into * coef[:, :, :, lf]
+        own = (x0 @ F[lf].transpose(1, 0, 2).reshape(nk, -1)).reshape(
+            ne, nx, nt, 1, nt) * FS[:, None, lf, :, None, None]
+        J[:, :, c0:c0 + nt, :, c0:c0 + nt] = -own * coef[:, :, :, lf]
+    return J.reshape(ne, nx, ns, 2 * ns)

@@ -19,10 +19,19 @@ Each linearized step freezes the advecting velocity w and solves
     abar(T,s) + cbar(w;T,s) = (g, s0)
 
 for (u, p, T); Dirichlet data is lifted to the right-hand side.  The
-temperature rows do not involve (u, p), so solve_sparse, the one solve
-path, solves the temperature block first and then the flow block
-(velocity, pressure and the multiplier) with the buoyancy d(T, v) moved to
-the right-hand side.  No matrix of the whole step is formed.
+temperature rows do not involve (u, p), so solve_sparse's block path
+solves the temperature block first and then the flow block (velocity,
+pressure and the multiplier) with the buoyancy d(T, v) moved to the
+right-hand side.  No matrix of the whole step is formed.
+
+A Newton step about a solve output x_k = (u_k, p_k, T_k) (JointSystem,
+from StepAssembler.linearize) is the Picard step at w = u_k plus the
+coupling J_c = c(du; u_k, v) + cbar(du; T_k, s), with right-hand side
+b + J_c x_k.  J_c puts velocity columns into the temperature rows, so the
+step is no longer block lower triangular: solve_sparse's joint path
+solves it as one joint block over all the unknowns, condensed through each
+element's interiors [u_0 | p_0 | T_0].  Plain runs never take that path,
+nor set up its block.
 
 Each element's interior unknowns (T_0; u_0 and p_0) couple only to each
 other and to the element's own traces, so a step is kept as element
@@ -36,21 +45,26 @@ S + S^T.  The velocity-pressure part of the flow block fixes the pressure
 only up to a constant; its Schur factor is grounded on one pressure trace,
 and MeanPressureBlock meets the mean-pressure row and column through the
 constant pressure, so the applied inverse is exactly that of the block.
+The joint block is grounded and bordered the same way: J_c touches no
+pressure row or column, so the constant pressure, zero on the temperature,
+spans its null space too.
 
 oseen_solve keeps one HeldFactor per block for its Picard steps, since
-both blocks change only through w.  Each block is solved by sweeps
-x += M^-1 (b - A x) against the current block A, M the factored matrix,
-from the block's solution of the previous step, until the block residual
-is a tenth of the 1e-10 contract; a held factor that stalls is dropped,
-the block refactored and solved from zero.  The sweeps are what make the
+both blocks change only through w, and one for the joint block of its
+Newton steps, which changes only through x_k.  Each block is solved by
+sweeps x += M^-1 (b - A x) against the current block A, M the factored
+matrix, from the block's solution of the previous step, until the block
+residual is a tenth of the 1e-10 contract; a held factor that stalls is
+dropped, the block refactored and solved from zero.  The sweeps are what make the
 velocity divergence free to rounding, at any factor age: the divergence
-rows b(u,q) and the mean-pressure row do not depend on w, so M equals A in
-those rows, and each sweep sets their residual to rounding.  The 1e-10
-check, relative to the whole right-hand side, is made on the residuals of
-both blocks' last sweeps, which make up the whole step's; it does not bound
-the divergence rows on its own, since their right side is zero.  A
-singular element interior block or Schur factor, or a residual above
-1e-10, raises RuntimeError naming the block (and the element).
+rows b(u,q) and the mean-pressure row do not depend on w (nor on x_k), so
+M equals A in those rows, and each sweep sets their residual to rounding.
+The 1e-10 check, relative to the whole right-hand side, is made on the
+residuals of both blocks' last sweeps, which make up the whole step's, or
+on the joint block's; it does not bound the divergence rows on its own,
+since their right side is zero.  A singular element interior block or
+Schur factor, or a residual above 1e-10, raises RuntimeError naming the
+block (and the element).
 """
 
 import numpy as np
@@ -309,6 +323,51 @@ class GlobalSystem:
         return full, float(x[dm.n_free])
 
 
+class JointSystem:
+    """The Newton step about a solve output x_k = (u_k, p_k, T_k), over
+    the same unknowns as a GlobalSystem:
+
+        (P(u_k) + J_c) x = b + J_c x_k,
+
+    P(u_k) the Picard step at w = u_k (`step`, a GlobalSystem) and J_c
+    the coupling c(du; u_k, v) + cbar(du; T_k, s), velocity columns in the
+    velocity and temperature rows, kept as element matrices (`coupling`,
+    see forms.skew_convection_coupling).  `rows` applies the whole step;
+    `factor` factors it as one joint block (see StepAssembler.linearize).
+    """
+
+    def __init__(self, step, coupling, x_k):
+        self.step = step
+        self.border_index = step.border_index
+        self._coupling = coupling
+        self.rhs = step.rhs + self._coupled(x_k)
+
+    @property
+    def matrix(self):
+        n = self.border_index
+        return spla.LinearOperator((n + 1, n + 1), matvec=self.rows,
+                                   dtype=float)
+
+    def rows(self, x):
+        x = np.ravel(x)
+        return self.step._apply(x) + self._coupled(x)
+
+    def _coupled(self, x):
+        # J_c x: gather each fluid element's velocity, multiply, sum back
+        pos = self.step._asm._coupling_pos
+        nv = self._coupling.shape[2]
+        y = self._coupling @ np.append(x, 0.0)[pos[:, :nv], None]
+        return np.bincount(pos.ravel(), y.ravel(),
+                           minlength=len(x) + 1)[:len(x)]
+
+    def factor(self):
+        asm, S, coupling = self.step._asm, self.step._S, self._coupling
+        return asm._joint.factor(lambda: asm._joint_stack(S, coupling))
+
+    def expand(self, x):
+        return self.step.expand(x)
+
+
 def _pattern(keys, size):
     """The compressed sparse pattern of entries keyed major * size + minor,
     duplicates included: (slot, indices, indptr), where slot is each key's
@@ -344,18 +403,21 @@ class Condensation:
     and it is the sum of its element matrices, a stack (E, L, L) in the
     elements' local layout.  `local` (E, L) holds each element's reduced
     indices in that layout, -1 for a fixed DOF: its first `n_inner`
-    positions are the interiors, the others traces.  `index` lists the
-    block's rows and columns in reduced numbering, and `elems` names the
-    elements in errors.
+    positions are the interiors, the others traces.  An interior slot may
+    be -1 too, unused (a solid element has no flow interiors in the joint
+    block); its stack row and column must be those of the identity.
+    `index` lists the block's rows and columns in reduced numbering, and
+    `elems` names the elements in errors.
 
-    `factor(stack)` inverts the element blocks of A_II all at once, sums
-    the elements' A_BB - A_BI A_II^-1 A_IB into the trace Schur complement
-    S and factors it; the function it returns applies the exact inverse of
-    the block, as y = A_II^-1 r_I, x_B = S^-1 (r_B - A_BI y),
-    x_I = y - A_II^-1 A_IB x_B.  With `ground`, a trace, 1 is added to S at
-    (ground, ground) first, so the inverse is that of the block with that
-    1 added.  S's pattern, the union of the elements' trace blocks, is
-    found here once.
+    `factor(build)` takes the stack from build(), so that the stack is
+    gone before SuperLU allocates its factor.  It inverts the element
+    blocks of A_II all at once, sums the elements' A_BB - A_BI A_II^-1
+    A_IB into the trace Schur complement S and factors it; the function it
+    returns applies the exact inverse of the block, as y = A_II^-1 r_I,
+    x_B = S^-1 (r_B - A_BI y), x_I = y - A_II^-1 A_IB x_B.  With
+    `ground`, a trace, 1 is added to S at (ground, ground) first, so the
+    inverse is that of the block with that 1 added.  S's pattern, the
+    union of the elements' trace blocks, is found here once.
     """
 
     def __init__(self, local, n_inner, size, index, elems, name,
@@ -370,7 +432,9 @@ class Condensation:
         in_tr[-1] = False
         tr = np.flatnonzero(in_tr)
         m = len(tr)
-        pos = np.full(size, -1)
+        # a -1 (unused) interior slot takes position len(index), a zero
+        # appended to the block vector
+        pos = np.full(size, len(index))
         pos[index] = np.arange(len(index))
 
         # S numbers the free traces in reduced order, m stands for a fixed
@@ -383,7 +447,7 @@ class Condensation:
         pair = (s[:, None, :] * m + s[:, :, None])[valid]   # col * m + row
         to, self._s_rows, self._s_ptr = _pattern(pair, m)
         self._s_nnz = len(self._s_rows)
-        self._s_to = np.full(valid.shape, self._s_nnz)
+        self._s_to = np.full(valid.shape, self._s_nnz, dtype=np.int32)
         self._s_to[valid] = to
         self._ground = (None if ground is None else
                         int(to[np.argmax(pair == spos[ground] * (m + 1))]))
@@ -392,10 +456,11 @@ class Condensation:
         self._tr_pos = pos[tr]
         self._m = m
 
-    def factor(self, stack):
-        """Factor the block whose element matrices are stack; returns the
-        function applying its inverse to a block vector."""
+    def factor(self, build):
+        """Factor the block whose element matrices build() returns;
+        returns the function applying its inverse to a block vector."""
         k = self._k
+        stack = build()
         a_ii = stack[:, :k, :k]
         try:
             inv = np.linalg.inv(a_ii)
@@ -414,8 +479,10 @@ class Condensation:
         m, nnz = self._m, self._s_nnz
         s_el = a_bi @ x_ib
         np.subtract(stack[:, k:, k:], s_el, out=s_el)
+        del stack, a_ii
         s_data = np.bincount(self._s_to.ravel(), s_el.ravel(),
                              minlength=nnz + 1)[:nnz]
+        del s_el
         if self._ground is not None:
             s_data[self._ground] += 1.0
         schur = sps.csc_matrix((s_data, self._s_rows, self._s_ptr),
@@ -424,6 +491,7 @@ class Condensation:
         int_pos, tr_pos, s = self._int_pos, self._tr_pos, self._s
 
         def apply(r):
+            r = np.append(r, 0.0)
             y = (inv @ r[int_pos][..., None])[..., 0]
             r_b = r[tr_pos] - np.bincount(
                 s.ravel(), (a_bi @ y[..., None]).ravel(),
@@ -433,7 +501,7 @@ class Condensation:
             x[tr_pos] = x_b
             x[int_pos] = y - (x_ib @ np.append(x_b, 0.0)[s][..., None]
                               )[..., 0]
-            return x
+            return x[:-1]
 
         return apply
 
@@ -441,14 +509,16 @@ class Condensation:
 class MeanPressureBlock:
     """The inverse of the flow block [[K, c], [c^T, 0]]: K on the free
     velocity and pressure DOFs, c (a static vector of the assembler) the
-    mean-pressure column, which is also the row.
+    mean-pressure column, which is also the row.  The joint block of a
+    Newton step is the same with K on every free DOF and c extended by
+    zero: the first len(c) free DOFs are K's.
 
     K fixes the pressure only up to a constant: the constant pressure z
     (`constant_pressure`, 1 projected onto every pressure interior and
-    trace) has K z = 0 = z^T K, and z.c is the fluid area.  `condensed`
-    factors K grounded on a pressure trace q, G = K + e_q e_q^T, with
-    z_q = 1.  `factor` returns the exact inverse of the block: for the
-    block vector [v; s],
+    trace, zero on the temperature) has K z = 0 = z^T K, and z.c is the
+    fluid area.  `condensed` factors K grounded on a pressure trace q,
+    G = K + e_q e_q^T, with z_q = 1.  `factor` returns the exact inverse
+    of the block: for the block vector [v; s],
 
         lam = z.v / z.c,   y = G^-1 (v - lam c),   x = y + ((s - c.y) / z.c) z,
 
@@ -467,14 +537,15 @@ class MeanPressureBlock:
         z = np.zeros(dofmap.n_dofs)
         z[dofmap.p_interior(fe)] = pb.project_interior(mesh, fe, k - 1, one, k)
         z[dofmap.p_trace(faces)] = pb.project_face(mesh, faces, k, one, k)
-        self.constant_pressure = z[dofmap.free_dofs[:dofmap.n_free_flow]]
+        self.constant_pressure = z[dofmap.free_dofs[:len(c)]]
         self._c = c
         self._zc = self.constant_pressure @ c
 
-    def factor(self, stack):
-        """Factor the flow block whose element matrices are stack; returns
-        the function applying its inverse to a flow block vector."""
-        inverse = self._condensed.factor(stack)
+    def factor(self, build):
+        """Factor the block whose element matrices build() returns;
+        returns the function applying its inverse to a block vector, the
+        multiplier last."""
+        inverse = self._condensed.factor(build)
         z, c, zc = self.constant_pressure, self._c, self._zc
 
         def apply(v):
@@ -583,14 +654,55 @@ class StepAssembler:
         self._vel_fixed = dm.fixed_mask.copy()
         self._vel_fixed[dm.offset["p_int"]:] = False
 
+        self._ground = dm.free_index[dm.p_trace(mesh.fluid_faces[0])[0, 0]]
+        self._n_inner = len(inner)
         self.temperature = Condensation(temp_loc, nk, n + 1, np.arange(f, n),
                                         all_e, "temperature block")
         self.flow = MeanPressureBlock(
             Condensation(flow_loc, len(inner), n + 1, np.arange(f), fe,
-                         "flow block",
-                         ground=dm.free_index[dm.p_trace(mesh.fluid_faces[0])
-                                              [0, 0]]),
+                         "flow block", ground=self._ground),
             dm, self._mean)
+        self._joint = None
+
+    def _build_joint(self):
+        """Set up the joint block of the Newton steps, once, at the first
+        (plain runs never pay for it).
+
+        Its element matrices have the local layout [u_0 | p_0 | T_0 |
+        flow traces | temperature traces]: _joint_at holds where the flow
+        stack's and the temperature stack's layouts land in it.  The fluid
+        elements come first, then the solid ones (_joint_elems), which
+        have only their temperature part: their flow interior slots are
+        unused and get the identity.  The block is grounded on the flow
+        block's pressure trace and bordered by the same mean-pressure row.
+        """
+        mesh, dm = self.mesh, self.dofmap
+        fe = mesh.fluid_elems
+        n, f = dm.n_free, dm.n_free_flow
+        nk, ns, ni = self.params.interior_dim, self.params.scalar_size, \
+            self._n_inner
+        nf = self._flow_stack.shape[1]
+        jf = np.append(np.arange(ni), ni + nk + np.arange(nf - ni))
+        jt = np.append(ni + np.arange(nk), nf + nk + np.arange(ns - nk))
+        self._joint_at = jf, jt
+        elems = np.append(fe, np.flatnonzero(~mesh.is_fluid))
+        self._joint_elems = elems
+        loc = np.full((mesh.n_elems, nf + ns), -1)
+        loc[:len(fe), jf] = np.where(self._flow_pos < f, self._flow_pos, -1)
+        loc[:, jt] = np.where(self._temp_pos < n - f, self._temp_pos + f,
+                              -1)[elems]
+        # the coupling's velocity columns and its velocity and temperature
+        # rows: full-layout DOFs, and positions in the whole step vector
+        # (a fixed DOF at n + 1, past the multiplier)
+        dofs = np.concatenate([dm.velocity_local(fe), dm.scalar_local(fe)],
+                              axis=1)
+        free = dm.free_index[dofs]
+        self._coupling_dofs = dofs.reshape(len(fe), 3, ns)
+        self._coupling_pos = np.where(free >= 0, free, n + 1)
+        self._joint = MeanPressureBlock(
+            Condensation(loc, ni + nk, n + 1, np.arange(n), elems,
+                         "joint block", ground=self._ground),
+            dm, np.append(self._mean, np.zeros(n - f)))
 
     def assemble(self, w_prev=None):
         """Assemble the step with frozen advecting field w_prev (full-layout
@@ -621,27 +733,64 @@ class StepAssembler:
                                              w_tr)            # (Ef, ns, ns)
         return GlobalSystem(self, S)
 
+    def linearize(self, about):
+        """The Newton step about a solve output (full-layout coefficients
+        x_k = (u_k, p_k, T_k)): a JointSystem, the step assembled at
+        w = u_k plus the coupling c(du; u_k, v) + cbar(du; T_k, s)."""
+        if self._joint is None:
+            self._build_joint()
+        fe, ns = self.mesh.fluid_elems, self.params.scalar_size
+        coupling = forms.skew_convection_coupling(
+            self.mesh, fe, self.params, about[self._coupling_dofs])
+        return JointSystem(self.assemble(about),
+                           coupling.reshape(len(fe), 3 * ns, 2 * ns),
+                           np.append(about[self.dofmap.free_dofs], 0.0))
+
+    def _joint_stack(self, S, coupling):
+        """The joint element matrices of a Newton step with skew convection
+        blocks S (None for none) and coupling stack `coupling`: the static
+        flow and temperature stacks and the buoyancy, S in the same three
+        places as in a Picard step, and the coupling in the velocity
+        columns of the fluid elements' velocity and temperature rows."""
+        jf, jt = self._joint_at
+        jv = jf[self._conv_at]                 # each velocity component
+        nk, ni = self.params.interior_dim, self._n_inner
+        L = len(jf) + len(jt)
+        stack = np.zeros((self.mesh.n_elems, L, L))
+        stack[:, jt[:, None], jt] = self._temp_stack[self._joint_elems]
+        fluid = stack[:len(self.mesh.fluid_elems)]
+        stack[len(fluid):, np.arange(ni), np.arange(ni)] = 1.0
+        fluid[:, jf[:, None], jf] = self._flow_stack
+        fluid[:, jv[1, :nk], jt[:nk]] = self._buoyancy[2].reshape(-1, nk)
+        if S is not None:
+            for at in (*jv, jt):
+                fluid[:, at[:, None], at] += S
+        jv = jv.ravel()
+        fluid[:, np.append(jv, jt)[:, None], jv] += coupling
+        return stack
+
     def _factors(self, S):
         """The (temperature, flow) factor functions of a step with skew
         convection blocks S, None for none.  S is added, on copies of the
         static stacks, to the fluid elements' temperature matrices and to
         both velocity components' diagonal blocks."""
-        def temperature():
+        def temperature_stack():
             stack = self._temp_stack
             if S is not None:
                 stack = stack.copy()
                 stack[self.mesh.fluid_elems] += S
-            return self.temperature.factor(stack)
+            return stack
 
-        def flow():
+        def flow_stack():
             stack = self._flow_stack
             if S is not None:
                 stack = stack.copy()
                 for at in self._conv_at:
                     stack[:, at[:, None], at] += S
-            return self.flow.factor(stack)
+            return stack
 
-        return temperature, flow
+        return (lambda: self.temperature.factor(temperature_stack),
+                lambda: self.flow.factor(flow_stack))
 
 
 def assemble_oseen_step(mesh, params, problem, w_prev=None, dofmap=None):
@@ -740,7 +889,8 @@ def _swept(rows, rhs, target, held, factor):
 
 
 def solve_sparse(system, held=None):
-    """Solve one assembled step block by block, with a residual guarantee.
+    """Solve one assembled step, with a residual guarantee: a GlobalSystem
+    block by block, a JointSystem (a Newton step) as one joint block.
 
     The temperature block, rows and columns f:n (f = flow_size, n =
     border_index), is solved first, then the flow block, rows and columns
@@ -763,12 +913,22 @@ def solve_sparse(system, held=None):
     on the residuals of the blocks' last sweeps, which make up the whole
     step's, as the temperature rows have no flow column.
 
+    A JointSystem is swept the same way with one HeldFactor (held; None
+    for a fresh one) against its whole rows, from the previous Newton
+    solution, and checked on their residual, relative to the Newton
+    right-hand side.  The joint block couples every unknown, but like the
+    flow block it leaves the divergence and mean-pressure rows static, so
+    its sweeps keep them at rounding too.
+
     Every failure raises RuntimeError naming the block: a singular
     element interior block (naming the element too), a singular
-    temperature or grounded flow Schur factorization, or a residual (NaN
-    included) above 1e-10, reported with the residual of the temperature
-    rows and of the flow rows.
+    temperature, grounded flow or grounded joint Schur factorization, or a
+    residual (NaN included) above 1e-10, reported with the residual of the
+    temperature rows and of the flow rows (of the block solve), or naming
+    the joint block.
     """
+    if isinstance(system, JointSystem):
+        return _solve_joint(system, HeldFactor() if held is None else held)
     rhs, flow = system.rhs, system.flow_index
     f, n = system.flow_size, system.border_index
     bnorm = np.linalg.norm(rhs)
@@ -791,3 +951,18 @@ def solve_sparse(system, held=None):
             "%.3e; temperature block rows %.3e, flow block rows %.3e)"
             % (resid, bnorm, r_t, r_v))
     return np.concatenate([v[:-1], t, v[-1:]])
+
+
+def _solve_joint(system, held):
+    rhs = system.rhs
+    bnorm = np.linalg.norm(rhs)
+    if held.inverse is not None:
+        held.age += 1
+    x, r = _swept(system.rows, rhs, SWEEP_TOL * max(bnorm, 1.0), held,
+                  system.factor)
+    resid = np.linalg.norm(r)
+    if not resid <= 1e-10 * max(bnorm, 1.0):     # a NaN residual fails too
+        raise RuntimeError(
+            "joint block solve residual %.3e exceeds the 1e-10 contract "
+            "(Newton rhs norm %.3e)" % (resid, bnorm))
+    return x

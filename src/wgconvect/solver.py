@@ -13,6 +13,19 @@ fixed-point update (the vector Aitken rule): the next advecting field is
 the last two update residuals.  That keeps the fixed point and the
 diagnostics unchanged while restoring convergence at high Rayleigh numbers;
 ramped runs should use it.
+
+Picard lags the coupling du -> T -> buoyancy, so even relaxed, its
+contraction worsens as Ra grows.  A relaxed run therefore uses Aitken only
+as its start: once the relative increment (du + dt) / scale first falls
+below NEWTON_SWITCH, every further step of the solve is a Newton step about
+the last solve output x_k, with no relaxation,
+
+    (P(u_k) + J_c) x = b + J_c x_k,
+
+P(u_k) the Picard step at w = u_k and J_c the coupling c(du; u_k, v) +
+cbar(du; T_k, s) that Picard leaves out (linsys.JointSystem).  Its solve
+factors the whole step as one joint block, held and swept across the
+Newton steps like the Picard blocks.  A plain run takes only Picard steps.
 """
 
 import time
@@ -27,6 +40,8 @@ from . import postproc
 # noisy residual pair from catapulting the iterate
 AITKEN_MIN = 0.05
 AITKEN_MAX = 10.0
+# a relaxed run switches to Newton steps once (du + dt) / scale < this
+NEWTON_SWITCH = 0.3
 
 
 class TraceRow:
@@ -96,8 +111,8 @@ def oseen_solve(mesh, params, problem, tol=1e-9, max_iter=100,
 
     Returns (fields, state); state.converged is False when max_iter ran out
     (the trace is still populated, nothing is raised).  relaxation is None
-    for the plain iteration or "aitken" for dynamically relaxed updates;
-    either way the returned fields are an exact solve output, so the
+    for the plain iteration or "aitken" for dynamically relaxed updates
+    followed by Newton steps (see the module docstring); either way the returned fields are an exact solve output, so the
     divergence invariants hold whenever the linear solves do.
     """
     if tol <= 0:
@@ -113,8 +128,10 @@ def oseen_solve(mesh, params, problem, tol=1e-9, max_iter=100,
     prev = w if w is not None else np.zeros(dm.n_dofs)
 
     # each block's factor serves the following steps until it stalls, and
-    # each block's solve starts from its previous solution; the factors,
-    # like the norm matrices, live only as long as this call
+    # each block's solve starts from its previous solution: the
+    # temperature and flow blocks' in Picard steps, the joint block's once
+    # Newton steps start; the factors, like the norm matrices, live only
+    # as long as this call
     held = (linsys.HeldFactor(), linsys.HeldFactor())
     norm_mats = {kind: postproc.norm_matrices(mesh, params, kind)
                  for kind in ("velocity", "temperature")}
@@ -127,15 +144,17 @@ def oseen_solve(mesh, params, problem, tol=1e-9, max_iter=100,
     converged = False
     omega = 1.0
     r_prev = None
+    newton = False
     for n in range(1, max_iter + 1):
         t0 = time.perf_counter()
-        system = asm.assemble(w)
+        system = asm.linearize(prev) if newton else asm.assemble(w)
         try:
             x = linsys.solve_sparse(system, held)
         except RuntimeError as err:
             raise RuntimeError("linear solve failed at iteration %d: %s"
                                % (n, err)) from err
         full, lam = system.expand(x)
+        del system, x
         fields = postproc.WgFields(mesh, params, dm, full, lam)
         diff = fields.copy_with(full - prev)
         du = norm(diff, "velocity")
@@ -145,7 +164,9 @@ def oseen_solve(mesh, params, problem, tol=1e-9, max_iter=100,
         scale = max(norm(fields, "velocity") + norm(fields, "temperature"),
                     1e-14)
         prev = full
-        if relaxation == "aitken":
+        if relaxation is None:
+            w = full
+        elif not newton:
             base = w if w is not None else np.zeros(dm.n_dofs)
             r = full - base
             if r_prev is not None:
@@ -156,8 +177,10 @@ def oseen_solve(mesh, params, problem, tol=1e-9, max_iter=100,
                     omega = min(max(omega, AITKEN_MIN), AITKEN_MAX)
             w = base + omega * r
             r_prev = r
-        else:
-            w = full
+            if du + dt < NEWTON_SWITCH * scale:
+                # the block factors go before the joint one is built
+                held = linsys.HeldFactor()
+                newton = True
         if du + dt <= tol * scale:
             converged = True
             break

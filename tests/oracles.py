@@ -8,7 +8,8 @@
 * the pointwise evaluators of a solution and the affine element maps,
   written as per-element einsum contractions;
 * the structured mesh with its cell diagonals alternating;
-* a triplet (COO) assembler of one linearized step;
+* a triplet (COO) assembler of one linearized step, and of the coupling
+  a Newton step adds to it, from unit advecting fields;
 * the shapes of the two trace Schur complements a step factors;
 * the forcing of a manufactured problem recomputed by numerical
   differentiation (Chebyshev fits along axis-parallel lines, which are
@@ -538,6 +539,48 @@ def coo_step(asm, w_prev=None):
     rows, cols, vals = (np.concatenate(a) for a in zip(*parts))
     mat = sps.coo_matrix((vals, (rows, cols)), shape=(n + 1, n + 1)).tocsr()
     return mat, np.append(rhs, 0.0)
+
+
+def unit_field_coupling(mesh, elems, params, x):
+    """forms.skew_convection_coupling's stack, (E, X, ns, 2 ns), built
+    column by column: column j applies to x the skew blocks of the
+    advecting field that is 1 at local velocity DOF j and 0 elsewhere,
+    through forms.skew_convection_blocks (2 ns calls)."""
+    nk, nt, ns = params.interior_dim, params.trace_dim, params.scalar_size
+    ne = len(elems)
+    out = np.zeros((ne, x.shape[1], ns, 2 * ns))
+    for j in range(2 * ns):
+        w = np.zeros((ne, 2 * ns))
+        w[:, j] = 1.0
+        w = w.reshape(ne, 2, ns)
+        w_tr = np.moveaxis(w[:, :, nk:].reshape(ne, 2, 3, nt), 2, 1)
+        S = forms.skew_convection_blocks(mesh, elems, params, w[:, :, :nk],
+                                         w_tr)
+        out[..., j] = np.einsum("eab,exb->exa", S, x)
+    return out
+
+
+def newton_coupling(asm, about):
+    """The coupling J_c of the Newton step about the full-layout vector
+    about, c(du; u, v) + cbar(du; T, s), as a CSR matrix over the step's
+    unknowns (free DOFs and the multiplier), summed from triplets of the
+    unit-field stacks; rows and columns of fixed DOFs are dropped (its
+    columns are velocities, and fixed velocities are zero)."""
+    mesh, params, dm = asm.mesh, asm.params, asm.dofmap
+    fe, ns = mesh.fluid_elems, params.scalar_size
+    vloc, sloc = dm.velocity_local(fe), dm.scalar_local(fe)
+    x = np.concatenate([about[vloc].reshape(len(fe), 2, ns),
+                        about[sloc][:, None]], axis=1)
+    J = unit_field_coupling(mesh, fe, params, x).reshape(len(fe), 3 * ns,
+                                                         2 * ns)
+    rows = np.broadcast_to(np.concatenate([vloc, sloc], axis=1)[:, :, None],
+                           J.shape).ravel()
+    cols = np.broadcast_to(vloc[:, None, :], J.shape).ravel()
+    r, c = dm.free_index[rows], dm.free_index[cols]
+    keep = (r >= 0) & (c >= 0)
+    n = dm.n_free
+    return sps.coo_matrix((J.ravel()[keep], (r[keep], c[keep])),
+                          shape=(n + 1, n + 1)).tocsr()
 
 
 def schur_shapes(system):

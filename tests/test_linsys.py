@@ -12,6 +12,7 @@ from wgconvect import linsys
 from wgconvect import polybasis as pb
 from wgconvect import postproc
 from wgconvect import problems
+from wgconvect import solver
 from wgconvect.mesh import (INTERIOR_FLUID, OUTER, Mesh,
                             build_structured_mesh)
 
@@ -380,6 +381,143 @@ def test_steps_share_one_pattern(monkeypatch):
         assert not np.array_equal(one.data, two.data)
 
 
+NEWTON_CASES = [("cavity", "wg1", 1), ("cavity", "wg3", 2),
+                ("manufactured", "wg1", 1), ("manufactured", "wg3", 2)]
+
+
+def coupled_fields(asm, w):
+    """(E_f, 3, ns): each fluid element's velocity components and
+    temperature of the full-layout vector w, in the scalar layout."""
+    dm, fe = asm.dofmap, asm.mesh.fluid_elems
+    ns = asm.params.scalar_size
+    return np.concatenate([w[dm.velocity_local(fe)].reshape(len(fe), 2, ns),
+                           w[dm.scalar_local(fe)][:, None]], axis=1)
+
+
+@pytest.mark.parametrize("build", [build_structured_mesh,
+                                   oracles.alternating_mesh])
+@pytest.mark.parametrize("case,variant,degree", NEWTON_CASES)
+def test_newton_step_equals_triplet_oracle(case, variant, degree, build):
+    # the coupling stacks equal the unit-field oracle's, and the Newton
+    # step about a random field and about the first iterate is the Picard
+    # step's triplet matrix plus the oracle's coupling, with right-hand
+    # side b + J_c x_k, in the temperature and the flow rows apart
+    asm, fields = pattern_setup(case, variant, degree, build)
+    dm, fe = asm.dofmap, asm.mesh.fluid_elems
+    rng = np.random.default_rng(5)
+    for w in (fields["random"], fields["first"]):
+        x = coupled_fields(asm, w)
+        got = forms.skew_convection_coupling(asm.mesh, fe, asm.params, x)
+        want = oracles.unit_field_coupling(asm.mesh, fe, asm.params, x)
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+        system = asm.linearize(w)
+        coupling = oracles.newton_coupling(asm, w)
+        mat = oracles.coo_step(asm, w)[0] + coupling
+        x_k = np.append(w[dm.free_dofs], 0.0)
+        rhs = asm.assemble(w).rhs + coupling @ x_k
+        assert np.linalg.norm(system.rhs - rhs) <= 1e-14 * np.linalg.norm(rhs)
+        f, n = dm.n_free_flow, dm.n_free
+        for _ in range(3):
+            v = rng.standard_normal(mat.shape[1])
+            got, want = system.matrix @ v, mat @ v
+            for rows in (slice(f, n), np.append(np.arange(f), n)):
+                assert np.linalg.norm(got[rows] - want[rows]) \
+                    <= 1e-14 * np.linalg.norm(want[rows])
+
+
+@pytest.mark.parametrize("case,variant,degree", NEWTON_CASES)
+def test_newton_step_linearizes_the_residual(case, variant, degree):
+    # R(x) = A(u) x - b is quadratic, since the skew form is bilinear:
+    # R(x + d) - R(x) - J(x) d is exactly the convection of d by itself,
+    # c(d; d, v) + cbar(d; d_T, s), for seeded random x and d
+    asm, _ = pattern_setup(case, variant, degree)
+    dm = asm.dofmap
+    rng = np.random.default_rng(13)
+    free = dm.free_dofs
+
+    def draw():
+        v = np.where(dm.fixed_mask, 0.0, rng.standard_normal(dm.n_dofs))
+        return v, np.append(v[free], rng.standard_normal())
+
+    def residual(full, red):
+        system = asm.assemble(full)
+        return system.matrix @ red - system.rhs
+
+    for _ in range(2):
+        x, xr = draw()
+        x += dm.fixed_values
+        d, dr = draw()
+        change = residual(x + d, xr + dr) - residual(x, xr)
+        step = asm.linearize(x).matrix @ dr
+        quadratic = (asm.assemble(d).matrix @ dr
+                     - asm.assemble(None).matrix @ dr)
+        assert np.linalg.norm(quadratic) > 0.0
+        assert np.linalg.norm(change - step - quadratic) \
+            <= 1e-13 * np.linalg.norm(quadratic)
+
+
+def test_plain_solves_never_build_the_joint_block(monkeypatch):
+    # the joint block is set up at the first Newton step, once: a plain
+    # run builds only the temperature and flow blocks, a relaxed one the
+    # joint block too
+    names = []
+    init = linsys.Condensation.__init__
+
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        names.append(self.name)
+
+    monkeypatch.setattr(linsys.Condensation, "__init__", counting)
+    prob = problems.cavity(1e3)
+    mesh = build_structured_mesh(8, 8, prob.domain, prob.fluid_rect)
+    params = forms.MethodParams.from_variant("wg1", 1)
+    solver.oseen_solve(mesh, params, prob, tol=1e-9)
+    assert names == ["temperature block", "flow block"]
+    names.clear()
+    _, state = solver.oseen_solve(mesh, params, prob, tol=1e-9,
+                                  relaxation="aitken")
+    assert state.converged
+    assert names == ["temperature block", "flow block", "joint block"]
+
+
+def newton_steps(prob, mesh, params, about):
+    """An assembler and its Newton steps about the Picard iterates
+    numbered in about (1 is the first)."""
+    asm = linsys.StepAssembler(mesh, params, prob)
+    w = None
+    iterates = []
+    for _ in range(max(about)):
+        system = asm.assemble(w)
+        w, _ = system.expand(linsys.solve_sparse(system))
+        iterates.append(w)
+    return asm, [asm.linearize(iterates[i - 1]) for i in about]
+
+
+def test_joint_solve_that_misses_the_contract_raises(monkeypatch):
+    # a fresh joint inverse scaled by 1.5 stalls far above the contract:
+    # the error names the joint block, and oseen_solve adds the iteration
+    prob, mesh, params = manufactured_setup(8, 4)
+    _, (system,) = newton_steps(prob, mesh, params, [1])
+    factor = linsys.JointSystem.factor
+
+    def scaled(self):
+        inverse = factor(self)
+        return lambda r: 1.5 * inverse(r)
+
+    monkeypatch.setattr(linsys.JointSystem, "factor", scaled)
+    with pytest.raises(RuntimeError, match="joint block solve residual") \
+            as info:
+        linsys.solve_sparse(system)
+    found = re.search(r"residual (\S+) exceeds the 1e-10 contract \(Newton "
+                      r"rhs norm (\S+)\)", str(info.value))
+    resid, bnorm = map(float, found.groups())
+    assert bnorm == pytest.approx(np.linalg.norm(system.rhs), rel=1e-3)
+    assert resid > 1e-10 * bnorm
+    with pytest.raises(RuntimeError,
+                       match=r"iteration \d+: joint block solve residual"):
+        solver.oseen_solve(mesh, params, prob, relaxation="aitken")
+
+
 def test_zero_data_gives_zero_solution():
     prob = zero_data_problem()
     mesh = build_structured_mesh(4, 2, prob.domain, prob.fluid_rect)
@@ -547,6 +685,18 @@ def test_constant_pressure_spans_the_flow_null_space(variant, degree):
     assert np.max(np.abs(k.T @ z)) <= 1e-13
     _, multiplier = system.expand(linsys.solve_sparse(system))
     assert abs(multiplier) <= 1e-12
+    # the same for the joint block of the Newton step about w: its
+    # coupling touches no pressure row or column, so z, extended by zero
+    # on the temperature, spans its null space from both sides
+    n = system.border_index
+    joint = asm.linearize(w)
+    j = (oracles.coo_step(asm, w)[0] + oracles.newton_coupling(asm, w))[:n, :n]
+    z = np.append(z, np.zeros(n - f))
+    assert np.array_equal(asm._joint.constant_pressure, z)
+    assert np.max(np.abs(j @ z)) <= 1e-13
+    assert np.max(np.abs(j.T @ z)) <= 1e-13
+    _, multiplier = joint.expand(linsys.solve_sparse(joint))
+    assert abs(multiplier) <= 1e-12
 
 
 def flow_rows_without_w(system):
@@ -578,6 +728,31 @@ def test_stale_factor_keeps_divergence_rows_exact():
     rest = np.setdiff1d(np.arange(len(flow)), exact)
     assert np.linalg.norm(r[exact]) <= 1e-12 * np.linalg.norm(b)
     assert np.linalg.norm(r[rest]) >= 1e-3 * np.linalg.norm(b)
+    # the joint factor of the Newton step about the first iterate,
+    # applied to the step about the third, does the same in the whole
+    # step's numbering; and the steps about the third to sixth iterates,
+    # solved by sweeps with the factor of the first of them, keep the
+    # velocity divergence free
+    _, (early, late) = newton_steps(prob, mesh, params, [1, 3])
+    stale = early.factor()
+    b = late.rhs
+    r = b - late.rows(stale(b))
+    exact = np.append(exact[:-1], late.border_index)
+    rest = np.setdiff1d(np.arange(len(b)), exact)
+    assert np.linalg.norm(r[exact]) <= 1e-12 * np.linalg.norm(b)
+    assert np.linalg.norm(r[rest]) >= 1e-3 * np.linalg.norm(b)
+    joint = linsys.HeldFactor()
+    _, steps = newton_steps(prob, mesh, params, [3, 4, 5, 6])
+    for age, step in enumerate(steps):
+        x = linsys.solve_sparse(step, joint)
+        if age == 0:
+            held = joint.inverse
+        assert joint.inverse is held and joint.age == age
+        full, lam = step.expand(x)
+        fields = postproc.WgFields(mesh, params, asm.dofmap, full, lam)
+        div_h, jump = postproc.divergence_diagnostic(fields)
+        assert div_h <= 1e-10
+        assert jump <= 1e-10
 
 
 def test_stale_held_factor_solves_without_refactoring(monkeypatch):

@@ -285,6 +285,41 @@ def test_relaxed_iteration_converges_where_plain_stalls():
     assert jump < 1e-10
 
 
+@pytest.mark.parametrize("case", ["cavity", "manufactured"])
+def test_newton_and_picard_fixed_points_agree(monkeypatch, case):
+    # a relaxed run takes Newton steps after its Aitken start; it ends at
+    # the plain Picard fixed point, and every Newton iterate meets the
+    # divergence and mean-pressure contracts
+    if case == "cavity":
+        prob, mesh, params = cavity_setup(8, 1e3)
+    else:
+        prob, mesh, params = manufactured_setup(8, 4)
+    plain, _ = solver.oseen_solve(mesh, params, prob, tol=1e-10)
+    iterates = []
+    solve = linsys.solve_sparse
+
+    def recording(system, held=None):
+        x = solve(system, held)
+        if isinstance(system, linsys.JointSystem):
+            iterates.append(system.expand(x))
+        return x
+
+    monkeypatch.setattr(linsys, "solve_sparse", recording)
+    newton, state = solver.oseen_solve(mesh, params, prob, tol=1e-10,
+                                       relaxation="aitken")
+    assert state.converged and iterates
+    assert np.linalg.norm(newton.coeffs - plain.coeffs) \
+        <= 1e-8 * np.linalg.norm(plain.coeffs)
+    for full, lam in iterates:
+        fields = postproc.WgFields(mesh, params, newton.dofmap, full, lam)
+        div_h, jump = postproc.divergence_diagnostic(fields)
+        assert div_h <= 1e-10 and jump <= 1e-10
+        fe = mesh.fluid_elems
+        p0 = full[fields.dofmap.p_interior(fe)[:, 0]]
+        mean = np.sum(mesh.det_b[fe] * p0) / np.sqrt(2.0)
+        assert abs(mean) <= 1e-9 * max(postproc.pressure_l2(fields), 1.0)
+
+
 def test_relaxed_ramp_reaches_high_rayleigh():
     prob, mesh, params = cavity_setup(8, 1e4)
     fields, states = solver.ramp_rayleigh(mesh, params, prob, [1e3, 1e4],
