@@ -117,8 +117,9 @@ def _check_invariants(fields):
 
 
 def _solve_case(mesh, params, problem, sopts):
-    """One solve honoring the solver options; a config-declared Rayleigh
-    ramp runs relaxed and reports its final stage."""
+    """One solve honoring the solver options; each stage of a
+    config-declared Rayleigh ramp takes one Picard step, then Newton steps
+    (relaxation="aitken"), and the ramp reports its final stage."""
     targets = sopts.get("ramp")
     if targets:
         fields, states = solver.ramp_rayleigh(
@@ -301,8 +302,7 @@ def build_parser():
     cav.add_argument("--ramp", action="store_true",
                      help="force the decade-by-decade Rayleigh ramp "
                           "(automatic for Ra > 1e3); each ramp stage "
-                          "starts with dynamically relaxed Picard steps "
-                          "and ends with Newton steps")
+                          "takes one Picard step, then Newton steps")
     cav.set_defaults(func=cmd_cavity)
 
     sol = sub.add_parser("solve", help="one solve from a problem config")

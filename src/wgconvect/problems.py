@@ -381,8 +381,10 @@ def load_config(path):
             if key not in CONFIG_SCHEMA[section]:
                 raise ValueError("config %s: unknown key %r in [%s]"
                                  % (path, key, section))
-    for section, key in (("physics", "pr"), ("physics", "ra"),
-                         ("domain", "rect")):
+    required = [("physics", "pr"), ("physics", "ra"), ("domain", "rect")]
+    if cp.has_section("exact"):
+        required += [("exact", key) for key in ("u1", "u2", "p", "T")]
+    for section, key in required:
         if not cp.has_option(section, key):
             raise ValueError("config %s: [%s] needs %r" % (path, section, key))
 

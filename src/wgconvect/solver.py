@@ -1,24 +1,17 @@
 """Fixed-point iteration for the coupled flow-temperature system.
 
-Each pass freezes the advecting velocity at the previous iterate, assembles
-the linearized step, and solves it; the loop stops when the energy norms of
-the velocity and temperature increments fall below the tolerance relative
-to the current field scale.
+A Picard step freezes the advecting velocity at the previous iterate,
+assembles the linearized step, and solves it; the loop stops when the energy
+norms of the velocity and temperature increments fall below the tolerance
+relative to the current field scale.
 
 The plain iteration contracts quickly at moderate Rayleigh numbers but
 slows down near Ra ~ 1e4 and settles into a cycle near Ra ~ 1e5, where it
-never converges.  `relaxation="aitken"` turns on dynamic relaxation of the
-fixed-point update (the vector Aitken rule): the next advecting field is
-`w + omega * (solve(w) - w)` with `omega` re-estimated every iteration from
-the last two update residuals.  That keeps the fixed point and the
-diagnostics unchanged while restoring convergence at high Rayleigh numbers;
-ramped runs should use it.
-
-Picard lags the coupling du -> T -> buoyancy, so even relaxed, its
-contraction worsens as Ra grows.  A relaxed run therefore uses Aitken only
-as its start: once the relative increment (du + dt) / scale first falls
-below NEWTON_SWITCH, every further step of the solve is a Newton step about
-the last solve output x_k, with no relaxation,
+never converges: Picard lags the coupling du -> T -> buoyancy, so its
+contraction worsens as Ra grows.  A relaxed run (`relaxation="aitken"`;
+the name is historical) therefore takes one Picard step at the initial
+velocity and then, to the end of the solve, Newton steps about the last
+solve output x_k,
 
     (P(u_k) + J_c) x = b + J_c x_k,
 
@@ -34,14 +27,6 @@ import numpy as np
 
 from . import linsys
 from . import postproc
-
-# clip range for the dynamic relaxation factor: the lower bound keeps a
-# stalled estimate from freezing the iteration, the upper bound keeps one
-# noisy residual pair from catapulting the iterate
-AITKEN_MIN = 0.05
-AITKEN_MAX = 10.0
-# a relaxed run switches to Newton steps once (du + dt) / scale < this
-NEWTON_SWITCH = 0.3
 
 
 class TraceRow:
@@ -90,7 +75,7 @@ class OseenState:
 
 def _coeffs_of(initial_velocity, dofmap):
     if initial_velocity is None:
-        return None
+        return np.zeros(dofmap.n_dofs)
     if isinstance(initial_velocity, postproc.WgFields):
         vec = initial_velocity.coeffs
     else:
@@ -111,9 +96,10 @@ def oseen_solve(mesh, params, problem, tol=1e-9, max_iter=100,
 
     Returns (fields, state); state.converged is False when max_iter ran out
     (the trace is still populated, nothing is raised).  relaxation is None
-    for the plain iteration or "aitken" for dynamically relaxed updates
-    followed by Newton steps (see the module docstring); either way the returned fields are an exact solve output, so the
-    divergence invariants hold whenever the linear solves do.
+    for the plain Picard iteration or "aitken" for one Picard step followed
+    by Newton steps (see the module docstring); either way the returned
+    fields are an exact solve output, so the divergence invariants hold
+    whenever the linear solves do.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -124,8 +110,7 @@ def oseen_solve(mesh, params, problem, tol=1e-9, max_iter=100,
                          % (relaxation,))
     asm = linsys.StepAssembler(mesh, params, problem)
     dm = asm.dofmap
-    w = _coeffs_of(initial_velocity, dm)
-    prev = w if w is not None else np.zeros(dm.n_dofs)
+    prev = _coeffs_of(initial_velocity, dm)
 
     # each block's factor serves the following steps until it stalls, and
     # each block's solve starts from its previous solution: the
@@ -142,12 +127,10 @@ def oseen_solve(mesh, params, problem, tol=1e-9, max_iter=100,
     trace = []
     fields = None
     converged = False
-    omega = 1.0
-    r_prev = None
     newton = False
     for n in range(1, max_iter + 1):
         t0 = time.perf_counter()
-        system = asm.linearize(prev) if newton else asm.assemble(w)
+        system = asm.linearize(prev) if newton else asm.assemble(prev)
         try:
             x = linsys.solve_sparse(system, held)
         except RuntimeError as err:
@@ -164,23 +147,10 @@ def oseen_solve(mesh, params, problem, tol=1e-9, max_iter=100,
         scale = max(norm(fields, "velocity") + norm(fields, "temperature"),
                     1e-14)
         prev = full
-        if relaxation is None:
-            w = full
-        elif not newton:
-            base = w if w is not None else np.zeros(dm.n_dofs)
-            r = full - base
-            if r_prev is not None:
-                dr = r - r_prev
-                denom = float(dr @ dr)
-                if denom > 0.0:
-                    omega = -omega * float(r_prev @ dr) / denom
-                    omega = min(max(omega, AITKEN_MIN), AITKEN_MAX)
-            w = base + omega * r
-            r_prev = r
-            if du + dt < NEWTON_SWITCH * scale:
-                # the block factors go before the joint one is built
-                held = linsys.HeldFactor()
-                newton = True
+        if relaxation is not None and not newton:
+            # the block factors go before the joint one is built
+            held = linsys.HeldFactor()
+            newton = True
         if du + dt <= tol * scale:
             converged = True
             break
@@ -195,9 +165,9 @@ def ramp_rayleigh(mesh, params, problem, targets, tol=1e-9, max_iter=100,
 
     Returns (final fields, list of per-stage OseenState).  A stage that
     fails to converge, or whose linear solve fails, raises naming the
-    stage and its Rayleigh number.  relaxation is forwarded to
-    every stage; pass "aitken" for targets at or beyond 1e4, where the
-    plain iteration stalls.
+    stage and its Rayleigh number.  relaxation is forwarded to every
+    stage; pass "aitken" (Newton steps) for targets at or beyond 1e4,
+    where the plain Picard iteration stalls.
     """
     targets = [float(t) for t in targets]
     if not targets:

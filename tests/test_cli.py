@@ -181,6 +181,17 @@ def test_solve_rejects_incomplete_config(tmp_path, capsys):
     assert err.startswith("error:") and "[domain]" in err
 
 
+def test_solve_rejects_incomplete_exact_section(tmp_path, capsys):
+    path = tmp_path / "bad.ini"
+    text = manufactured_config(tmp_path).read_text()
+    path.write_text(text.replace("T = (x-1)*(x+1)*y*(y-1)\n", ""))
+    assert run(["solve", "--config", path, "--mesh", "4x2",
+                "-o", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "[exact] needs 'T'" in err
+
+
 def test_solve_rejects_unknown_config_key(tmp_path, capsys):
     path = tmp_path / "bad.ini"
     path.write_text(CAVITY_INI + "[solver]\ntolerance = 1e-3\n")

@@ -13,6 +13,9 @@ whatever the Rayleigh number, with the whole buoyancy carried by the
 pressure (see John, Linke, Merdon, Neilan and Rebholz, SIAM Review 59,
 2017, 492-544).  The bound is relative to the pressure, which grows with
 Ra.
+
+The stratified manufactured problem puts a flow on top of the same
+balance: its velocity error must not see the Ra part of the buoyancy.
 """
 
 import numpy as np
@@ -102,3 +105,54 @@ def test_converged_stratified_fluid_stays_at_rest(variant, degree):
     div_h, jump = postproc.divergence_diagnostic(fields)
     assert div_h <= 1e-10
     assert jump <= 1e-10
+
+
+@pytest.mark.parametrize("hot_top", [True, False], ids=["stable", "unstable"])
+@pytest.mark.parametrize("variant,degree", METHODS)
+def test_newton_steps_keep_stratified_fluid_at_rest(variant, degree,
+                                                    hot_top):
+    # a relaxed solve at Ra = 1e6: its Picard step already returns the
+    # resting state, and the Newton step about it confirms it
+    params = forms.MethodParams.from_variant(variant, degree)
+    prob, exact_t = stratified(1e6, hot_top)
+    mesh = build_structured_mesh(12, 12, prob.domain, prob.fluid_rect)
+    fields, state = solver.oseen_solve(mesh, params, prob, tol=1e-9,
+                                       relaxation="aitken")
+    assert state.converged and state.iterations <= 2, state
+    u_rel, _, t_err = check_at_rest(fields, exact_t)
+    assert u_rel <= 1e-13, u_rel
+    assert t_err <= 1e-12, t_err
+
+
+def stratified_manufactured(ra):
+    """The manufactured flow of MANUFACTURED_FIELDS over a stable
+    stratification on the unit square, all fluid, Pr = kappa = 1: T = y
+    with Dirichlet data on every wall, and p = x^6 - y^6 + Pr Ra y^2 / 2,
+    so that the Ra part of the buoyancy is a gradient that the pressure
+    carries."""
+    fld = problems.MANUFACTURED_FIELDS
+    p = "x**6 - y**6 + %r*y**2" % (0.5 * ra)
+    exact = problems.ExactSolution(fld["u1"], fld["u2"], p, "y",
+                                   1.0, ra, 1.0, UNIT)
+    temp_bc = {wall: ("dirichlet", "y") for wall in problems.WALLS}
+    return problems.ProblemSpec(1.0, ra, 1.0, UNIT, UNIT, exact.f, exact.g,
+                                temp_bc, exact=exact,
+                                forcing_degree=exact.forcing_degree)
+
+
+def test_stratified_flow_error_does_not_grow_with_rayleigh():
+    # the velocity error of a pressure-robust method does not see the
+    # gradient part of the buoyancy, so grad_u at Ra = 1e6 stays within 1%
+    # of its Ra = 1 value (0.1599 on this mesh)
+    params = forms.MethodParams.from_variant("wg1", 1)
+    grad_u = {}
+    for ra in (1.0, 1e6):
+        prob = stratified_manufactured(ra)
+        mesh = build_structured_mesh(16, 16, prob.domain, prob.fluid_rect)
+        fields, state = solver.oseen_solve(mesh, params, prob, tol=1e-9,
+                                           relaxation="aitken")
+        assert state.converged, (ra, state)
+        div_h, jump = postproc.divergence_diagnostic(fields)
+        assert div_h <= 1e-10 and jump <= 1e-10
+        grad_u[ra] = postproc.error_report(fields, prob.exact).grad_u
+    assert abs(grad_u[1e6] - grad_u[1.0]) <= 0.01 * grad_u[1.0], grad_u

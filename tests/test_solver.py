@@ -265,8 +265,9 @@ def test_ramp_rejects_manufactured_forcing():
 
 def test_relaxed_iteration_converges_where_plain_stalls():
     # at Ra = 1e4 the plain fixed point contracts at roughly 0.89 per
-    # iteration, far too slowly for a 30-iteration budget; the dynamically
-    # relaxed update converges well inside it from the same warm start
+    # iteration, far too slowly for a 30-iteration budget; the relaxed run,
+    # one Picard step and then Newton steps, converges well inside it from
+    # the same warm start
     prob, mesh, params = cavity_setup(8, 1e3)
     warm, _ = solver.oseen_solve(mesh, params, prob, tol=1e-9)
     hot = prob.with_rayleigh(1e4)
@@ -279,7 +280,7 @@ def test_relaxed_iteration_converges_where_plain_stalls():
     assert relaxed.converged
     assert relaxed.iterations <= 30
     # the returned fields are a solve output, so the divergence invariants
-    # survive the relaxed update
+    # survive the Newton steps
     div, jump = postproc.divergence_diagnostic(fields)
     assert div < 1e-10
     assert jump < 1e-10
@@ -287,7 +288,7 @@ def test_relaxed_iteration_converges_where_plain_stalls():
 
 @pytest.mark.parametrize("case", ["cavity", "manufactured"])
 def test_newton_and_picard_fixed_points_agree(monkeypatch, case):
-    # a relaxed run takes Newton steps after its Aitken start; it ends at
+    # a relaxed run takes Newton steps after its Picard start; it ends at
     # the plain Picard fixed point, and every Newton iterate meets the
     # divergence and mean-pressure contracts
     if case == "cavity":
@@ -318,6 +319,23 @@ def test_newton_and_picard_fixed_points_agree(monkeypatch, case):
         p0 = full[fields.dofmap.p_interior(fe)[:, 0]]
         mean = np.sum(mesh.det_b[fe] * p0) / np.sqrt(2.0)
         assert abs(mean) <= 1e-9 * max(postproc.pressure_l2(fields), 1.0)
+
+
+def test_relaxed_solve_takes_one_picard_step_then_newton_steps(monkeypatch):
+    prob, mesh, params = cavity_setup(8, 1e3)
+    kinds = []
+    solve = linsys.solve_sparse
+
+    def recording(system, held=None):
+        kinds.append(type(system))
+        return solve(system, held)
+
+    monkeypatch.setattr(linsys, "solve_sparse", recording)
+    _, state = solver.oseen_solve(mesh, params, prob, tol=1e-9,
+                                  relaxation="aitken")
+    assert state.converged and state.iterations >= 3
+    assert kinds == [linsys.GlobalSystem] \
+        + [linsys.JointSystem] * (state.iterations - 1)
 
 
 def test_relaxed_ramp_reaches_high_rayleigh():
