@@ -209,11 +209,12 @@ def _local(interior, traces):
 def apply_nonhomogeneous_dirichlet(dofmap, problem):
     """Fix temperature traces on Dirichlet walls to face-projected data.
 
-    Insulated walls stay free.  Returns the updated dofmap.
+    The edge rule integrates data times trace basis exactly, whatever the
+    degree of the wall's polynomial data.  Insulated walls stay free.
+    Returns the updated dofmap.
     """
     mesh = dofmap.mesh
     l = dofmap.params.trace_degree
-    quad_degree = 2 * dofmap.params.degree + 4
     wall_of = mesh.face_wall()
     outer = np.flatnonzero(mesh.face_tag == OUTER)
     unassigned = outer[wall_of[outer] == ""]
@@ -228,8 +229,10 @@ def apply_nonhomogeneous_dirichlet(dofmap, problem):
         faces = outer[wall_of[outer] == wall]
         if kind == "insulated" or len(faces) == 0:
             continue
-        data = problem.temp_dirichlet_fn(wall)
-        coeffs = pb.project_face(mesh, faces, l, data, quad_degree)
+        quad_degree = max(2 * dofmap.params.degree + 4,
+                          problem.temp_degree[wall] + l)
+        coeffs = pb.project_face(mesh, faces, l,
+                                 problem.temp_dirichlet_fn(wall), quad_degree)
         idx = dofmap.t_trace(faces)
         dofmap.fixed_mask[idx.ravel()] = True
         dofmap.fixed_values[idx.ravel()] = coeffs.ravel()

@@ -21,25 +21,6 @@ import numpy as np
 
 from .mesh import WALLS
 
-# sympy is imported only to evaluate a non-numeric wall temperature: it
-# costs about 31 MB and a third of a second per process, and neither the
-# cavity nor an exact solution needs it
-
-
-def _lambdify(expr):
-    import sympy as sp
-    fn = sp.lambdify(sp.symbols("x y"), sp.sympify(expr), "numpy")
-
-    def wrapped(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        out = fn(x, y)
-        shape = np.broadcast_shapes(x.shape, y.shape)
-        return np.broadcast_to(np.asarray(out, dtype=float), shape).copy()
-
-    return wrapped
-
-
 _VARIABLES = {"x": np.array([[0.0], [1.0]]), "y": np.array([[0.0, 1.0]])}
 
 
@@ -67,13 +48,14 @@ def _diff(c, axis):
     return np.swapaxes(d if len(d) else np.zeros_like(c), 0, axis)
 
 
-def _polynomial(expr, name):
-    """The coefficient array c of [exact] field `name`, c[i, j] that of
-    x^i y^j.  The field must be a polynomial in x and y, for the forcing
-    quadrature is exact only then: numbers, x and y, combined by unary and
-    binary + and -, *, / by a number and ** (or ^) to a non-negative
-    integer power.  expr is a string or a sympy expression (read through
-    its str)."""
+def _polynomial(expr, source):
+    """The coefficient array c of expr, c[i, j] that of x^i y^j; source
+    names where expr came from in the error ("exact field T", "wall left
+    temperature").  expr must be a polynomial in x and y, for the forcing
+    quadrature and the wall-data projection are exact only then: numbers,
+    x and y, combined by unary and binary + and -, *, / by a number and
+    ** (or ^) to a non-negative integer power.  expr is a string or an
+    object whose str is one."""
     text = str(expr)
 
     def constant(c):
@@ -110,12 +92,13 @@ def _polynomial(expr, name):
         raise ValueError
 
     try:
-        # sympify reads ^ as a power too, with the precedence of **
+        # configs written for the earlier expression reader use ^ as a
+        # power, with the precedence of **
         return walk(ast.parse(text.strip().replace("^", "**"),
                               mode="eval").body)
     except (ValueError, SyntaxError, OverflowError):
-        raise ValueError("exact field %s = %s is not a polynomial in x and y"
-                         % (name, text)) from None
+        raise ValueError("%s = %s is not a polynomial in x and y"
+                         % (source, text)) from None
 
 
 def _degree(c):
@@ -128,7 +111,8 @@ def _horner(c):
     broadcast shape of its arguments: Horner's rule in x, whose
     coefficients are each evaluated by Horner's rule in y."""
     nonzero = np.flatnonzero(np.any(c != 0, axis=1))
-    top = nonzero[-1] + 1 if len(nonzero) else 1
+    # the zero polynomial takes no row, so it is +0.0 even where x < 0
+    top = nonzero[-1] + 1 if len(nonzero) else 0
     rows = [np.trim_zeros(row, "b") for row in c[:top][::-1]]
 
     def evaluate(x, y):
@@ -152,15 +136,15 @@ def _horner(c):
 class ExactSolution:
     """Closed-form (u, p, T) with the forcing the equations require.
 
-    Expressions may be strings or sympy objects, and must be polynomials
-    in x and y (see _polynomial).  The forcing is kept as the coefficient
-    arrays `forcing["f1" | "f2" | "g_fluid" | "g_solid"]`, c[i, j] that of
-    x^i y^j, whose degree sets the forcing quadrature; every field and
-    forcing is evaluated by Horner's rule.
+    Expressions must be polynomials in x and y (see _polynomial).  The
+    forcing is kept as the coefficient arrays
+    `forcing["f1" | "f2" | "g_fluid" | "g_solid"]`, c[i, j] that of x^i y^j,
+    whose degree sets the forcing quadrature; every field and forcing is
+    evaluated by Horner's rule.
     """
 
     def __init__(self, u1, u2, p, T, pr, ra, kappa, fluid_rect):
-        u1, u2, p, T = (_polynomial(w, name) for name, w in
+        u1, u2, p, T = (_polynomial(w, "exact field " + name) for name, w in
                         [("u1", u1), ("u2", u2), ("p", p), ("T", T)])
         self.fluid_rect = tuple(float(c) for c in fluid_rect)
         dx, dy = (lambda w: _diff(w, 0)), (lambda w: _diff(w, 1))
@@ -173,6 +157,7 @@ class ExactSolution:
             "g_solid": -kappa * lap(T),
         }
         self.forcing_degree = max(map(_degree, self.forcing.values()))
+        self._div = _add(dx(u1), dy(u2))
 
         self._u1, self._u2, self._p, self._T = map(_horner, (u1, u2, p, T))
         self._du = [[_horner(_diff(w, a)) for a in (0, 1)] for w in (u1, u2)]
@@ -211,26 +196,29 @@ class ExactSolution:
 
     # -- consistency check ----------------------------------------------
 
-    def divergence_residual(self, n=100, seed=0):
-        """Max |div u| over n random points of the fluid rectangle."""
-        rng = np.random.default_rng(seed)
-        x0, x1, y0, y1 = self.fluid_rect
-        xs = rng.uniform(x0, x1, n)
-        ys = rng.uniform(y0, y1, n)
-        div = self._du[0][0](xs, ys) + self._du[1][1](xs, ys)
-        return float(np.abs(div).max())
+    def divergence_residual(self):
+        """A bound on |div u| over the fluid rectangle: the sum of
+        |c[i, j]| max|x|^i max|y|^j over the coefficients c of div u."""
+        x0, x1, y0, y1 = np.abs(self.fluid_rect)
+        i, j = np.indices(self._div.shape)
+        return float(np.sum(np.abs(self._div) * max(x0, x1) ** i
+                            * max(y0, y1) ** j))
 
 
 class ProblemSpec:
     """One complete problem: physics, geometry, forcing, boundary data.
 
-    temp_bc maps each wall name to ("dirichlet", expression-string) or
-    ("insulated", None).  Velocity is zero-Dirichlet on the whole fluid
-    boundary; the scheme supports nothing else.
+    temp_bc maps each wall name to ("dirichlet", text) or ("insulated",
+    None), the text a polynomial in x and y read as [exact] fields are
+    (see _polynomial).  Each wall's text is parsed here, once, so that bad
+    data raises before a mesh is built; temp_degree maps each Dirichlet
+    wall to the degree of its data.  forcing_degree is that of exact's
+    forcing (0 without one).  Velocity is zero-Dirichlet on the whole
+    fluid boundary; the scheme supports nothing else.
     """
 
     def __init__(self, pr, ra, kappa, domain, fluid_rect, f, g, temp_bc,
-                 exact=None, forcing_degree=0):
+                 exact=None):
         if not pr > 0:
             raise ValueError("Pr must be positive")
         if not kappa > 0:
@@ -254,7 +242,12 @@ class ProblemSpec:
         self.g = g
         self.temp_bc = dict(temp_bc)
         self.exact = exact
-        self.forcing_degree = forcing_degree
+        self.forcing_degree = 0 if exact is None else exact.forcing_degree
+        walls = {wall: _polynomial(text, "wall %s temperature" % wall)
+                 for wall, (kind, text) in self.temp_bc.items()
+                 if kind == "dirichlet"}
+        self.temp_degree = {wall: _degree(c) for wall, c in walls.items()}
+        self._temp_data = {wall: _horner(c) for wall, c in walls.items()}
         if exact is not None:
             div = exact.divergence_residual()
             if div > 1e-12:
@@ -270,19 +263,12 @@ class ProblemSpec:
         if self.exact is not None:
             raise ValueError("cannot retarget Ra with a manufactured forcing")
         return ProblemSpec(self.pr, ra, self.kappa, self.domain,
-                           self.fluid_rect, self.f, self.g, self.temp_bc,
-                           forcing_degree=self.forcing_degree)
+                           self.fluid_rect, self.f, self.g, self.temp_bc)
 
     def temp_dirichlet_fn(self, wall):
-        kind, expr = self.temp_bc[wall]
-        if kind != "dirichlet":
+        if self.temp_bc[wall][0] != "dirichlet":
             raise ValueError("wall %s is not Dirichlet" % wall)
-        try:
-            value = float(expr)      # constant data needs no sympy
-        except ValueError:
-            return _lambdify(expr)
-        return lambda x, y: np.full(
-            np.broadcast_shapes(np.shape(x), np.shape(y)), value)
+        return self._temp_data[wall]
 
 
 def _zero_vector(x, y):
@@ -316,8 +302,7 @@ def manufactured_convection():
                           pr, ra, kappa, fluid)
     temp_bc = {w: ("dirichlet", "0") for w in WALLS}
     return ProblemSpec(pr, ra, kappa, (-1.0, 1.0, 0.0, 1.0), fluid,
-                       exact.f, exact.g, temp_bc, exact=exact,
-                       forcing_degree=exact.forcing_degree)
+                       exact.f, exact.g, temp_bc, exact=exact)
 
 
 def cavity(ra):
@@ -411,18 +396,15 @@ def load_config(path):
                              "'dirichlet <expr>', got %r" % (wall, raw))
 
     exact = None
+    f, g = _zero_vector, _zero_scalar
     if cp.has_section("exact"):
         ex = cp["exact"]
         exact = ExactSolution(ex["u1"], ex["u2"], ex["p"], ex["T"],
                               pr, ra, kappa, fluid_rect)
         f, g = exact.f, exact.g
-        forcing_degree = exact.forcing_degree
-    else:
-        f, g = _zero_vector, _zero_scalar
-        forcing_degree = 0
 
     problem = ProblemSpec(pr, ra, kappa, rect, fluid_rect, f, g, temp_bc,
-                          exact=exact, forcing_degree=forcing_degree)
+                          exact=exact)
 
     method = {}
     if cp.has_section("method"):

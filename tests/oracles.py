@@ -13,7 +13,9 @@
 * the shapes of the two trace Schur complements a step factors;
 * the forcing of a manufactured problem recomputed by numerical
   differentiation (Chebyshev fits along axis-parallel lines, which are
-  exact for polynomial data), and by sympy's exact Poly arithmetic.
+  exact for polynomial data), and by sympy's exact Poly arithmetic;
+* sympy's lambdified evaluator of an expression, against which the
+  package's Horner evaluator is checked.
 """
 
 import numpy as np
@@ -686,3 +688,19 @@ def dense(poly, shape):
     for (i, j), a in zip(poly.monoms(), poly.coeffs()):
         c[i, j] = float(a)
     return c
+
+
+def lambdify(expr):
+    """Numpy evaluator of the expression expr in x and y, through sympy,
+    with the broadcast shape of its arguments."""
+    import sympy as sp
+    fn = sp.lambdify(sp.symbols("x y"), sp.sympify(expr), "numpy")
+
+    def wrapped(x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        out = fn(x, y)
+        shape = np.broadcast_shapes(x.shape, y.shape)
+        return np.broadcast_to(np.asarray(out, dtype=float), shape).copy()
+
+    return wrapped

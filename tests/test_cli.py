@@ -214,6 +214,18 @@ def test_solve_rejects_non_polynomial_exact_field(tmp_path, capsys):
     assert "exact field p = sin(x)*y is not a polynomial in x and y" in err
 
 
+def test_solve_rejects_non_polynomial_wall_temperature(tmp_path, capsys):
+    path = tmp_path / "bad.ini"
+    path.write_text(CAVITY_INI.replace("left = dirichlet 1",
+                                       "left = dirichlet sin(y)"))
+    assert run(["solve", "--config", path, "--mesh", "4x4",
+                "-o", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "wall left temperature = sin(y) is not a polynomial" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_solve_reports_nonconvergence_with_exit_one(tmp_path):
     assert run(["solve", "--problem", "manufactured", "--mesh", "4x2",
                 "--tol", "1e-14", "--max-iter", "1",

@@ -145,6 +145,26 @@ def test_temperature_dirichlet_values_projected():
     assert not np.any(dm.fixed_mask[dm.t_trace(bottom).ravel()])
 
 
+def test_high_degree_wall_data_projected_exactly():
+    # y**7 times a linear trace basis is degree 8 along the wall, beyond
+    # the 2k + 4 = 6 the other projections use at k = 1
+    unit = (0.0, 1.0, 0.0, 1.0)
+    prob = problems.ProblemSpec(
+        0.71, 1e3, 1.0, unit, unit, problems._zero_vector,
+        problems._zero_scalar,
+        {"left": ("dirichlet", "y**7"), "right": ("dirichlet", "0"),
+         "bottom": ("insulated", None), "top": ("insulated", None)})
+    mesh = build_structured_mesh(4, 4, prob.domain, prob.fluid_rect)
+    params = forms.MethodParams.from_variant("wg1", 1)
+    dm = linsys.apply_nonhomogeneous_dirichlet(linsys.DofMap(mesh, params),
+                                               prob)
+    left = np.flatnonzero((mesh.face_tag == OUTER)
+                          & (mesh.face_wall() == "left"))
+    want = pb.project_face(mesh, left, params.trace_degree,
+                           lambda x, y: y ** 7, 20)
+    assert np.max(np.abs(dm.fixed_values[dm.t_trace(left)] - want)) <= 1e-14
+
+
 def test_missing_wall_data_rejected():
     prob, mesh, params = manufactured_setup(4, 2)
     dm = linsys.DofMap(mesh, params)

@@ -25,7 +25,7 @@ def test_manufactured_fields_match_reference_values():
 
 def test_manufactured_divergence_free():
     ex = pr.manufactured_convection().exact
-    assert ex.divergence_residual(n=100, seed=5) <= 1e-12
+    assert ex.divergence_residual() <= 1e-12
     # the trivial spot check
     g = ex.grad_u(0.3, 0.7)
     assert abs(g[0, 0] + g[1, 1]) < 1e-14
@@ -79,7 +79,7 @@ def test_horner_forcing_matches_lambdify():
         # lambdified fields do
         for args in ((0.3, 0.7), (x[:4].reshape(2, 2), 0.7)):
             got = pr._horner(coef)(*args)
-            want = pr._lambdify(expr)(*args)
+            want = oracles.lambdify(expr)(*args)
             assert got.shape == want.shape
             assert np.allclose(got, want, rtol=1e-13, atol=0.0)
     assert ex.f(0.3, 0.7).shape == (2,) and ex.g(0.3, 0.7).shape == ()
@@ -173,7 +173,7 @@ def test_polynomial_parser_reads_sympy_expressions():
 def test_polynomial_parser_rejects(text):
     with pytest.raises(ValueError, match=r"^exact field T = %s is not a "
                        r"polynomial in x and y$" % re.escape(text)):
-        pr._polynomial(text, "T")
+        pr._polynomial(text, "exact field T")
 
 
 def test_forcing_g_is_piecewise():
@@ -206,25 +206,24 @@ def test_cavity_spec():
 
 
 def test_numeric_wall_data_matches_the_expression_path():
-    # constant wall temperatures skip sympy but return the arrays its
-    # lambdified expression returns; other expressions still go through it
-    prob = pr.cavity(1e3)
-    x = np.linspace(0, 1, 6).reshape(2, 3)
-    for wall, text in (("left", "1"), ("right", "0")):
-        fn = prob.temp_dirichlet_fn(wall)
-        for args in ((x, 0.5), (0.25, x), (0.5, 0.5)):
-            got, want = fn(*args), pr._lambdify(text)(*args)
+    # wall temperatures are parsed into polynomials and evaluated by
+    # Horner's rule; constants and 1 - y give the very arrays sympy's
+    # lambdified expressions give
+    unit = (0.0, 1.0, 0.0, 1.0)
+    walls = {"left": "1", "right": "0", "bottom": "2.5e-1", "top": "1 - y"}
+    spec = pr.ProblemSpec(1.0, 10.0, 1.0, unit, unit, pr._zero_vector,
+                          pr._zero_scalar, {wall: ("dirichlet", text)
+                                            for wall, text in walls.items()})
+    x = np.linspace(-1, 1, 6).reshape(2, 3)
+    for wall, text in walls.items():
+        fn = spec.temp_dirichlet_fn(wall)
+        for args in ((x, 0.5), (0.25, x), (0.5, 0.5), (x, x[:, :1])):
+            got, want = fn(*args), oracles.lambdify(text)(*args)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got, want)
-    spec = pr.ProblemSpec(1.0, 10.0, 1.0, (0.0, 1.0, 0.0, 1.0),
-                          (0.0, 1.0, 0.0, 1.0), prob.f, prob.g,
-                          {"left": ("dirichlet", "1 - y"),
-                           "right": ("dirichlet", "2.5e-1"),
-                           "bottom": ("insulated", None),
-                           "top": ("insulated", None)})
-    assert np.array_equal(spec.temp_dirichlet_fn("left")(0.0, x), 1.0 - x)
-    assert np.array_equal(spec.temp_dirichlet_fn("right")(1.0, x),
-                          np.full(x.shape, 0.25))
+            # bit for bit, signed zeros included
+            assert got.tobytes() == want.tobytes()
+    assert spec.temp_degree == {"left": 0, "right": 0, "bottom": 0, "top": 1}
 
 
 def test_problem_validation():
@@ -242,6 +241,11 @@ def test_problem_validation():
     with pytest.raises(ValueError, match="wall"):
         pr.ProblemSpec(1.0, 1.0, 1.0, unit, unit, pr._zero_vector,
                        pr._zero_scalar, {"left": ("dirichlet", "0")})
+    # wall data is parsed with the problem, before any mesh is built
+    with pytest.raises(ValueError, match=r"^wall left temperature = sin\(y\) "
+                       r"is not a polynomial in x and y$"):
+        pr.ProblemSpec(1.0, 1.0, 1.0, unit, unit, pr._zero_vector,
+                       pr._zero_scalar, dict(bc, left=("dirichlet", "sin(y)")))
 
 
 def test_inconsistent_exact_fields_rejected():

@@ -136,8 +136,7 @@ def stratified_manufactured(ra):
                                    1.0, ra, 1.0, UNIT)
     temp_bc = {wall: ("dirichlet", "y") for wall in problems.WALLS}
     return problems.ProblemSpec(1.0, ra, 1.0, UNIT, UNIT, exact.f, exact.g,
-                                temp_bc, exact=exact,
-                                forcing_degree=exact.forcing_degree)
+                                temp_bc, exact=exact)
 
 
 def test_stratified_flow_error_does_not_grow_with_rayleigh():

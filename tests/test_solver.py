@@ -146,6 +146,20 @@ def test_held_flow_factor_cuts_factorizations(monkeypatch):
     assert jump <= 1e-10
 
 
+def loads_sympy(code, *args):
+    """Whether a fresh interpreter running code (with args) imports sympy;
+    code must end by printing "'sympy' in sys.modules"."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        solver.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() in (["True"], ["False"]), done.stdout
+    return done.stdout.split() == ["True"]
+
+
 def test_cavity_path_does_not_import_sympy():
     # the cavity's wall temperatures are numbers, so building and solving
     # it through the command line's imports never loads sympy
@@ -159,13 +173,7 @@ def test_cavity_path_does_not_import_sympy():
             "_, state = solver.oseen_solve(mesh, params, prob)\n"
             "assert state.converged\n"
             "print('sympy' in sys.modules)\n")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(
-        solver.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False"]
+    assert not loads_sympy(code)
 
 
 def test_manufactured_path_does_not_import_sympy(tmp_path):
@@ -195,14 +203,29 @@ def test_manufactured_path_does_not_import_sympy(tmp_path):
             "built.exact))\n"
             "assert report.l2_u < 1\n"
             "print('sympy' in sys.modules)\n")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(
-        solver.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", code, str(config)],
-                          env=env, capture_output=True, text=True,
-                          timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False"]
+    assert not loads_sympy(code, config)
+
+
+def test_polynomial_wall_path_does_not_import_sympy(tmp_path):
+    # a wall temperature that is not a number is read as a polynomial,
+    # as [exact] fields are, so loading and solving it never loads sympy
+    config = tmp_path / "wall.ini"
+    config.write_text(
+        "[physics]\npr = 0.71\nra = 1e3\n[domain]\nrect = 0 1 0 1\n"
+        "[bc]\nleft = dirichlet 1 - y\nright = dirichlet 0\n"
+        "bottom = insulated\ntop = insulated\n")
+    code = ("import sys\n"
+            "from wgconvect import cli, forms, problems, solver\n"
+            "from wgconvect.mesh import build_structured_mesh\n"
+            "prob, _, _ = problems.load_config(sys.argv[1])\n"
+            "assert prob.temp_bc['left'] == ('dirichlet', '1 - y')\n"
+            "mesh = build_structured_mesh(4, 4, prob.domain, "
+            "prob.fluid_rect)\n"
+            "params = forms.MethodParams.from_variant('wg1', 1)\n"
+            "_, state = solver.oseen_solve(mesh, params, prob)\n"
+            "assert state.converged\n"
+            "print('sympy' in sys.modules)\n")
+    assert not loads_sympy(code, config)
 
 
 # ---------------------------------------------------------------- ramping
