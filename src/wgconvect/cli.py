@@ -97,7 +97,7 @@ def _load_problem(args):
 
 def _mean_pressure(fields):
     mesh = fields.mesh
-    qr = pb.QuadratureRule.triangle(max(fields.params.degree - 1, 1))
+    qr = pb.quad_rule(max(fields.params.degree - 1, 1), "triangle")
     vals = fields.pressure_at(mesh.fluid_elems, qr.points)
     return float(np.sum(mesh.det_b[mesh.fluid_elems][:, None]
                         * qr.weights * vals))
@@ -117,18 +117,19 @@ def _check_invariants(fields):
 
 
 def _solve_case(mesh, params, problem, sopts):
-    """One solve honoring the solver options; each stage of a
-    config-declared Rayleigh ramp takes one Picard step, then Newton steps
-    (relaxation="aitken"), and the ramp reports its final stage."""
+    """One solve honoring the solver options: (fields, states), one
+    OseenState per stage.  Each stage of a Rayleigh ramp (sopts["ramp"])
+    takes one Picard step, then Newton steps (relaxation="aitken"), and
+    the fields are its final stage's; without a ramp, one plain Picard
+    solve is the one stage."""
     targets = sopts.get("ramp")
     if targets:
-        fields, states = solver.ramp_rayleigh(
+        return solver.ramp_rayleigh(
             mesh, params, problem, targets, tol=sopts["tol"],
             max_iter=sopts["max_iter"], relaxation="aitken")
-        return fields, states[-1]
     fields, state = solver.oseen_solve(
         mesh, params, problem, tol=sopts["tol"], max_iter=sopts["max_iter"])
-    return fields, state
+    return fields, [state]
 
 
 def _print_convergence_table(meshes, reports):
@@ -163,7 +164,8 @@ def cmd_converge(args):
     for nx, ny in meshes:
         mesh = build_structured_mesh(nx, ny, problem.domain,
                                      problem.fluid_rect)
-        fields, state = _solve_case(mesh, params, problem, sopts)
+        fields, states = _solve_case(mesh, params, problem, sopts)
+        state = states[-1]
         inv_ok, msg, div_h = _check_invariants(fields)
         print("%dx%d: %s in %d iterations; %s"
               % (nx, ny, "converged" if state.converged else "NOT converged",
@@ -200,20 +202,14 @@ def cmd_cavity(args):
 
     # high Rayleigh numbers default to the ramp: the plain cold-start
     # iteration stops contracting somewhere above Ra = 1e3
-    ramping = (args.ramp or problem.ra > 1e3) and problem.ra > 0
-    if ramping:
-        targets = _default_ramp(problem.ra)
-        fields, states = solver.ramp_rayleigh(
-            mesh, params, problem, targets, tol=sopts["tol"],
-            max_iter=sopts["max_iter"], relaxation="aitken")
-        state = states[-1]
-        for ra, st in zip(targets, states):
-            print("Ra=%g: converged in %d iterations" % (ra, st.iterations))
-    else:
-        fields, state = _solve_case(mesh, params, problem, sopts)
+    if (args.ramp or problem.ra > 1e3) and problem.ra > 0:
+        sopts["ramp"] = _default_ramp(problem.ra)
+    fields, states = _solve_case(mesh, params, problem, sopts)
+    for ra, st in zip(sopts.get("ramp", [problem.ra]), states):
         print("Ra=%g: %s in %d iterations"
-              % (problem.ra, "converged" if state.converged else
-                 "NOT converged", state.iterations))
+              % (ra, "converged" if st.converged else "NOT converged",
+                 st.iterations))
+    state = states[-1]
 
     inv_ok, msg, _ = _check_invariants(fields)
     print(msg)
@@ -239,7 +235,8 @@ def cmd_solve(args):
     mesh = build_structured_mesh(nx, ny, problem.domain, problem.fluid_rect)
     os.makedirs(args.outdir, exist_ok=True)
 
-    fields, state = _solve_case(mesh, params, problem, sopts)
+    fields, states = _solve_case(mesh, params, problem, sopts)
+    state = states[-1]
     print("%s in %d iterations"
           % ("converged" if state.converged else "NOT converged",
              state.iterations))

@@ -19,19 +19,19 @@ Each linearized step freezes the advecting velocity w and solves
     abar(T,s) + cbar(w;T,s) = (g, s0)
 
 for (u, p, T); Dirichlet data is lifted to the right-hand side.  The
-temperature rows do not involve (u, p), so solve_sparse's block path
-solves the temperature block first and then the flow block (velocity,
-pressure and the multiplier) with the buoyancy d(T, v) moved to the
-right-hand side.  No matrix of the whole step is formed.
+temperature rows do not involve (u, p), so solve_sparse solves the
+temperature block first and then the flow block (velocity, pressure and
+the multiplier) with the buoyancy d(T, v) moved to the right-hand side.
+No matrix of the whole step is formed.
 
 A Newton step about a solve output x_k = (u_k, p_k, T_k) (JointSystem,
 from StepAssembler.linearize) is the Picard step at w = u_k plus the
 coupling J_c = c(du; u_k, v) + cbar(du; T_k, s), with right-hand side
 b + J_c x_k.  J_c puts velocity columns into the temperature rows, so the
-step is no longer block lower triangular: solve_sparse's joint path
-solves it as one joint block over all the unknowns, condensed through each
-element's interiors [u_0 | p_0 | T_0].  Plain runs never take that path,
-nor set up its block.
+step is no longer block lower triangular: solve_sparse solves it as one
+joint block over all the unknowns, condensed through each element's
+interiors [u_0 | p_0 | T_0].  Plain runs never take a Newton step, nor
+set up its block.
 
 Each element's interior unknowns (T_0; u_0 and p_0) couple only to each
 other and to the element's own traces, so a step is kept as element
@@ -49,23 +49,31 @@ The joint block is grounded and bordered the same way: J_c touches no
 pressure row or column, so the constant pressure, zero on the temperature,
 spans its null space too.
 
-oseen_solve keeps one HeldFactor per block for its Picard steps, since
-both blocks change only through w, and one for the joint block of its
-Newton steps, which changes only through x_k.  Each block is solved by
-sweeps x += M^-1 (b - A x) against the current block A, M the factored
-matrix, from the block's solution of the previous step, until the block
-residual is a tenth of the 1e-10 contract; a held factor that stalls is
-dropped, the block refactored and solved from zero.  The sweeps are what make the
-velocity divergence free to rounding, at any factor age: the divergence
-rows b(u,q) and the mean-pressure row do not depend on w (nor on x_k), so
-M equals A in those rows, and each sweep sets their residual to rounding.
-The 1e-10 check, relative to the whole right-hand side, is made on the
-residuals of both blocks' last sweeps, which make up the whole step's, or
-on the joint block's; it does not bound the divergence rows on its own,
-since their right side is zero.  A singular element interior block or
-Schur factor, or a residual above 1e-10, raises RuntimeError naming the
-block (and the element).
+Every step lists its diagonal blocks in solve order (Block): a Picard
+step its temperature block, then its flow block, a Newton step its joint
+block.  solve_sparse sweeps them in one loop, against one dict of
+HeldFactor keyed by block name: oseen_solve holds the temperature and flow
+factors across its Picard steps, since both blocks change only through w,
+and drops them for the joint factor of its Newton steps, which changes
+only through x_k; every block is held, swept and refactored by the same
+rule.  Each block is solved by sweeps x += M^-1 (b - A x) against the
+current block A, M the factored matrix, from the block's solution of the
+previous step, until the block residual is a tenth of the 1e-10 contract;
+a held factor that stalls is dropped, the block refactored and solved from
+zero.  The sweeps are what make the velocity divergence free to rounding,
+at any factor age: the divergence rows b(u,q) and the mean-pressure row do
+not depend on w (nor on x_k), so M equals A in those rows, and each sweep
+sets their residual to rounding.  The 1e-10 check, relative to the whole
+right-hand side, is made on the residuals of the blocks' last sweeps,
+which make up the whole step's; it does not bound the divergence rows on
+its own, since their right side is zero.  A singular element interior
+block or Schur factor raises RuntimeError naming the block (and the
+element), and a residual above 1e-10 raises one that names each block's
+residual.
 """
+
+import collections
+import math
 
 import numpy as np
 import scipy.sparse as sps
@@ -240,6 +248,16 @@ def apply_nonhomogeneous_dirichlet(dofmap, problem):
     return dofmap
 
 
+# one diagonal block of a step, as solve_sparse sweeps it: `name` keys its
+# held factor, `index` is its rows and columns in the step vector, `rows`
+# applies it to a block vector, `factor()` factors it and returns the
+# function applying its inverse (see Condensation and MeanPressureBlock),
+# and `lower(x)` applies its columns of the blocks solved before it to the
+# step vector x (None: it has none)
+Block = collections.namedtuple("Block", "name index rows factor lower",
+                               defaults=[None])
+
+
 class GlobalSystem:
     """One linear step over the free DOFs plus the multiplier: the static
     element matrices of StepAssembler and the step's skew convection
@@ -253,11 +271,10 @@ class GlobalSystem:
 
     temperature_rows and flow_rows apply the diagonal blocks to the block
     vectors x[flow_size:border_index] and x[flow_index]; buoyancy applies
-    the flow rows' only temperature columns, - d(T, v).  matrix is the
-    whole step, a scipy LinearOperator over the same products.  factors is
-    a (temperature, flow) pair of functions: each factors its block and
-    returns the function applying the block's inverse (see Condensation
-    and MeanPressureBlock).
+    the flow rows' only temperature columns, - d(T, v).  rows applies the
+    whole step, and matrix is a scipy LinearOperator over it.  blocks
+    lists the temperature block, then the flow block, whose lower
+    columns are the buoyancy.
     """
 
     def __init__(self, assembler, S):
@@ -269,16 +286,46 @@ class GlobalSystem:
         self.flow_index = np.append(np.arange(self.flow_size), dm.n_free)
         self._asm = assembler
         self._S = S
-        self.factors = assembler._factors(S)
 
+    # matrix and blocks are made on each access: held, their bound methods
+    # would make a reference cycle, and a step would outlive its last
+    # reference until the cyclic garbage collector ran
     @property
     def matrix(self):
-        # made on each access: held, it would make a reference cycle
         n = self.border_index
-        return spla.LinearOperator((n + 1, n + 1), matvec=self._apply,
+        return spla.LinearOperator((n + 1, n + 1), matvec=self.rows,
                                    dtype=float)
 
-    def _apply(self, x):
+    @property
+    def blocks(self):
+        """The temperature block, then the flow block.  S is added, on
+        copies of the static stacks, to the fluid elements' temperature
+        matrices and to both velocity components' diagonal blocks."""
+        asm, S = self._asm, self._S
+        f, n = self.flow_size, self.border_index
+
+        def temperature_stack():
+            stack = asm._temp_stack
+            if S is not None:
+                stack = stack.copy()
+                stack[asm.mesh.fluid_elems] += S
+            return stack
+
+        def flow_stack():
+            stack = asm._flow_stack
+            if S is not None:
+                stack = stack.copy()
+                for at in asm._conv_at:
+                    stack[:, at[:, None], at] += S
+            return stack
+
+        return [Block("temperature", slice(f, n), self.temperature_rows,
+                      lambda: asm.temperature.factor(temperature_stack)),
+                Block("flow", self.flow_index, self.flow_rows,
+                      lambda: asm.flow.factor(flow_stack),
+                      lambda x: self.buoyancy(x[f:n]))]
+
+    def rows(self, x):
         x = np.ravel(x)
         f, n, flow = self.flow_size, self.border_index, self.flow_index
         y = np.empty(n + 1)
@@ -326,49 +373,43 @@ class GlobalSystem:
         return full, float(x[dm.n_free])
 
 
-class JointSystem:
+class JointSystem(GlobalSystem):
     """The Newton step about a solve output x_k = (u_k, p_k, T_k), over
     the same unknowns as a GlobalSystem:
 
         (P(u_k) + J_c) x = b + J_c x_k,
 
-    P(u_k) the Picard step at w = u_k (`step`, a GlobalSystem) and J_c
-    the coupling c(du; u_k, v) + cbar(du; T_k, s), velocity columns in the
-    velocity and temperature rows, kept as element matrices (`coupling`,
-    see forms.skew_convection_coupling).  `rows` applies the whole step;
-    `factor` factors it as one joint block (see StepAssembler.linearize).
+    P(u_k) the Picard step at w = u_k (the GlobalSystem with S at u_k)
+    and J_c the coupling c(du; u_k, v) + cbar(du; T_k, s), velocity
+    columns in the velocity and temperature rows, kept as element matrices
+    (`coupling`, see forms.skew_convection_coupling).  `rows` applies the
+    whole step, and blocks lists it as one joint block (see
+    StepAssembler.linearize).
     """
 
-    def __init__(self, step, coupling, x_k):
-        self.step = step
-        self.border_index = step.border_index
+    def __init__(self, assembler, S, coupling, x_k):
+        super().__init__(assembler, S)
         self._coupling = coupling
-        self.rhs = step.rhs + self._coupled(x_k)
+        self.rhs = self.rhs + self._coupled(x_k)
 
     @property
-    def matrix(self):
-        n = self.border_index
-        return spla.LinearOperator((n + 1, n + 1), matvec=self.rows,
-                                   dtype=float)
+    def blocks(self):
+        asm, S, coupling = self._asm, self._S, self._coupling
+        return [Block("joint", slice(None), self.rows,
+                      lambda: asm._joint.factor(
+                          lambda: asm._joint_stack(S, coupling)))]
 
     def rows(self, x):
         x = np.ravel(x)
-        return self.step._apply(x) + self._coupled(x)
+        return super().rows(x) + self._coupled(x)
 
     def _coupled(self, x):
         # J_c x: gather each fluid element's velocity, multiply, sum back
-        pos = self.step._asm._coupling_pos
+        pos = self._asm._coupling_pos
         nv = self._coupling.shape[2]
         y = self._coupling @ np.append(x, 0.0)[pos[:, :nv], None]
         return np.bincount(pos.ravel(), y.ravel(),
                            minlength=len(x) + 1)[:len(x)]
-
-    def factor(self):
-        asm, S, coupling = self.step._asm, self.step._S, self._coupling
-        return asm._joint.factor(lambda: asm._joint_stack(S, coupling))
-
-    def expand(self, x):
-        return self.step.expand(x)
 
 
 def _pattern(keys, size):
@@ -566,8 +607,8 @@ class StepAssembler:
 
     It keeps the element matrices of both diagonal blocks without
     convection, with each element's positions in its block vector.  A
-    step's factor functions add its convection blocks to copies of them
-    and factor through `temperature` (a Condensation) and `flow` (a
+    step's blocks add its convection blocks to copies of them and factor
+    through `temperature` (a Condensation) and `flow` (a
     MeanPressureBlock).
     """
 
@@ -709,32 +750,8 @@ class StepAssembler:
 
     def assemble(self, w_prev=None):
         """Assemble the step with frozen advecting field w_prev (full-layout
-        coefficients; None means zero, i.e. a Stokes-like step).
-
-        A step is the static element matrices plus the skew convection
-        block S of every fluid element, in its temperature matrix and in
-        both velocity components' diagonal blocks; a zero field has none.
-        S lifts nothing into the right-hand side: its column of a face
-        trace carries w.n on that face, and a fixed temperature trace of a
-        fluid element lies on an outer fluid face, where w vanishes.
-        """
-        dm = self.dofmap
-        S = None
-        if w_prev is not None:
-            w_prev = np.asarray(w_prev, dtype=float)
-            if w_prev.shape != (dm.n_dofs,):
-                raise ValueError(
-                    "w_prev has length %d but the DOF map holds %d"
-                    % (w_prev.size, dm.n_dofs))
-            if np.any(w_prev[self._vel_fixed] != 0.0):
-                raise ValueError("w_prev must vanish at fixed velocity DOFs")
-        if w_prev is not None and np.any(w_prev):
-            mesh, fe = self.mesh, self.mesh.fluid_elems
-            w_int = w_prev[dm.u_interior(fe)]            # (Ef, 2, nk)
-            w_tr = w_prev[dm.u_trace(mesh.elem_faces[fe])]   # (Ef, 3, 2, nt)
-            S = forms.skew_convection_blocks(mesh, fe, self.params, w_int,
-                                             w_tr)            # (Ef, ns, ns)
-        return GlobalSystem(self, S)
+        coefficients; None means zero, i.e. a Stokes-like step)."""
+        return GlobalSystem(self, self._convection(w_prev))
 
     def linearize(self, about):
         """The Newton step about a solve output (full-layout coefficients
@@ -743,11 +760,36 @@ class StepAssembler:
         if self._joint is None:
             self._build_joint()
         fe, ns = self.mesh.fluid_elems, self.params.scalar_size
+        S = self._convection(about)
         coupling = forms.skew_convection_coupling(
             self.mesh, fe, self.params, about[self._coupling_dofs])
-        return JointSystem(self.assemble(about),
-                           coupling.reshape(len(fe), 3 * ns, 2 * ns),
+        return JointSystem(self, S, coupling.reshape(len(fe), 3 * ns, 2 * ns),
                            np.append(about[self.dofmap.free_dofs], 0.0))
+
+    def _convection(self, w_prev):
+        """The skew convection block S of every fluid element at the
+        advecting field w_prev, None for none (w_prev None or zero).  S
+        goes into its temperature matrix and into both velocity
+        components' diagonal blocks.  S lifts nothing into the right-hand
+        side: its column of a face trace carries w.n on that face, and a
+        fixed temperature trace of a fluid element lies on an outer fluid
+        face, where w vanishes."""
+        if w_prev is None:
+            return None
+        dm = self.dofmap
+        w_prev = np.asarray(w_prev, dtype=float)
+        if w_prev.shape != (dm.n_dofs,):
+            raise ValueError("w_prev has length %d but the DOF map holds %d"
+                             % (w_prev.size, dm.n_dofs))
+        if np.any(w_prev[self._vel_fixed] != 0.0):
+            raise ValueError("w_prev must vanish at fixed velocity DOFs")
+        if not np.any(w_prev):
+            return None
+        mesh, fe = self.mesh, self.mesh.fluid_elems
+        w_int = w_prev[dm.u_interior(fe)]                    # (Ef, 2, nk)
+        w_tr = w_prev[dm.u_trace(mesh.elem_faces[fe])]       # (Ef, 3, 2, nt)
+        return forms.skew_convection_blocks(mesh, fe, self.params, w_int,
+                                            w_tr)            # (Ef, ns, ns)
 
     def _joint_stack(self, S, coupling):
         """The joint element matrices of a Newton step with skew convection
@@ -771,29 +813,6 @@ class StepAssembler:
         jv = jv.ravel()
         fluid[:, np.append(jv, jt)[:, None], jv] += coupling
         return stack
-
-    def _factors(self, S):
-        """The (temperature, flow) factor functions of a step with skew
-        convection blocks S, None for none.  S is added, on copies of the
-        static stacks, to the fluid elements' temperature matrices and to
-        both velocity components' diagonal blocks."""
-        def temperature_stack():
-            stack = self._temp_stack
-            if S is not None:
-                stack = stack.copy()
-                stack[self.mesh.fluid_elems] += S
-            return stack
-
-        def flow_stack():
-            stack = self._flow_stack
-            if S is not None:
-                stack = stack.copy()
-                for at in self._conv_at:
-                    stack[:, at[:, None], at] += S
-            return stack
-
-        return (lambda: self.temperature.factor(temperature_stack),
-                lambda: self.flow.factor(flow_stack))
 
 
 def assemble_oseen_step(mesh, params, problem, w_prev=None, dofmap=None):
@@ -892,80 +911,60 @@ def _swept(rows, rhs, target, held, factor):
 
 
 def solve_sparse(system, held=None):
-    """Solve one assembled step, with a residual guarantee: a GlobalSystem
-    block by block, a JointSystem (a Newton step) as one joint block.
+    """Solve one assembled step, a GlobalSystem or a JointSystem, with a
+    residual guarantee, by one loop over system.blocks.
 
-    The temperature block, rows and columns f:n (f = flow_size, n =
-    border_index), is solved first, then the flow block, rows and columns
-    flow_index, with the buoyancy of that temperature on its right-hand
-    side.  Each block is factored by system.factors and swept with its
-    rows, system.temperature_rows or system.flow_rows.
+    Each block, in order, is solved for its part x[index] of the step
+    vector: its right-hand side is rhs[index] less lower(x), its columns
+    of the blocks solved before it (the buoyancy of the temperature, for
+    the flow block of a Picard step), and it is swept with its rows and
+    factored by its factor() (see _swept).  A Picard step is its
+    temperature block, then its flow block; a Newton step is one joint
+    block.
 
-    held is a (temperature, flow) pair of HeldFactor that keeps each
-    block's inverse and solution between calls; None makes a fresh pair
-    for this call.  A held inverse may come from an earlier step with
-    another advecting field: its age goes up by one, the solve starts from
-    the block's previous solution, and the inverse is refactored only when
-    it stalls, after which the block is solved from zero (see _swept).
+    held is a dict of HeldFactor keyed by block name; it keeps each
+    block's inverse and solution between calls, and a block it lacks gets
+    a fresh one.  None makes a fresh dict for this call.  A held inverse
+    may come from an earlier step with another advecting field (or
+    another x_k): its age goes up by one, the solve starts from the
+    block's previous solution, and the inverse is refactored only when it
+    stalls, after which the block is solved from zero.
 
-    Both blocks are swept against their current rows down to a block
+    Every block is swept against its current rows down to a block
     residual of SWEEP_TOL * max(||b||, 1), b the whole right-hand side;
     the sweeps keep the divergence rows at rounding (see the module
     docstring), which the 1e-10 check alone would not: an unswept solve
     leaves them at 1e-9..1e-8 on fine cavity meshes.  The check is made
     on the residuals of the blocks' last sweeps, which make up the whole
-    step's, as the temperature rows have no flow column.
-
-    A JointSystem is swept the same way with one HeldFactor (held; None
-    for a fresh one) against its whole rows, from the previous Newton
-    solution, and checked on their residual, relative to the Newton
-    right-hand side.  The joint block couples every unknown, but like the
-    flow block it leaves the divergence and mean-pressure rows static, so
-    its sweeps keep them at rounding too.
+    step's, as no block has columns of the blocks solved after it.
 
     Every failure raises RuntimeError naming the block: a singular
     element interior block (naming the element too), a singular
     temperature, grounded flow or grounded joint Schur factorization, or a
-    residual (NaN included) above 1e-10, reported with the residual of the
-    temperature rows and of the flow rows (of the block solve), or naming
-    the joint block.
+    residual (NaN included) above 1e-10, reported with each block's
+    residual: "block solve residual ... exceeds the 1e-10 contract (rhs
+    norm ...; temperature block rows ..., flow block rows ...)", or "(rhs
+    norm ...; joint block rows ...)" for a Newton step.
     """
-    if isinstance(system, JointSystem):
-        return _solve_joint(system, HeldFactor() if held is None else held)
-    rhs, flow = system.rhs, system.flow_index
-    f, n = system.flow_size, system.border_index
+    held = {} if held is None else held
+    rhs = system.rhs
     bnorm = np.linalg.norm(rhs)
     target = SWEEP_TOL * max(bnorm, 1.0)
-    if held is None:
-        held = (HeldFactor(), HeldFactor())
-    for block in held:
-        if block.inverse is not None:
-            block.age += 1
-    temperature, flow_factor = system.factors
-    t, r_t = _swept(system.temperature_rows, rhs[f:n], target, held[0],
-                    temperature)
-    v, r_v = _swept(system.flow_rows, rhs[flow] - system.buoyancy(t),
-                    target, held[1], flow_factor)
-    r_t, r_v = np.linalg.norm(r_t), np.linalg.norm(r_v)
-    resid = np.hypot(r_t, r_v)
+    x = np.empty_like(rhs)
+    residuals = []
+    for block in system.blocks:
+        h = held.setdefault(block.name, HeldFactor())
+        if h.inverse is not None:
+            h.age += 1
+        b = rhs[block.index]
+        if block.lower is not None:
+            b = b - block.lower(x)
+        x[block.index], r = _swept(block.rows, b, target, h, block.factor)
+        residuals.append((block.name, np.linalg.norm(r)))
+    resid = math.hypot(*(r for _, r in residuals))
     if not resid <= 1e-10 * max(bnorm, 1.0):     # a NaN residual fails too
         raise RuntimeError(
             "block solve residual %.3e exceeds the 1e-10 contract (rhs norm "
-            "%.3e; temperature block rows %.3e, flow block rows %.3e)"
-            % (resid, bnorm, r_t, r_v))
-    return np.concatenate([v[:-1], t, v[-1:]])
-
-
-def _solve_joint(system, held):
-    rhs = system.rhs
-    bnorm = np.linalg.norm(rhs)
-    if held.inverse is not None:
-        held.age += 1
-    x, r = _swept(system.rows, rhs, SWEEP_TOL * max(bnorm, 1.0), held,
-                  system.factor)
-    resid = np.linalg.norm(r)
-    if not resid <= 1e-10 * max(bnorm, 1.0):     # a NaN residual fails too
-        raise RuntimeError(
-            "joint block solve residual %.3e exceeds the 1e-10 contract "
-            "(Newton rhs norm %.3e)" % (resid, bnorm))
+            "%.3e; %s)" % (resid, bnorm, ", ".join(
+                "%s block rows %.3e" % nr for nr in residuals)))
     return x

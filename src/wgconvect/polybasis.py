@@ -12,6 +12,7 @@ face in opposite directions.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -117,15 +118,10 @@ class ScalarBasis:
         return out
 
 
-_BASIS_CACHE = {}
-
-
+@lru_cache(maxsize=None)
 def scalar_basis(degree, shape="triangle"):
     """Cached ScalarBasis instances (they are immutable in practice)."""
-    key = (degree, shape)
-    if key not in _BASIS_CACHE:
-        _BASIS_CACHE[key] = ScalarBasis(degree, shape)
-    return _BASIS_CACHE[key]
+    return ScalarBasis(degree, shape)
 
 
 class QuadratureRule:
@@ -163,15 +159,11 @@ class QuadratureRule:
         return cls(0.5 * (x + 1.0), 0.5 * w)
 
 
-_QUAD_CACHE = {}
-
-
+@lru_cache(maxsize=None)
 def quad_rule(degree, shape="triangle"):
-    key = (degree, shape)
-    if key not in _QUAD_CACHE:
-        maker = QuadratureRule.triangle if shape == "triangle" else QuadratureRule.edge
-        _QUAD_CACHE[key] = maker(degree)
-    return _QUAD_CACHE[key]
+    """Cached QuadratureRule.triangle or .edge rules, by shape (they are
+    immutable in practice)."""
+    return getattr(QuadratureRule, shape)(degree)
 
 
 # ----------------------------------------------------------------------

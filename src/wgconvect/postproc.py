@@ -16,7 +16,7 @@ import scipy.sparse.linalg as spla
 from . import forms
 from . import polybasis as pb
 from . import weakops as wo
-from .mesh import OUTER
+from .mesh import OUTER, mesh_size
 
 
 class WgFields:
@@ -213,7 +213,7 @@ def error_report(fields, exact, div_h=None):
     that has already computed it; None computes it here.
     """
     mesh = fields.mesh
-    qr = pb.QuadratureRule.triangle(max(2 * fields.params.degree + 4, 16))
+    qr = pb.quad_rule(max(2 * fields.params.degree + 4, 16), "triangle")
     fe = mesh.fluid_elems
     all_e = np.arange(mesh.n_elems)
 
@@ -258,7 +258,6 @@ def error_report(fields, exact, div_h=None):
                      gt_ref)
     if div_h is None:
         div_h, _ = divergence_diagnostic(fields)
-    from .mesh import mesh_size
     return ErrorReport(grad_u, l2_u, l2_p, grad_t, l2_t, div_h,
                        mesh_size(mesh), grad_u_rec=grad_u_rec,
                        grad_t_rec=grad_t_rec)
@@ -283,7 +282,7 @@ def divergence_diagnostic(fields):
     2k-2) exactly; the face term uses the edge rule of degree 2k+2.
     """
     mesh, params = fields.mesh, fields.params
-    qr = pb.QuadratureRule.triangle(2 * params.degree + 2)
+    qr = pb.quad_rule(2 * params.degree + 2, "triangle")
     fe = mesh.fluid_elems
     grad = fields.velocity_gradient_at(fe, qr.points)
     div = grad[..., 0, 0] + grad[..., 1, 1]
@@ -292,7 +291,7 @@ def divergence_diagnostic(fields):
 
     # every fluid face, evaluated from each fluid side at once; a side
     # without a fluid element contributes zero (the boundary datum)
-    eq = pb.QuadratureRule.edge(2 * params.degree + 2)
+    eq = pb.quad_rule(2 * params.degree + 2, "edge")
     ff = mesh.fluid_faces
     pts = mesh.face_points(ff, eq.points)                    # (F, Q, 2)
     jump = np.zeros(pts.shape[:2])
@@ -413,7 +412,7 @@ def cavity_report(fields, quad_degree=None):
     nu_max = float(np.max(nu_s))
     nu_min = float(np.min(nu_s))
 
-    qr = pb.QuadratureRule.triangle(quad_degree)
+    qr = pb.quad_rule(quad_degree, "triangle")
     fe = mesh.fluid_elems
     uh = fields.velocity_at(fe, qr.points)
     th = fields.temperature_at(fe, qr.points)
@@ -449,7 +448,7 @@ def stream_function(fields):
     grads = perp / (2.0 * area)[:, None, None]
     K_el = np.einsum("e,eid,ejd->eij", area, grads, grads)
 
-    qr = pb.QuadratureRule.triangle(2 * fields.params.degree + 2)
+    qr = pb.quad_rule(2 * fields.params.degree + 2, "triangle")
     lam = np.column_stack([1.0 - qr.points.sum(axis=1),
                            qr.points[:, 0], qr.points[:, 1]])
     gu = fields.velocity_gradient_at(fe, qr.points)

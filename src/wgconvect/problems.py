@@ -350,7 +350,9 @@ def load_config(path):
     Returns (ProblemSpec, method: dict, solver: dict).  If an [exact]
     section provides u1, u2, p, T the forcing is derived from it; otherwise
     the forcing is zero.  A section or key outside CONFIG_SCHEMA raises
-    ValueError, so that a misspelt setting is not silently ignored.
+    ValueError, so that a misspelt setting is not silently ignored, and so
+    does a [solver] ramp (Rayleigh numbers solved in turn) whose last
+    target is not [physics] ra.
     """
     cp = configparser.ConfigParser()
     with open(path) as fh:
@@ -422,6 +424,11 @@ def load_config(path):
         if "max_iter" in s:
             solver["max_iter"] = s.getint("max_iter")
         if "ramp" in s:
-            solver["ramp"] = [float(t) for t in
-                              s.get("ramp").replace(",", " ").split()]
+            ramp = [float(t) for t in s.get("ramp").replace(",", " ").split()]
+            # the ramp's last stage is the solve, so it must be at ra
+            if ramp and ramp[-1] != ra:
+                raise ValueError("config %s: [solver] ramp ends at Ra = %g, "
+                                 "not at [physics] ra = %g"
+                                 % (path, ramp[-1], ra))
+            solver["ramp"] = ramp
     return problem, method, solver

@@ -117,7 +117,7 @@ def oseen_solve(mesh, params, problem, tol=1e-9, max_iter=100,
     # temperature and flow blocks' in Picard steps, the joint block's once
     # Newton steps start; the factors, like the norm matrices, live only
     # as long as this call
-    held = (linsys.HeldFactor(), linsys.HeldFactor())
+    held = {}
     norm_mats = {kind: postproc.norm_matrices(mesh, params, kind)
                  for kind in ("velocity", "temperature")}
 
@@ -149,7 +149,7 @@ def oseen_solve(mesh, params, problem, tol=1e-9, max_iter=100,
         prev = full
         if relaxation is not None and not newton:
             # the block factors go before the joint one is built
-            held = linsys.HeldFactor()
+            held.clear()
             newton = True
         if du + dt <= tol * scale:
             converged = True

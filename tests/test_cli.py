@@ -226,6 +226,20 @@ def test_solve_rejects_non_polynomial_wall_temperature(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_solve_rejects_ramp_that_stops_below_ra(tmp_path, capsys):
+    # the ramp's last stage is the solve: a ramp ending at 1e3 would
+    # solve an ra = 1e4 config at Ra = 1e3
+    path = tmp_path / "ramp.ini"
+    path.write_text(CAVITY_INI.replace("ra = 1000.0", "ra = 1e4")
+                    + "[solver]\nramp = 1e3\n")
+    assert run(["solve", "--config", path, "--mesh", "4x4",
+                "-o", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "ramp ends at Ra = 1000, not at [physics] ra = 10000" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_solve_reports_nonconvergence_with_exit_one(tmp_path):
     assert run(["solve", "--problem", "manufactured", "--mesh", "4x2",
                 "--tol", "1e-14", "--max-iter", "1",

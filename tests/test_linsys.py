@@ -1,5 +1,7 @@
+import gc
 import re
 import types
+import weakref
 
 import numpy as np
 import pytest
@@ -513,29 +515,64 @@ def newton_steps(prob, mesh, params, about):
     return asm, [asm.linearize(iterates[i - 1]) for i in about]
 
 
+def scale_first_factor(monkeypatch, kind):
+    """Make the first block of every step of class kind factor to 1.5
+    times its inverse."""
+    blocks = kind.blocks
+
+    def scaled(self):
+        first, *rest = blocks.fget(self)
+
+        def factor():
+            inverse = first.factor()
+            return lambda r: 1.5 * inverse(r)
+
+        return [first._replace(factor=factor), *rest]
+
+    monkeypatch.setattr(kind, "blocks", property(scaled))
+
+
 def test_joint_solve_that_misses_the_contract_raises(monkeypatch):
     # a fresh joint inverse scaled by 1.5 stalls far above the contract:
     # the error names the joint block, and oseen_solve adds the iteration
     prob, mesh, params = manufactured_setup(8, 4)
     _, (system,) = newton_steps(prob, mesh, params, [1])
-    factor = linsys.JointSystem.factor
-
-    def scaled(self):
-        inverse = factor(self)
-        return lambda r: 1.5 * inverse(r)
-
-    monkeypatch.setattr(linsys.JointSystem, "factor", scaled)
-    with pytest.raises(RuntimeError, match="joint block solve residual") \
-            as info:
+    scale_first_factor(monkeypatch, linsys.JointSystem)
+    with pytest.raises(RuntimeError, match="joint block rows") as info:
         linsys.solve_sparse(system)
-    found = re.search(r"residual (\S+) exceeds the 1e-10 contract \(Newton "
-                      r"rhs norm (\S+)\)", str(info.value))
-    resid, bnorm = map(float, found.groups())
+    found = re.search(r"residual (\S+) exceeds the 1e-10 contract \(rhs "
+                      r"norm (\S+); joint block rows (\S+)\)",
+                      str(info.value))
+    resid, bnorm, joint_resid = map(float, found.groups())
     assert bnorm == pytest.approx(np.linalg.norm(system.rhs), rel=1e-3)
-    assert resid > 1e-10 * bnorm
-    with pytest.raises(RuntimeError,
-                       match=r"iteration \d+: joint block solve residual"):
+    assert resid > 1e-10 * bnorm and joint_resid == resid
+    with pytest.raises(RuntimeError, match=r"iteration \d+: block solve "
+                                           r"residual .*joint block rows"):
         solver.oseen_solve(mesh, params, prob, relaxation="aitken")
+
+
+def test_solved_steps_are_freed_without_the_cyclic_collector():
+    # a step holds no reference cycle: with the cyclic garbage collector
+    # off, a solved Picard step and a solved Newton step are freed as soon
+    # as their last reference goes (a cycle would keep each step, its
+    # convection blocks included, alive until the collector ran)
+    prob, mesh, params = manufactured_setup(8, 4)
+    asm, w, _ = first_iterate(prob, mesh, params)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for make in (asm.assemble, asm.linearize):
+            system = make(w)
+            x = linsys.solve_sparse(system)
+            assert np.linalg.norm(system.matrix @ x - system.rhs) \
+                <= 1e-10 * np.linalg.norm(system.rhs)
+            system.expand(x)
+            freed = weakref.ref(system)
+            del system
+            assert freed() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_zero_data_gives_zero_solution():
@@ -675,9 +712,9 @@ def test_condensed_inverse_equals_direct_solve(variant, degree, advected):
     flow = system.flow_index
     f, n = system.flow_size, system.border_index
     rng = np.random.default_rng(11)
-    for factor, mat in zip(system.factors,
-                           (mat[f:n, f:n], mat[flow][:, flow])):
-        inverse = factor()
+    for block, mat in zip(system.blocks,
+                          (mat[f:n, f:n], mat[flow][:, flow])):
+        inverse = block.factor()
         for _ in range(3):
             r = rng.standard_normal(mat.shape[0])
             want = spla.spsolve(mat.tocsc(), r)
@@ -736,14 +773,14 @@ def test_stale_factor_keeps_divergence_rows_exact():
     mesh = build_structured_mesh(12, 12, prob.domain, prob.fluid_rect)
     params = forms.MethodParams.from_variant("wg1", 1)
     asm = linsys.StepAssembler(mesh, params, prob)
-    held = (linsys.HeldFactor(), linsys.HeldFactor())
+    held = {}
     first = asm.assemble(None)
     w, _ = first.expand(linsys.solve_sparse(first, held))
     system = asm.assemble(w)
     flow, f = system.flow_index, system.flow_size
     x = linsys.solve_sparse(system)
     b = system.rhs[flow] - system.buoyancy(x[f:system.border_index])
-    r = b - system.flow_rows(held[1].inverse(b))
+    r = b - system.flow_rows(held["flow"].inverse(b))
     exact = flow_rows_without_w(system)
     rest = np.setdiff1d(np.arange(len(flow)), exact)
     assert np.linalg.norm(r[exact]) <= 1e-12 * np.linalg.norm(b)
@@ -754,20 +791,22 @@ def test_stale_factor_keeps_divergence_rows_exact():
     # solved by sweeps with the factor of the first of them, keep the
     # velocity divergence free
     _, (early, late) = newton_steps(prob, mesh, params, [1, 3])
-    stale = early.factor()
+    (joint,) = early.blocks
+    stale = joint.factor()
     b = late.rhs
     r = b - late.rows(stale(b))
     exact = np.append(exact[:-1], late.border_index)
     rest = np.setdiff1d(np.arange(len(b)), exact)
     assert np.linalg.norm(r[exact]) <= 1e-12 * np.linalg.norm(b)
     assert np.linalg.norm(r[rest]) >= 1e-3 * np.linalg.norm(b)
-    joint = linsys.HeldFactor()
+    held = {}
     _, steps = newton_steps(prob, mesh, params, [3, 4, 5, 6])
     for age, step in enumerate(steps):
-        x = linsys.solve_sparse(step, joint)
+        x = linsys.solve_sparse(step, held)
+        joint = held["joint"]
         if age == 0:
-            held = joint.inverse
-        assert joint.inverse is held and joint.age == age
+            inverse = joint.inverse
+        assert joint.inverse is inverse and joint.age == age
         full, lam = step.expand(x)
         fields = postproc.WgFields(mesh, params, asm.dofmap, full, lam)
         div_h, jump = postproc.divergence_diagnostic(fields)
@@ -781,16 +820,17 @@ def test_stale_held_factor_solves_without_refactoring(monkeypatch):
     # result meets the divergence contract
     prob, mesh, params = manufactured_setup(8, 4)
     asm = linsys.StepAssembler(mesh, params, prob)
-    held = (linsys.HeldFactor(), linsys.HeldFactor())
+    held = {}
     first = asm.assemble(None)
     w, _ = first.expand(linsys.solve_sparse(first, held))
     system = asm.assemble(w)
-    stale = [h.inverse for h in held]
+    stale = [h.inverse for h in held.values()]
     factorizations = counting_factorizations(monkeypatch)
     x = linsys.solve_sparse(system, held)
     assert factorizations == []
-    assert [h.inverse for h in held] == stale
-    assert [h.age for h in held] == [1, 1]
+    assert list(held) == ["temperature", "flow"]
+    assert [h.inverse for h in held.values()] == stale
+    assert [h.age for h in held.values()] == [1, 1]
     full, lam = system.expand(x)
     fields = postproc.WgFields(mesh, params, asm.dofmap, full, lam)
     div_h, jump = postproc.divergence_diagnostic(fields)
@@ -807,15 +847,15 @@ def test_stalled_held_factor_is_refactored(monkeypatch):
     mesh = build_structured_mesh(8, 8, prob.domain, prob.fluid_rect)
     params = forms.MethodParams.from_variant("wg1", 1)
     asm = linsys.StepAssembler(mesh, params, prob)
-    held = (linsys.HeldFactor(), linsys.HeldFactor())
+    held = {}
     first = asm.assemble(None)
     w, _ = first.expand(linsys.solve_sparse(first, held))
     system = asm.assemble(w)
-    stale = [h.inverse for h in held]
+    stale = [h.inverse for h in held.values()]
     factorizations = counting_factorizations(monkeypatch)
     x = linsys.solve_sparse(system, held)
     assert factorizations == oracles.schur_shapes(system)
-    for h, old in zip(held, stale):
+    for h, old in zip(held.values(), stale):
         assert h.inverse is not old and h.age == 0
     full, lam = system.expand(x)
     fields = postproc.WgFields(mesh, params, asm.dofmap, full, lam)
@@ -834,7 +874,7 @@ def test_warm_start_saves_applications():
     mesh = build_structured_mesh(12, 12, prob.domain, prob.fluid_rect)
     params = forms.MethodParams.from_variant("wg1", 1)
     asm = linsys.StepAssembler(mesh, params, prob)
-    held = (linsys.HeldFactor(), linsys.HeldFactor())
+    held = {}
     w = None
     for _ in range(6):
         system = asm.assemble(w)
@@ -843,15 +883,16 @@ def test_warm_start_saves_applications():
 
     def counted(warm):
         calls = []
-        copies = []
-        for h in held:
+        copies = {}
+        for name, h in held.items():
             c = linsys.HeldFactor()
             c.inverse = lambda r, inv=h.inverse: calls.append(1) or inv(r)
             c.age = h.age
             c.last = h.last if warm else None
-            copies.append(c)
+            copies[name] = c
         x = linsys.solve_sparse(system, copies)
-        assert all(c.age == h.age + 1 for c, h in zip(copies, held))
+        assert all(copies[name].age == h.age + 1
+                   for name, h in held.items())
         return x, len(calls)
 
     x_warm, warm_calls = counted(True)
@@ -939,13 +980,7 @@ def test_block_solve_that_misses_the_contract_raises(monkeypatch):
     # block meets its rows at the temperature it was given
     prob, mesh, params = manufactured_setup(4, 2)
     system = linsys.assemble_oseen_step(mesh, params, prob)
-    temperature, flow = system.factors
-
-    def scaled():
-        inverse = temperature()
-        return lambda r: 1.5 * inverse(r)
-
-    system.factors = (scaled, flow)
+    scale_first_factor(monkeypatch, linsys.GlobalSystem)
     factorizations = counting_factorizations(monkeypatch)
     with pytest.raises(RuntimeError, match="exceeds the 1e-10") as info:
         linsys.solve_sparse(system)

@@ -1,6 +1,8 @@
+import gc
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -359,6 +361,40 @@ def test_relaxed_solve_takes_one_picard_step_then_newton_steps(monkeypatch):
     assert state.converged and state.iterations >= 3
     assert kinds == [linsys.GlobalSystem] \
         + [linsys.JointSystem] * (state.iterations - 1)
+
+
+def test_block_factors_are_freed_before_the_joint_block_is_factored(
+        monkeypatch):
+    # a relaxed solve drops its Picard step's temperature and flow
+    # factors before it factors the joint block of its first Newton step,
+    # so the block factors and the joint factor are never alive together
+    prob, mesh, params = cavity_setup(8, 1e3)
+    inverses = {}
+    alive = None
+    factor = linsys.Condensation.factor
+
+    def recording(self, build):
+        nonlocal alive
+        if self.name == "joint block" and alive is None:
+            alive = sorted(name for name, refs in inverses.items()
+                           for ref in refs if ref() is not None)
+        inverse = factor(self, build)
+        inverses.setdefault(self.name, []).append(weakref.ref(inverse))
+        return inverse
+
+    monkeypatch.setattr(linsys.Condensation, "factor", recording)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        _, state = solver.oseen_solve(mesh, params, prob, tol=1e-9,
+                                      relaxation="aitken")
+    finally:
+        if enabled:
+            gc.enable()
+    assert state.converged
+    assert sorted(inverses) == ["flow block", "joint block",
+                                "temperature block"]
+    assert alive == []
 
 
 def test_relaxed_ramp_reaches_high_rayleigh():
