@@ -3,11 +3,12 @@ one-off solves.
 
 Three subcommands share one option vocabulary: `converge` runs a problem
 with a known exact solution over a halving mesh sequence and tabulates
-errors and orders, `cavity` runs the buoyancy-driven cavity benchmark with
-an optional Rayleigh ramp, and `solve` runs one mesh from a problem config
-file.  All numeric tables are printed with 5 significant digits; the CSV
-files carry full precision.  Exit status is 0 only if every solve converged
-and the divergence and mean-pressure invariants hold.
+errors and orders, `cavity` runs the buoyancy-driven cavity benchmark, and
+`solve` runs one mesh from a problem config file.  All three choose the
+fixed-point iteration by one rule (`_solve_case`).  All numeric tables are
+printed with 5 significant digits; the CSV files carry full precision.
+Exit status is 0 only if every solve converged and the divergence and
+mean-pressure invariants hold.
 """
 
 import argparse
@@ -119,16 +120,18 @@ def _check_invariants(fields):
 def _solve_case(mesh, params, problem, sopts):
     """One solve honoring the solver options: (fields, states), one
     OseenState per stage.  Each stage of a Rayleigh ramp (sopts["ramp"])
-    takes one Picard step, then Newton steps (relaxation="aitken"), and
-    the fields are its final stage's; without a ramp, one plain Picard
-    solve is the one stage."""
+    takes one Picard step, then damped Newton steps (relaxation="aitken"),
+    and the fields are its final stage's.  Without a ramp, one solve from
+    rest is the one stage: relaxed above Ra = 1e3, where plain Picard
+    stops contracting, and plain Picard up to it."""
     targets = sopts.get("ramp")
     if targets:
         return solver.ramp_rayleigh(
             mesh, params, problem, targets, tol=sopts["tol"],
             max_iter=sopts["max_iter"], relaxation="aitken")
     fields, state = solver.oseen_solve(
-        mesh, params, problem, tol=sopts["tol"], max_iter=sopts["max_iter"])
+        mesh, params, problem, tol=sopts["tol"], max_iter=sopts["max_iter"],
+        relaxation="aitken" if problem.ra > 1e3 else None)
     return fields, [state]
 
 
@@ -182,16 +185,6 @@ def cmd_converge(args):
     return 0 if ok else 1
 
 
-def _default_ramp(ra):
-    targets = []
-    t = 1e3
-    while t < ra:
-        targets.append(t)
-        t *= 10.0
-    targets.append(ra)
-    return targets
-
-
 def cmd_cavity(args):
     args.problem = "cavity"
     args.config = None
@@ -200,16 +193,10 @@ def cmd_cavity(args):
     mesh = build_structured_mesh(nx, ny, problem.domain, problem.fluid_rect)
     os.makedirs(args.outdir, exist_ok=True)
 
-    # high Rayleigh numbers default to the ramp: the plain cold-start
-    # iteration stops contracting somewhere above Ra = 1e3
-    if (args.ramp or problem.ra > 1e3) and problem.ra > 0:
-        sopts["ramp"] = _default_ramp(problem.ra)
-    fields, states = _solve_case(mesh, params, problem, sopts)
-    for ra, st in zip(sopts.get("ramp", [problem.ra]), states):
-        print("Ra=%g: %s in %d iterations"
-              % (ra, "converged" if st.converged else "NOT converged",
-                 st.iterations))
-    state = states[-1]
+    fields, (state,) = _solve_case(mesh, params, problem, sopts)
+    print("Ra=%g: %s in %d iterations"
+          % (problem.ra, "converged" if state.converged else "NOT converged",
+             state.iterations))
 
     inv_ok, msg, _ = _check_invariants(fields)
     print(msg)
@@ -296,10 +283,6 @@ def build_parser():
     cav.add_argument("--ra", type=float, default=1e3,
                      help="Rayleigh number")
     cav.add_argument("--mesh", default="40x40", help="cell counts, NxM")
-    cav.add_argument("--ramp", action="store_true",
-                     help="force the decade-by-decade Rayleigh ramp "
-                          "(automatic for Ra > 1e3); each ramp stage "
-                          "takes one Picard step, then Newton steps")
     cav.set_defaults(func=cmd_cavity)
 
     sol = sub.add_parser("solve", help="one solve from a problem config")

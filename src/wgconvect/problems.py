@@ -255,11 +255,14 @@ class ProblemSpec:
                                  "(residual %.2e)" % div)
 
     def with_rayleigh(self, ra):
-        """Copy of this problem at a different Rayleigh number.
+        """Copy of this problem at a different Rayleigh number, or the
+        problem itself at its own.
 
         Only valid for problems whose forcing does not depend on Ra (zero
         forcing); used by the ramping driver.
         """
+        if ra == self.ra:
+            return self
         if self.exact is not None:
             raise ValueError("cannot retarget Ra with a manufactured forcing")
         return ProblemSpec(self.pr, ra, self.kappa, self.domain,
@@ -352,7 +355,8 @@ def load_config(path):
     the forcing is zero.  A section or key outside CONFIG_SCHEMA raises
     ValueError, so that a misspelt setting is not silently ignored, and so
     does a [solver] ramp (Rayleigh numbers solved in turn) whose last
-    target is not [physics] ra.
+    target is not [physics] ra, or that has more than one stage alongside
+    an [exact] section, whose forcing holds Ra.
     """
     cp = configparser.ConfigParser()
     with open(path) as fh:
@@ -430,5 +434,10 @@ def load_config(path):
                 raise ValueError("config %s: [solver] ramp ends at Ra = %g, "
                                  "not at [physics] ra = %g"
                                  % (path, ramp[-1], ra))
+            if len(ramp) > 1 and exact is not None:
+                raise ValueError("config %s: a [solver] ramp of %d stages "
+                                 "cannot be used with an [exact] section, "
+                                 "whose forcing is fixed at ra = %g"
+                                 % (path, len(ramp), ra))
             solver["ramp"] = ramp
     return problem, method, solver

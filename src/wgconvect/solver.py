@@ -19,8 +19,28 @@ P(u_k) the Picard step at w = u_k and J_c the coupling c(du; u_k, v) +
 cbar(du; T_k, s) that Picard leaves out (linsys.JointSystem).  Its solve
 factors the whole step as one joint block, held and swept across the
 Newton steps like the Picard blocks.  A plain run takes only Picard steps.
+
+Far from the solution, full Newton steps from rest run away at Ra ~ 1e6,
+so a Newton step is damped by Armijo backtracking (Dennis & Schnabel 1983,
+ch. 6): with x_N the solve output about x_k, the iterate is
+
+    x = x_k + lam (x_N - x_k),
+
+the multiplier interpolated alike, for the first lam of 1, 1/2, ...,
+MIN_STEP with ||F(x)|| <= (1 - SUFFICIENT_DECREASE lam) ||F(x_k)||, or
+MIN_STEP if none passes.  F(x) is the nonlinear residual: the Picard step
+assembled at x, applied to x, less its right-hand side.  A damped iterate
+keeps the velocity exactly divergence free: x_k and x_N are both solve
+outputs, the divergence constraint b(u, q) = 0 is linear and homogeneous
+and both carry the same Dirichlet data, so every convex combination meets
+both.  Only a full step ends the solve, and one whose increments meet the
+tolerance is taken without the test, since ||F|| is then at its rounding
+floor.  Where every step is full, the iterates are the solve outputs
+themselves.  Damped Newton steps only decrease ||F||; neither they nor
+the Picard steps are claimed to be the paper's convergent iteration.
 """
 
+import collections
 import time
 
 import numpy as np
@@ -29,22 +49,9 @@ from . import linsys
 from . import postproc
 
 
-class TraceRow:
-    """Increment norms of one iteration (seconds is wall time, the one
-    field that differs between reruns)."""
-
-    __slots__ = ("iteration", "du", "dt", "dp", "seconds")
-
-    def __init__(self, iteration, du, dt, dp, seconds):
-        self.iteration = iteration
-        self.du = du
-        self.dt = dt
-        self.dp = dp
-        self.seconds = seconds
-
-    def __repr__(self):
-        return ("TraceRow(n=%d, du=%.3e, dt=%.3e, dp=%.3e, %.3fs)"
-                % (self.iteration, self.du, self.dt, self.dp, self.seconds))
+# the increment norms of one iteration; seconds is wall time, the one field
+# that differs between reruns
+TraceRow = collections.namedtuple("TraceRow", "iteration du dt dp seconds")
 
 
 class OseenState:
@@ -73,6 +80,12 @@ class OseenState:
                 % (word, self.iterations, self.du_norm, self.dt_norm))
 
 
+# Armijo backtracking of a Newton step: the first step length of 1, 1/2,
+# ..., MIN_STEP that cuts ||F|| by a SUFFICIENT_DECREASE * step share
+SUFFICIENT_DECREASE = 1e-4
+MIN_STEP = 1.0 / 64
+
+
 def _coeffs_of(initial_velocity, dofmap):
     if initial_velocity is None:
         return np.zeros(dofmap.n_dofs)
@@ -90,6 +103,23 @@ def _coeffs_of(initial_velocity, dofmap):
     return out
 
 
+def _damped(residual, start, newton, f_start):
+    """Armijo backtracking from start to the Newton solve output newton,
+    both (coefficients, multiplier) pairs: the first step length of 1,
+    1/2, ..., MIN_STEP whose point x = start + step (newton - start) has
+    ||F(x)|| = residual(*x) at most (1 - SUFFICIENT_DECREASE * step) *
+    f_start, or MIN_STEP if none has.  Returns (x, step, ||F(x)||); a full
+    step returns newton itself."""
+    step, x = 1.0, newton
+    while True:
+        f = residual(*x)
+        if f <= (1.0 - SUFFICIENT_DECREASE * step) * f_start \
+                or step <= MIN_STEP:
+            return x, step, f
+        step /= 2
+        x = tuple(a + step * (b - a) for a, b in zip(start, newton))
+
+
 def oseen_solve(mesh, params, problem, tol=1e-9, max_iter=100,
                 initial_velocity=None, relaxation=None):
     """Iterate linearized steps to a fixed point.
@@ -97,9 +127,11 @@ def oseen_solve(mesh, params, problem, tol=1e-9, max_iter=100,
     Returns (fields, state); state.converged is False when max_iter ran out
     (the trace is still populated, nothing is raised).  relaxation is None
     for the plain Picard iteration or "aitken" for one Picard step followed
-    by Newton steps (see the module docstring); either way the returned
-    fields are an exact solve output, so the divergence invariants hold
-    whenever the linear solves do.
+    by damped Newton steps (see the module docstring).  The returned fields
+    are a solve output, or a convex combination of two, so the divergence
+    invariants hold whenever the linear solves do.  A Newton step that is
+    not yet converged costs one assembly and one application of the step
+    per step length tried, for ||F||.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -124,10 +156,21 @@ def oseen_solve(mesh, params, problem, tol=1e-9, max_iter=100,
     def norm(f, kind):
         return postproc.triple_norm(f, kind, matrices=norm_mats[kind])
 
+    def increments(full, lam):
+        # the fields (full, lam), their increment from prev and its norms
+        fields = postproc.WgFields(mesh, params, dm, full, lam)
+        diff = fields.copy_with(full - prev)
+        return fields, diff, norm(diff, "velocity"), norm(diff, "temperature")
+
+    def residual(full, lam):
+        # ||F(x)||: the step assembled at x, applied to x, less its rhs
+        step = asm.assemble(full)
+        x = np.append(full[dm.free_dofs], lam)
+        return np.linalg.norm(step.rows(x) - step.rhs)
+
     trace = []
-    fields = None
-    converged = False
     newton = False
+    f_prev = None       # ||F(prev)||, once Newton steps start
     for n in range(1, max_iter + 1):
         t0 = time.perf_counter()
         system = asm.linearize(prev) if newton else asm.assemble(prev)
@@ -138,21 +181,27 @@ def oseen_solve(mesh, params, problem, tol=1e-9, max_iter=100,
                                % (n, err)) from err
         full, lam = system.expand(x)
         del system, x
-        fields = postproc.WgFields(mesh, params, dm, full, lam)
-        diff = fields.copy_with(full - prev)
-        du = norm(diff, "velocity")
-        dt = norm(diff, "temperature")
-        dp = postproc.pressure_l2(diff)
-        trace.append(TraceRow(n, du, dt, dp, time.perf_counter() - t0))
+        fields, diff, du, dt = increments(full, lam)
         scale = max(norm(fields, "velocity") + norm(fields, "temperature"),
                     1e-14)
-        prev = full
+        # a step that meets the tolerance ends the solve undamped: there
+        # ||F|| sits at its rounding floor, and the test would compare noise
+        converged = du + dt <= tol * scale
+        if newton and not converged:
+            if f_prev is None:
+                f_prev = residual(prev, prev_lam)
+            (full, lam), step, f_prev = _damped(residual, (prev, prev_lam),
+                                                (full, lam), f_prev)
+            if step < 1.0:
+                fields, diff, du, dt = increments(full, lam)
+        dp = postproc.pressure_l2(diff)
+        trace.append(TraceRow(n, du, dt, dp, time.perf_counter() - t0))
+        prev, prev_lam = full, lam
         if relaxation is not None and not newton:
             # the block factors go before the joint one is built
             held.clear()
             newton = True
-        if du + dt <= tol * scale:
-            converged = True
+        if converged:
             break
     state = OseenState(fields, trace, converged)
     return fields, state
@@ -166,7 +215,7 @@ def ramp_rayleigh(mesh, params, problem, targets, tol=1e-9, max_iter=100,
     Returns (final fields, list of per-stage OseenState).  A stage that
     fails to converge, or whose linear solve fails, raises naming the
     stage and its Rayleigh number.  relaxation is forwarded to every
-    stage; pass "aitken" (Newton steps) for targets at or beyond 1e4,
+    stage; pass "aitken" (damped Newton steps) for targets beyond 1e3,
     where the plain Picard iteration stalls.
     """
     targets = [float(t) for t in targets]

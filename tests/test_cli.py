@@ -67,12 +67,6 @@ def test_flags_override_config(tmp_path):
     assert sopts["max_iter"] == 7             # config survives
 
 
-def test_default_ramp_targets():
-    assert cli._default_ramp(1e3) == [1e3]
-    assert cli._default_ramp(1e5) == [1e3, 1e4, 1e5]
-    assert cli._default_ramp(5e3) == [1e3, 5e3]
-
-
 # ------------------------------------------------------------ subcommands
 
 
@@ -144,13 +138,30 @@ def test_cavity_pure_conduction_gives_unit_nusselt(tmp_path):
     assert (out / "trace.csv").exists()
 
 
-def test_cavity_ramp_runs_each_stage(tmp_path, capsys):
+def test_cavity_above_1e3_is_one_solve(tmp_path, capsys):
+    # no decade ramp: one relaxed solve from rest at the asked Ra
     out = tmp_path / "out"
-    assert run(["cavity", "--ra", "2e3", "--mesh", "8x8", "--ramp",
-                "-o", out]) == 0
+    assert run(["cavity", "--ra", "2e3", "--mesh", "8x8", "-o", out]) == 0
     text = capsys.readouterr().out
-    assert "Ra=1000:" in text
-    assert "Ra=2000:" in text
+    assert "Ra=2000: converged" in text
+    assert "Ra=1000:" not in text
+
+
+def test_cavity_has_no_ramp_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        run(["cavity", "--ra", "2e3", "--mesh", "4x4", "--ramp",
+             "-o", tmp_path / "out"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --ramp" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_solve_cavity_above_1e3_takes_newton_steps(tmp_path, capsys):
+    # plain Picard stalls here and stops unconverged after 100 steps; the
+    # solve command takes the relaxed solve, as cavity does
+    assert run(["solve", "--problem", "cavity", "--ra", "1e4", "--mesh",
+                "8x8", "-o", tmp_path / "out"]) == 0
+    assert "converged in 7 iterations" in capsys.readouterr().out
 
 
 def test_solve_requires_a_problem_source(tmp_path, capsys):
@@ -237,6 +248,25 @@ def test_solve_rejects_ramp_that_stops_below_ra(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "ramp ends at Ra = 1000, not at [physics] ra = 10000" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_single_stage_ramp_runs_with_exact_section(tmp_path):
+    # a one-stage ramp at the config's own ra is a relaxed solve of it
+    config = manufactured_config(tmp_path)
+    config.write_text(config.read_text() + "[solver]\nramp = 10\n")
+    assert run(["solve", "--config", config, "--mesh", "8x4",
+                "-o", tmp_path / "out"]) == 0
+
+
+def test_solve_rejects_multistage_ramp_with_exact_section(tmp_path, capsys):
+    config = manufactured_config(tmp_path)
+    config.write_text(config.read_text() + "[solver]\nramp = 1 10\n")
+    assert run(["solve", "--config", config, "--mesh", "8x4",
+                "-o", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "[solver] ramp of 2 stages" in err and "[exact]" in err
     assert not (tmp_path / "out").exists()
 
 

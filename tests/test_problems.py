@@ -280,6 +280,15 @@ def test_ramp_copy_changes_only_ra():
         pr.manufactured_convection().with_rayleigh(20.0)
 
 
+def test_ramp_copy_at_own_ra_is_the_problem():
+    # a ramp stage at the problem's own Ra needs no copy, so a manufactured
+    # forcing allows it
+    man = pr.manufactured_convection()
+    assert man.with_rayleigh(man.ra) is man
+    prob = pr.cavity(1e3)
+    assert prob.with_rayleigh(1e3) is prob
+
+
 CAVITY_INI = """\
 [physics]
 pr = 0.71

@@ -406,6 +406,76 @@ def test_relaxed_ramp_reaches_high_rayleigh():
     assert np.isfinite(rep.nu_bar) and rep.nu_bar > 1.0
 
 
+def test_direct_high_rayleigh_solve_from_rest_converges():
+    # undamped Newton steps from rest run away at Ra = 1e6 until a linear
+    # solve misses its contract; damped ones converge to the ramp's answer
+    prob, mesh, params = cavity_setup(12, 1e6)
+    fields, state = solver.oseen_solve(mesh, params, prob, tol=1e-9,
+                                       relaxation="aitken")
+    assert state.converged
+    div_h, jump = postproc.divergence_diagnostic(fields)
+    assert div_h <= 1e-10 and jump <= 1e-10
+    rep = postproc.cavity_report(fields)
+    assert rep.nu_bar == pytest.approx(4.9510, rel=1e-4)
+
+
+def test_damped_steps_keep_velocity_divergence_free(monkeypatch):
+    # a damped iterate is a convex combination of two solve outputs, so it
+    # meets the divergence contract as they do
+    prob, mesh, params = cavity_setup(12, 1e6)
+    steps = []
+    damped = solver._damped
+
+    def recording(residual, start, newton, f_start):
+        x, step, f = damped(residual, start, newton, f_start)
+        steps.append((step, x, f, f_start))
+        return x, step, f
+
+    monkeypatch.setattr(solver, "_damped", recording)
+    last, _ = solver.oseen_solve(mesh, params, prob, tol=1e-9, max_iter=8,
+                                 relaxation="aitken")
+    assert len(steps) == 7                    # one per Newton step
+    short = [s for s in steps if s[0] < 1.0]
+    assert short
+    for step, (full, lam), f, f_start in short:
+        assert step >= solver.MIN_STEP
+        assert f <= (1.0 - solver.SUFFICIENT_DECREASE * step) * f_start \
+            or step == solver.MIN_STEP
+        fields = postproc.WgFields(mesh, params, last.dofmap, full, lam)
+        div_h, jump = postproc.divergence_diagnostic(fields)
+        assert div_h <= 1e-10 and jump <= 1e-10
+
+
+def test_full_newton_steps_are_the_solve_outputs(monkeypatch):
+    # where every step is full, the iterates are the Newton solve outputs
+    # themselves, bit for bit; the last step, which meets the tolerance,
+    # ends the solve without the test
+    prob, mesh, params = cavity_setup(8, 1e3)
+    outputs, accepted = [], []
+    solve, damped = linsys.solve_sparse, solver._damped
+
+    def recording_solve(system, held=None):
+        x = solve(system, held)
+        if isinstance(system, linsys.JointSystem):
+            outputs.append(system.expand(x)[0])
+        return x
+
+    def recording_damped(residual, start, newton, f_start):
+        x, step, f = damped(residual, start, newton, f_start)
+        accepted.append((step, x[0]))
+        return x, step, f
+
+    monkeypatch.setattr(linsys, "solve_sparse", recording_solve)
+    monkeypatch.setattr(solver, "_damped", recording_damped)
+    fields, state = solver.oseen_solve(mesh, params, prob, tol=1e-9,
+                                       relaxation="aitken")
+    assert state.converged and len(outputs) == state.iterations - 1
+    assert len(accepted) == len(outputs) - 1
+    assert all(step == 1.0 for step, _ in accepted)
+    assert all(np.array_equal(x, y) for (_, x), y in zip(accepted, outputs))
+    assert np.array_equal(fields.coeffs, outputs[-1])
+
+
 # ------------------------------------------------------------------ trace
 
 
