@@ -89,8 +89,6 @@ def _load_problem(args):
         sopts["max_iter"] = args.max_iter
     method.setdefault("degree", 1)
     method.setdefault("variant", "wg1")
-    sopts.setdefault("tol", 1e-9)
-    sopts.setdefault("max_iter", 100)
     params = forms.MethodParams.from_variant(method["variant"],
                                              method["degree"])
     return problem, params, sopts
@@ -119,19 +117,21 @@ def _check_invariants(fields):
 
 def _solve_case(mesh, params, problem, sopts):
     """One solve honoring the solver options: (fields, states), one
-    OseenState per stage.  Each stage of a Rayleigh ramp (sopts["ramp"])
-    takes one Picard step, then damped Newton steps (relaxation="aitken"),
-    and the fields are its final stage's.  Without a ramp, one solve from
-    rest is the one stage: relaxed above Ra = 1e3, where plain Picard
-    stops contracting, and plain Picard up to it."""
-    targets = sopts.get("ramp")
+    OseenState per stage.  Only the tol and max_iter that a flag or the
+    config set are passed on; the solver's own defaults hold otherwise.
+    Each stage of a Rayleigh ramp (sopts["ramp"]) takes one Picard step,
+    then damped Newton steps (relaxation="aitken"), and the fields are its
+    final stage's.  Without a ramp, one solve from rest is the one stage:
+    relaxed above Ra = 1e3, where plain Picard stops contracting, and
+    plain Picard up to it."""
+    settings = dict(sopts)
+    targets = settings.pop("ramp", None)
     if targets:
-        return solver.ramp_rayleigh(
-            mesh, params, problem, targets, tol=sopts["tol"],
-            max_iter=sopts["max_iter"], relaxation="aitken")
+        return solver.ramp_rayleigh(mesh, params, problem, targets,
+                                    relaxation="aitken", **settings)
     fields, state = solver.oseen_solve(
-        mesh, params, problem, tol=sopts["tol"], max_iter=sopts["max_iter"],
-        relaxation="aitken" if problem.ra > 1e3 else None)
+        mesh, params, problem,
+        relaxation="aitken" if problem.ra > 1e3 else None, **settings)
     return fields, [state]
 
 

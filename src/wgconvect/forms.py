@@ -31,6 +31,8 @@ import numpy as np
 from . import polybasis as pb
 from . import weakops as wo
 
+# each variant's trace and weak-gradient degrees, as offsets from k
+VARIANT_OFFSETS = {"WG-I": (0, 0), "WG-II": (0, -1), "WG-III": (-1, -1)}
 VARIANTS = {"wg1": "WG-I", "wg2": "WG-II", "wg3": "WG-III",
             "wg-i": "WG-I", "wg-ii": "WG-II", "wg-iii": "WG-III"}
 
@@ -47,10 +49,12 @@ class MethodParams:
         Face degree l of velocity/temperature traces, k - 1 or k.
     grad_degree : int
         Target degree m of the weak gradient, k - 1 <= m <= l.
+
+    The variant name ("WG-I", "WG-II" or "WG-III") follows from the
+    degrees, by VARIANT_OFFSETS.
     """
 
-    def __init__(self, degree, trace_degree=None, grad_degree=None,
-                 variant=None):
+    def __init__(self, degree, trace_degree=None, grad_degree=None):
         if trace_degree is None:
             trace_degree = degree
         if grad_degree is None:
@@ -64,23 +68,17 @@ class MethodParams:
         self.degree = degree
         self.trace_degree = trace_degree
         self.grad_degree = grad_degree
-        if variant is None:
-            if trace_degree == degree:
-                variant = "WG-I" if grad_degree == degree else "WG-II"
-            else:
-                variant = "WG-III"
-        self.variant = variant
+        offsets = (trace_degree - degree, grad_degree - degree)
+        self.variant = next(name for name, o in VARIANT_OFFSETS.items()
+                            if o == offsets)
 
     @classmethod
     def from_variant(cls, label, degree):
         name = VARIANTS.get(str(label).lower())
         if name is None:
             raise ValueError("unknown method variant %r" % (label,))
-        if name == "WG-I":
-            return cls(degree, degree, degree, name)
-        if name == "WG-II":
-            return cls(degree, degree, degree - 1, name)
-        return cls(degree, degree - 1, degree - 1, name)
+        dl, dm = VARIANT_OFFSETS[name]
+        return cls(degree, degree + dl, degree + dm)
 
     @property
     def interior_dim(self):
@@ -121,9 +119,7 @@ def face_projection_matrix(mesh, elems, interior_degree, trace_degree):
     interior basis, so (P @ v0 - vb) is the stabilization jump."""
     elems = np.atleast_1d(np.asarray(elems, dtype=np.int64))
     E = wo.edge_table(interior_degree, trace_degree)       # (3, dim_k, l+1)
-    signs = wo.flip_signs(trace_degree)
-    FS = np.where(mesh.elem_face_flip[elems][:, :, None],
-                  signs[None, None, :], 1.0)               # (E, 3, l+1)
+    FS = wo.face_signs(mesh, elems, trace_degree)
     return np.einsum("elg,lbg->elgb", FS, E)
 
 
@@ -212,9 +208,7 @@ def skew_convection_blocks(mesh, elems, params, w_interior, w_traces):
                                 mesh.det_b[elems], W1, T)
 
     F = wo.conv_face_table(k, l)                           # (lf, ap, b, gp)
-    signs = wo.flip_signs(l)
-    FS = np.where(mesh.elem_face_flip[elems][:, :, None],
-                  signs[None, None, :], 1.0)               # (E, 3, l+1)
+    FS = wo.face_signs(mesh, elems, l)
     wn = np.einsum("eld,eldg->elg", mesh.elem_face_normal[elems], w_traces)
     for lf in range(3):
         r0 = nk + lf * nt
@@ -268,9 +262,7 @@ def skew_convection_coupling(mesh, elems, params, x):
     # |e| n_d FS_g FS_a F[lf, a, b, g], enter the interior rows through
     # B^T x and the face's own rows through - B x
     F = wo.conv_face_table(k, l)                           # (lf, a, b, g)
-    signs = wo.flip_signs(l)
-    FS = np.where(mesh.elem_face_flip[elems][:, :, None],
-                  signs[None, None, :], 1.0)               # (E, 3, l+1)
+    FS = wo.face_signs(mesh, elems, l)
     coef = (0.5 * mesh.elem_face_len[elems][:, None, None, :, None, None]
             * mesh.elem_face_normal[elems][:, None, None, :, :, None]
             * FS[:, None, None, :, None, :])       # (E, 1, 1, lf, d, g)

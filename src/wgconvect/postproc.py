@@ -20,22 +20,26 @@ from .mesh import OUTER, mesh_size
 
 
 class WgFields:
-    """Velocity, pressure, and temperature coefficients of one solution."""
+    """Velocity, pressure, and temperature coefficients of one solution.
 
-    def __init__(self, mesh, params, dofmap, coeffs, multiplier=0.0):
+    coeffs is the global vector laid out by dofmap, whose mesh and method
+    parameters the fields take as their own (.mesh, .params); multiplier
+    is the mean-pressure Lagrange multiplier.
+    """
+
+    def __init__(self, dofmap, coeffs, multiplier=0.0):
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.shape != (dofmap.n_dofs,):
             raise ValueError("coefficient vector has length %d, DOF map "
                              "holds %d" % (coeffs.size, dofmap.n_dofs))
-        self.mesh = mesh
-        self.params = params
+        self.mesh = dofmap.mesh
+        self.params = dofmap.params
         self.dofmap = dofmap
         self.coeffs = coeffs
         self.multiplier = float(multiplier)
 
     def copy_with(self, coeffs):
-        return WgFields(self.mesh, self.params, self.dofmap, coeffs,
-                        self.multiplier)
+        return WgFields(self.dofmap, coeffs, self.multiplier)
 
     # -- coefficient views ----------------------------------------------
 
@@ -402,10 +406,9 @@ def cavity_report(fields, quad_degree=None):
     u2_max = _midplane_extremum(fields, 1, 0.5 * (y0 + y1), 1)
 
     faces = _hot_wall_faces(mesh)
-    gx, gw = np.polynomial.legendre.leggauss((quad_degree + 2) // 2)
-    tq = 0.5 * (gx + 1.0)
-    nu_q = _wall_nusselt(fields, faces, tq)
-    nu_bar = float(np.sum(mesh.h_e[faces][:, None] * 0.5 * gw * nu_q))
+    wall = pb.quad_rule(quad_degree, "edge")
+    nu_q = _wall_nusselt(fields, faces, wall.points)
+    nu_bar = float(np.sum(mesh.h_e[faces][:, None] * wall.weights * nu_q))
     nu_bar /= (y1 - y0)
 
     nu_s = _wall_nusselt(fields, faces, _SAMPLES)

@@ -205,6 +205,15 @@ class ExactSolution:
                             * max(y0, y1) ** j))
 
 
+def _zero_vector(x, y):
+    shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+    return np.zeros(shape + (2,))
+
+
+def _zero_scalar(x, y):
+    return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)))
+
+
 class ProblemSpec:
     """One complete problem: physics, geometry, forcing, boundary data.
 
@@ -212,12 +221,13 @@ class ProblemSpec:
     None), the text a polynomial in x and y read as [exact] fields are
     (see _polynomial).  Each wall's text is parsed here, once, so that bad
     data raises before a mesh is built; temp_degree maps each Dirichlet
-    wall to the degree of its data.  forcing_degree is that of exact's
-    forcing (0 without one).  Velocity is zero-Dirichlet on the whole
-    fluid boundary; the scheme supports nothing else.
+    wall to the degree of its data.  The forcings f (momentum, (..., 2)
+    values) and g (heat) are exact's, and zero without one; forcing_degree
+    is likewise exact's (0 without one).  Velocity is zero-Dirichlet on
+    the whole fluid boundary; the scheme supports nothing else.
     """
 
-    def __init__(self, pr, ra, kappa, domain, fluid_rect, f, g, temp_bc,
+    def __init__(self, pr, ra, kappa, domain, fluid_rect, temp_bc,
                  exact=None):
         if not pr > 0:
             raise ValueError("Pr must be positive")
@@ -238,10 +248,10 @@ class ProblemSpec:
         self.kappa = float(kappa)
         self.domain = tuple(float(c) for c in domain)
         self.fluid_rect = tuple(float(c) for c in fluid_rect)
-        self.f = f
-        self.g = g
         self.temp_bc = dict(temp_bc)
         self.exact = exact
+        self.f = _zero_vector if exact is None else exact.f
+        self.g = _zero_scalar if exact is None else exact.g
         self.forcing_degree = 0 if exact is None else exact.forcing_degree
         walls = {wall: _polynomial(text, "wall %s temperature" % wall)
                  for wall, (kind, text) in self.temp_bc.items()
@@ -266,21 +276,12 @@ class ProblemSpec:
         if self.exact is not None:
             raise ValueError("cannot retarget Ra with a manufactured forcing")
         return ProblemSpec(self.pr, ra, self.kappa, self.domain,
-                           self.fluid_rect, self.f, self.g, self.temp_bc)
+                           self.fluid_rect, self.temp_bc)
 
     def temp_dirichlet_fn(self, wall):
         if self.temp_bc[wall][0] != "dirichlet":
             raise ValueError("wall %s is not Dirichlet" % wall)
         return self._temp_data[wall]
-
-
-def _zero_vector(x, y):
-    shape = np.broadcast_shapes(np.shape(x), np.shape(y))
-    return np.zeros(shape + (2,))
-
-
-def _zero_scalar(x, y):
-    return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)))
 
 
 MANUFACTURED_FIELDS = {
@@ -304,8 +305,8 @@ def manufactured_convection():
                           MANUFACTURED_FIELDS["p"], MANUFACTURED_FIELDS["T"],
                           pr, ra, kappa, fluid)
     temp_bc = {w: ("dirichlet", "0") for w in WALLS}
-    return ProblemSpec(pr, ra, kappa, (-1.0, 1.0, 0.0, 1.0), fluid,
-                       exact.f, exact.g, temp_bc, exact=exact)
+    return ProblemSpec(pr, ra, kappa, (-1.0, 1.0, 0.0, 1.0), fluid, temp_bc,
+                       exact=exact)
 
 
 def cavity(ra):
@@ -321,8 +322,7 @@ def cavity(ra):
         "bottom": ("insulated", None),
         "top": ("insulated", None),
     }
-    return ProblemSpec(0.71, ra, 1.0, unit, unit, _zero_vector, _zero_scalar,
-                       temp_bc)
+    return ProblemSpec(0.71, ra, 1.0, unit, unit, temp_bc)
 
 
 # ----------------------------------------------------------------------
@@ -402,14 +402,12 @@ def load_config(path):
                              "'dirichlet <expr>', got %r" % (wall, raw))
 
     exact = None
-    f, g = _zero_vector, _zero_scalar
     if cp.has_section("exact"):
         ex = cp["exact"]
         exact = ExactSolution(ex["u1"], ex["u2"], ex["p"], ex["T"],
                               pr, ra, kappa, fluid_rect)
-        f, g = exact.f, exact.g
 
-    problem = ProblemSpec(pr, ra, kappa, rect, fluid_rect, f, g, temp_bc,
+    problem = ProblemSpec(pr, ra, kappa, rect, fluid_rect, temp_bc,
                           exact=exact)
 
     method = {}

@@ -158,7 +158,7 @@ def oseen_solve(mesh, params, problem, tol=1e-9, max_iter=100,
 
     def increments(full, lam):
         # the fields (full, lam), their increment from prev and its norms
-        fields = postproc.WgFields(mesh, params, dm, full, lam)
+        fields = postproc.WgFields(dm, full, lam)
         diff = fields.copy_with(full - prev)
         return fields, diff, norm(diff, "velocity"), norm(diff, "temperature")
 

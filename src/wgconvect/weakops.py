@@ -47,6 +47,13 @@ def flip_signs(trace_degree):
     return (-1.0) ** np.arange(trace_degree + 1)
 
 
+def face_signs(mesh, elems, trace_degree):
+    """FS[e, lf, g], (E, 3, l+1): flip_signs on the faces that element e
+    traverses backwards, 1 on the others."""
+    return np.where(mesh.elem_face_flip[elems][:, :, None],
+                    flip_signs(trace_degree), 1.0)
+
+
 # ----------------------------------------------------------------------
 # reference tables (geometry-independent, cached per degree tuple)
 
@@ -115,9 +122,7 @@ def gradient_matrix(mesh, elems, interior_degree, trace_degree,
     E = edge_table(target_degree, trace_degree)
     M_int = -np.einsum("edp,pab->edab", mesh.inv_bt[elems], D)
     fac = mesh.elem_face_len[elems] / mesh.det_b[elems][:, None]   # (E, 3)
-    signs = flip_signs(trace_degree)
-    FS = np.where(mesh.elem_face_flip[elems][:, :, None],
-                  signs[None, None, :], 1.0)                       # (E, 3, l+1)
+    FS = face_signs(mesh, elems, trace_degree)
     M_face = np.einsum("el,eld,lag,elg->eldag", fac,
                        mesh.elem_face_normal[elems], E, FS)
     ne = len(elems)

@@ -338,7 +338,7 @@ def interpolate_exact(mesh, params, dofmap, exact, quad_degree=None):
     idx = dofmap.t_trace(all_f)
     free = ~dofmap.fixed_mask[idx]
     coeffs[idx[free]] = tr[free]
-    return postproc.WgFields(mesh, params, dofmap, coeffs)
+    return postproc.WgFields(dofmap, coeffs)
 
 
 # ----------------------------------------------------------------------

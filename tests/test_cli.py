@@ -1,8 +1,12 @@
+import pathlib
+import re
+
 import numpy as np
 import pytest
 
 from wgconvect import cli
 from wgconvect import postproc
+from wgconvect import problems
 
 CAVITY_INI = """\
 [physics]
@@ -259,6 +263,20 @@ def test_single_stage_ramp_runs_with_exact_section(tmp_path):
                 "-o", tmp_path / "out"]) == 0
 
 
+def test_ramp_reaches_a_rayleigh_number_the_direct_solve_does_not(
+        tmp_path, capsys):
+    # the conjugate domain at Ra = 1e6 on 8x4: a direct solve from rest
+    # stalls within its 100 steps, while the ramp converges in 9
+    path = tmp_path / "conjugate.ini"
+    path.write_text(CAVITY_INI.replace("ra = 1000.0", "ra = 1e6")
+                    .replace("rect = 0 1 0 1",
+                             "rect = -1 1 0 1\nfluid_rect = 0 1 0 1")
+                    + "[solver]\nramp = 1e3 1e4 1e5 1e6\n")
+    assert run(["solve", "--config", path, "--mesh", "8x4",
+                "-o", tmp_path / "out"]) == 0
+    assert capsys.readouterr().out.startswith("converged in ")
+
+
 def test_solve_rejects_multistage_ramp_with_exact_section(tmp_path, capsys):
     config = manufactured_config(tmp_path)
     config.write_text(config.read_text() + "[solver]\nramp = 1 10\n")
@@ -296,3 +314,15 @@ def test_reruns_are_byte_identical(tmp_path):
                     "-o", out]) == 0
     assert (a / "errors.csv").read_bytes() == (b / "errors.csv").read_bytes()
     assert (a / "fields.vtk").read_bytes() == (b / "fields.vtk").read_bytes()
+
+
+def test_readme_names_every_config_key():
+    # configparser lowercases keys, so [exact] T is read as t
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("### Config files", 1)[1].split("\n## ", 1)[0]
+    named = {w.lower() for quoted in re.findall(r"`([^`]+)`", section)
+             for w in re.findall(r"\w+", quoted)}
+    for name, keys in problems.CONFIG_SCHEMA.items():
+        assert "`[%s]`" % name in section
+        for key in keys:
+            assert key.lower() in named, (name, key)

@@ -96,6 +96,14 @@ def test_method_params_variants():
     assert p.variant == "WG-III"
 
 
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("label", ["wg1", "wg2", "wg3"])
+def test_method_params_name_follows_the_degrees(label, k):
+    named = forms.MethodParams.from_variant(label, k)
+    p = forms.MethodParams(k, named.trace_degree, named.grad_degree)
+    assert p.variant == named.variant == forms.VARIANTS[label]
+
+
 def test_method_params_rejections():
     with pytest.raises(ValueError):
         forms.MethodParams(0)

@@ -31,8 +31,6 @@ def zero_data_problem():
     return problems.ProblemSpec(
         pr=1.0, ra=10.0, kappa=1.0,
         domain=(-1.0, 1.0, 0.0, 1.0), fluid_rect=(0.0, 1.0, 0.0, 1.0),
-        f=lambda x, y: np.zeros(np.shape(x) + (2,)),
-        g=lambda x, y: np.zeros(np.shape(x)),
         temp_bc={w: ("dirichlet", "0") for w in
                  ("left", "right", "bottom", "top")})
 
@@ -152,8 +150,7 @@ def test_high_degree_wall_data_projected_exactly():
     # the 2k + 4 = 6 the other projections use at k = 1
     unit = (0.0, 1.0, 0.0, 1.0)
     prob = problems.ProblemSpec(
-        0.71, 1e3, 1.0, unit, unit, problems._zero_vector,
-        problems._zero_scalar,
+        0.71, 1e3, 1.0, unit, unit,
         {"left": ("dirichlet", "y**7"), "right": ("dirichlet", "0"),
          "bottom": ("insulated", None), "top": ("insulated", None)})
     mesh = build_structured_mesh(4, 4, prob.domain, prob.fluid_rect)
@@ -659,7 +656,7 @@ def test_refined_bordered_solve_is_divergence_free(monkeypatch):
     assert factorizations == oracles.schur_shapes(system)
 
     full, lam = system.expand(x)
-    fields = postproc.WgFields(mesh, params, asm.dofmap, full, lam)
+    fields = postproc.WgFields(asm.dofmap, full, lam)
     div_h, jump = postproc.divergence_diagnostic(fields)
     assert div_h <= 1e-10
     assert jump <= 1e-10
@@ -808,7 +805,7 @@ def test_stale_factor_keeps_divergence_rows_exact():
             inverse = joint.inverse
         assert joint.inverse is inverse and joint.age == age
         full, lam = step.expand(x)
-        fields = postproc.WgFields(mesh, params, asm.dofmap, full, lam)
+        fields = postproc.WgFields(asm.dofmap, full, lam)
         div_h, jump = postproc.divergence_diagnostic(fields)
         assert div_h <= 1e-10
         assert jump <= 1e-10
@@ -832,7 +829,7 @@ def test_stale_held_factor_solves_without_refactoring(monkeypatch):
     assert [h.inverse for h in held.values()] == stale
     assert [h.age for h in held.values()] == [1, 1]
     full, lam = system.expand(x)
-    fields = postproc.WgFields(mesh, params, asm.dofmap, full, lam)
+    fields = postproc.WgFields(asm.dofmap, full, lam)
     div_h, jump = postproc.divergence_diagnostic(fields)
     assert div_h <= 1e-10
     assert jump <= 1e-10
@@ -858,7 +855,7 @@ def test_stalled_held_factor_is_refactored(monkeypatch):
     for h, old in zip(held.values(), stale):
         assert h.inverse is not old and h.age == 0
     full, lam = system.expand(x)
-    fields = postproc.WgFields(mesh, params, asm.dofmap, full, lam)
+    fields = postproc.WgFields(asm.dofmap, full, lam)
     div_h, jump = postproc.divergence_diagnostic(fields)
     assert div_h <= 1e-10
     assert jump <= 1e-10
@@ -901,7 +898,7 @@ def test_warm_start_saves_applications():
     assert np.linalg.norm(x_warm - x_cold) <= 1e-10 * np.linalg.norm(x_cold)
     for x in (x_warm, x_cold):
         full, lam = system.expand(x)
-        fields = postproc.WgFields(mesh, params, asm.dofmap, full, lam)
+        fields = postproc.WgFields(asm.dofmap, full, lam)
         div_h, jump = postproc.divergence_diagnostic(fields)
         assert div_h <= 1e-10
         assert jump <= 1e-10

@@ -47,7 +47,7 @@ def fields_from_callables(mesh, params, u=None, T=None, p=None):
         coeffs[dm.t_interior(all_e)] = pb.project_interior(
             mesh, all_e, k, T, qd)
         coeffs[dm.t_trace(all_f)] = pb.project_face(mesh, all_f, l, T, qd)
-    return postproc.WgFields(mesh, params, dm, coeffs)
+    return postproc.WgFields(dm, coeffs)
 
 
 def linear_velocity(x, y):
@@ -60,7 +60,7 @@ def linear_velocity(x, y):
 def test_triple_norm_of_zero_fields_is_zero():
     prob, mesh, params = manufactured_setup(4, 2)
     dm = linsys.DofMap(mesh, params)
-    fields = postproc.WgFields(mesh, params, dm, np.zeros(dm.n_dofs))
+    fields = postproc.WgFields(dm, np.zeros(dm.n_dofs))
     assert postproc.triple_norm(fields, "velocity") == 0.0
     assert postproc.triple_norm(fields, "temperature") == 0.0
 
@@ -68,7 +68,7 @@ def test_triple_norm_of_zero_fields_is_zero():
 def test_triple_norm_rejects_unknown_kind():
     prob, mesh, params = manufactured_setup(4, 2)
     dm = linsys.DofMap(mesh, params)
-    fields = postproc.WgFields(mesh, params, dm, np.zeros(dm.n_dofs))
+    fields = postproc.WgFields(dm, np.zeros(dm.n_dofs))
     with pytest.raises(ValueError):
         postproc.triple_norm(fields, "pressure")
 
@@ -83,8 +83,7 @@ def test_triple_norm_with_held_matrices_is_bitwise(variant, degree):
     for kind in ("velocity", "temperature"):
         mats = postproc.norm_matrices(mesh, params, kind)
         for _ in range(3):
-            fields = postproc.WgFields(mesh, params, dm,
-                                       rng.standard_normal(dm.n_dofs))
+            fields = postproc.WgFields(dm, rng.standard_normal(dm.n_dofs))
             alone = postproc.triple_norm(fields, kind)
             assert alone > 0.0
             assert postproc.triple_norm(fields, kind, matrices=mats) == alone
@@ -101,7 +100,7 @@ def test_velocity_triple_norm_matches_momentum_diffusion_energy():
         loc = dm.velocity_local(fe)
         for _ in range(4):
             coeffs = rng.standard_normal(dm.n_dofs)
-            fields = postproc.WgFields(mesh, params, dm, coeffs)
+            fields = postproc.WgFields(dm, coeffs)
             v = coeffs[loc]
             energy = float(np.einsum("ei,eij,ej->", v, A, v))
             norm_sq = prob.pr * postproc.triple_norm(fields, "velocity") ** 2
@@ -118,7 +117,7 @@ def test_temperature_triple_norm_matches_conduction_energy():
         loc = dm.scalar_local(all_e)
         for _ in range(4):
             coeffs = rng.standard_normal(dm.n_dofs)
-            fields = postproc.WgFields(mesh, params, dm, coeffs)
+            fields = postproc.WgFields(dm, coeffs)
             s = coeffs[loc]
             energy = float(np.einsum("ei,eij,ej->", s, A, s))
             norm_sq = (prob.kappa
@@ -188,7 +187,7 @@ def random_fields(variant, degree):
     prob, mesh, params = manufactured_setup(8, 4, degree, variant)
     dm = linsys.DofMap(mesh, params)
     coeffs = np.random.default_rng(11).standard_normal(dm.n_dofs)
-    return postproc.WgFields(mesh, params, dm, coeffs)
+    return postproc.WgFields(dm, coeffs)
 
 
 def assert_close(got, want, rel):
@@ -265,7 +264,7 @@ def test_error_report_of_interpolant_has_machine_zero_divergence():
     # the interpolant of a divergence-free field is not discretely
     # divergence-free, but the diagnostic must at least be finite and the
     # exact-zero case must report zero
-    zero = postproc.WgFields(mesh, params, dm, np.zeros(dm.n_dofs))
+    zero = postproc.WgFields(dm, np.zeros(dm.n_dofs))
     assert postproc.divergence_diagnostic(zero) == (0.0, 0.0)
     assert np.isfinite(div_h) and np.isfinite(jump)
 
@@ -314,11 +313,21 @@ def test_observed_order_values_and_rejections():
         postproc.observed_order(np.ones((2, 2)))
 
 
+def test_wgfields_take_mesh_and_params_from_the_dofmap():
+    prob, mesh, params = manufactured_setup(4, 2, degree=2, variant="wg3")
+    dm = linsys.DofMap(mesh, params)
+    fields = postproc.WgFields(dm, np.zeros(dm.n_dofs), 0.5)
+    assert fields.mesh is dm.mesh and fields.params is dm.params
+    copy = fields.copy_with(np.ones(dm.n_dofs))
+    assert copy.dofmap is dm and copy.params is params
+    assert copy.multiplier == 0.5
+
+
 def test_wgfields_rejects_wrong_length():
     prob, mesh, params = manufactured_setup(4, 2)
     dm = linsys.DofMap(mesh, params)
     with pytest.raises(ValueError):
-        postproc.WgFields(mesh, params, dm, np.zeros(dm.n_dofs + 1))
+        postproc.WgFields(dm, np.zeros(dm.n_dofs + 1))
 
 
 # ---------------------------------------------------------------- cavity
@@ -374,8 +383,7 @@ def test_cavity_nusselt_stable_under_quadrature_refinement():
     params = forms.MethodParams.from_variant("wg1", 1)
     rng = np.random.default_rng(7)
     dm = linsys.DofMap(mesh, params)
-    fields = postproc.WgFields(mesh, params, dm,
-                               rng.standard_normal(dm.n_dofs))
+    fields = postproc.WgFields(dm, rng.standard_normal(dm.n_dofs))
     a = postproc.cavity_report(fields, quad_degree=6)
     b = postproc.cavity_report(fields, quad_degree=12)
     assert a.nu_bar == pytest.approx(b.nu_bar, abs=1e-12)
@@ -385,7 +393,7 @@ def test_cavity_nusselt_stable_under_quadrature_refinement():
 def test_midplane_extremum_outside_fluid_zone_raises():
     prob, mesh, params = manufactured_setup(4, 2)
     dm = linsys.DofMap(mesh, params)
-    fields = postproc.WgFields(mesh, params, dm, np.zeros(dm.n_dofs))
+    fields = postproc.WgFields(dm, np.zeros(dm.n_dofs))
     with pytest.raises(ValueError):
         postproc._midplane_extremum(fields, 0, -0.5, 0)
 
@@ -396,7 +404,7 @@ def test_midplane_extremum_outside_fluid_zone_raises():
 def test_stream_function_of_zero_velocity_is_zero():
     prob, mesh, params = manufactured_setup(4, 2)
     dm = linsys.DofMap(mesh, params)
-    fields = postproc.WgFields(mesh, params, dm, np.zeros(dm.n_dofs))
+    fields = postproc.WgFields(dm, np.zeros(dm.n_dofs))
     assert np.max(np.abs(postproc.stream_function(fields))) == 0.0
 
 
@@ -467,7 +475,7 @@ def test_export_fields_vtk_structure(tmp_path):
 def test_export_fields_bad_path_raises():
     prob, mesh, params = manufactured_setup(2, 1)
     dm = linsys.DofMap(mesh, params)
-    fields = postproc.WgFields(mesh, params, dm, np.zeros(dm.n_dofs))
+    fields = postproc.WgFields(dm, np.zeros(dm.n_dofs))
     with pytest.raises(OSError):
         postproc.export_fields(fields, "/nonexistent-dir/out.vtk")
 

@@ -205,15 +205,33 @@ def test_cavity_spec():
     assert np.abs(prob.g(x, x)).max() == 0.0
 
 
+def test_forcing_is_the_exact_solutions_or_zero():
+    bc = {w: ("dirichlet", "0") for w in pr.WALLS}
+    unit = (0.0, 1.0, 0.0, 1.0)
+    x = np.linspace(-1, 1, 6).reshape(2, 3)
+    y = np.linspace(0, 1, 3)
+    rest = pr.ProblemSpec(0.71, 1e4, 1.0, unit, unit, bc)
+    assert rest.f(x, y).shape == (2, 3, 2) and rest.g(x, y).shape == (2, 3)
+    assert not rest.f(x, y).any() and not rest.g(x, y).any()
+    assert rest.forcing_degree == 0
+    ex = pr.manufactured_convection().exact
+    spec = pr.ProblemSpec(1.0, 10.0, 1.0, (-1.0, 1.0, 0.0, 1.0), unit, bc,
+                          exact=ex)
+    assert np.array_equal(spec.f(x, y), ex.f(x, y))
+    assert np.array_equal(spec.g(x, y), ex.g(x, y))
+    assert np.abs(spec.f(x, y)).max() > 0 and np.abs(spec.g(x, y)).max() > 0
+    assert spec.forcing_degree == ex.forcing_degree
+
+
 def test_numeric_wall_data_matches_the_expression_path():
     # wall temperatures are parsed into polynomials and evaluated by
     # Horner's rule; constants and 1 - y give the very arrays sympy's
     # lambdified expressions give
     unit = (0.0, 1.0, 0.0, 1.0)
     walls = {"left": "1", "right": "0", "bottom": "2.5e-1", "top": "1 - y"}
-    spec = pr.ProblemSpec(1.0, 10.0, 1.0, unit, unit, pr._zero_vector,
-                          pr._zero_scalar, {wall: ("dirichlet", text)
-                                            for wall, text in walls.items()})
+    spec = pr.ProblemSpec(1.0, 10.0, 1.0, unit, unit,
+                          {wall: ("dirichlet", text)
+                           for wall, text in walls.items()})
     x = np.linspace(-1, 1, 6).reshape(2, 3)
     for wall, text in walls.items():
         fn = spec.temp_dirichlet_fn(wall)
@@ -230,22 +248,19 @@ def test_problem_validation():
     unit = (0.0, 1.0, 0.0, 1.0)
     bc = {w: ("dirichlet", "0") for w in ("left", "right", "bottom", "top")}
     with pytest.raises(ValueError, match="Pr"):
-        pr.ProblemSpec(0.0, 1.0, 1.0, unit, unit, pr._zero_vector,
-                       pr._zero_scalar, bc)
+        pr.ProblemSpec(0.0, 1.0, 1.0, unit, unit, bc)
     with pytest.raises(ValueError, match="Ra"):
-        pr.ProblemSpec(1.0, -1.0, 1.0, unit, unit, pr._zero_vector,
-                       pr._zero_scalar, bc)
+        pr.ProblemSpec(1.0, -1.0, 1.0, unit, unit, bc)
     with pytest.raises(ValueError, match="kappa"):
-        pr.ProblemSpec(1.0, 1.0, 0.0, unit, unit, pr._zero_vector,
-                       pr._zero_scalar, bc)
+        pr.ProblemSpec(1.0, 1.0, 0.0, unit, unit, bc)
     with pytest.raises(ValueError, match="wall"):
-        pr.ProblemSpec(1.0, 1.0, 1.0, unit, unit, pr._zero_vector,
-                       pr._zero_scalar, {"left": ("dirichlet", "0")})
+        pr.ProblemSpec(1.0, 1.0, 1.0, unit, unit,
+                       {"left": ("dirichlet", "0")})
     # wall data is parsed with the problem, before any mesh is built
     with pytest.raises(ValueError, match=r"^wall left temperature = sin\(y\) "
                        r"is not a polynomial in x and y$"):
-        pr.ProblemSpec(1.0, 1.0, 1.0, unit, unit, pr._zero_vector,
-                       pr._zero_scalar, dict(bc, left=("dirichlet", "sin(y)")))
+        pr.ProblemSpec(1.0, 1.0, 1.0, unit, unit,
+                       dict(bc, left=("dirichlet", "sin(y)")))
 
 
 def test_inconsistent_exact_fields_rejected():
@@ -254,8 +269,8 @@ def test_inconsistent_exact_fields_rejected():
         ex = pr.ExactSolution("x", "y", "0", "0", 1.0, 1.0, 1.0,
                               (0.0, 1.0, 0.0, 1.0))
         bc = {w: ("dirichlet", "0") for w in ("left", "right", "bottom", "top")}
-        pr.ProblemSpec(1.0, 1.0, 1.0, (0, 1, 0, 1), (0, 1, 0, 1),
-                       ex.f, ex.g, bc, exact=ex)
+        pr.ProblemSpec(1.0, 1.0, 1.0, (0, 1, 0, 1), (0, 1, 0, 1), bc,
+                       exact=ex)
 
 
 @pytest.mark.parametrize("fields, named", [

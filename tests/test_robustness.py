@@ -38,10 +38,7 @@ def stratified(ra, hot_top):
     top, bottom = ("1", "0") if hot_top else ("0", "1")
     temp_bc = {"left": ("insulated", None), "right": ("insulated", None),
                "bottom": ("dirichlet", bottom), "top": ("dirichlet", top)}
-    prob = problems.ProblemSpec(
-        0.71, ra, 1.0, UNIT, UNIT,
-        lambda x, y: np.zeros(np.shape(x) + (2,)),
-        lambda x, y: np.zeros(np.shape(x)), temp_bc)
+    prob = problems.ProblemSpec(0.71, ra, 1.0, UNIT, UNIT, temp_bc)
     return prob, (lambda x, y: y) if hot_top else (lambda x, y: 1.0 - y)
 
 
@@ -135,8 +132,8 @@ def stratified_manufactured(ra):
     exact = problems.ExactSolution(fld["u1"], fld["u2"], p, "y",
                                    1.0, ra, 1.0, UNIT)
     temp_bc = {wall: ("dirichlet", "y") for wall in problems.WALLS}
-    return problems.ProblemSpec(1.0, ra, 1.0, UNIT, UNIT, exact.f, exact.g,
-                                temp_bc, exact=exact)
+    return problems.ProblemSpec(1.0, ra, 1.0, UNIT, UNIT, temp_bc,
+                                exact=exact)
 
 
 def test_stratified_flow_error_does_not_grow_with_rayleigh():

@@ -35,8 +35,6 @@ def zero_data_problem():
     return problems.ProblemSpec(
         pr=1.0, ra=10.0, kappa=1.0,
         domain=(-1.0, 1.0, 0.0, 1.0), fluid_rect=(0.0, 1.0, 0.0, 1.0),
-        f=lambda x, y: np.zeros(np.shape(x) + (2,)),
-        g=lambda x, y: np.zeros(np.shape(x)),
         temp_bc={w: ("dirichlet", "0") for w in
                  ("left", "right", "bottom", "top")})
 
@@ -337,7 +335,7 @@ def test_newton_and_picard_fixed_points_agree(monkeypatch, case):
     assert np.linalg.norm(newton.coeffs - plain.coeffs) \
         <= 1e-8 * np.linalg.norm(plain.coeffs)
     for full, lam in iterates:
-        fields = postproc.WgFields(mesh, params, newton.dofmap, full, lam)
+        fields = postproc.WgFields(newton.dofmap, full, lam)
         div_h, jump = postproc.divergence_diagnostic(fields)
         assert div_h <= 1e-10 and jump <= 1e-10
         fe = mesh.fluid_elems
@@ -441,7 +439,7 @@ def test_damped_steps_keep_velocity_divergence_free(monkeypatch):
         assert step >= solver.MIN_STEP
         assert f <= (1.0 - solver.SUFFICIENT_DECREASE * step) * f_start \
             or step == solver.MIN_STEP
-        fields = postproc.WgFields(mesh, params, last.dofmap, full, lam)
+        fields = postproc.WgFields(last.dofmap, full, lam)
         div_h, jump = postproc.divergence_diagnostic(fields)
         assert div_h <= 1e-10 and jump <= 1e-10
 
