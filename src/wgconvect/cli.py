@@ -1,14 +1,16 @@
 """Command-line driver for convergence studies, cavity benchmarks, and
 one-off solves.
 
-Three subcommands share one option vocabulary: `converge` runs a problem
-with a known exact solution over a halving mesh sequence and tabulates
-errors and orders, `cavity` runs the buoyancy-driven cavity benchmark, and
-`solve` runs one mesh from a problem config file.  All three choose the
-fixed-point iteration by one rule (`_solve_case`).  All numeric tables are
-printed with 5 significant digits; the CSV files carry full precision.
-Exit status is 0 only if every solve converged and the divergence and
-mean-pressure invariants hold.
+Each subcommand names its problem one way: `converge` runs the built-in
+manufactured problem, or a `--config` file with an [exact] section, over a
+halving mesh sequence and tabulates errors and orders; `cavity` runs the
+buoyancy-driven cavity benchmark at `--ra`; and `solve` runs one mesh of
+the problem in its required `--config` file.  All three share the other
+options and one per-mesh path (`_solve_mesh`): build the mesh, choose the
+fixed-point iteration by one rule (`_solve_case`), solve, and check the
+invariants.  All numeric tables are printed with 5 significant digits;
+the CSV files carry full precision.  Exit status is 0 only if every solve
+converged and the divergence and mean-pressure invariants hold.
 """
 
 import argparse
@@ -65,20 +67,13 @@ def _parse_mesh_sequence(text):
     return meshes
 
 
-def _load_problem(args):
-    """Problem plus method/solver settings, flags overriding the config."""
+def _load_problem(args, problem=None):
+    """(problem, MethodParams, solver options): the command's built-in
+    `problem` when given, else the --config file's problem and settings;
+    flags override the config's settings."""
     method, sopts = {}, {}
-    if args.config:
+    if problem is None:
         problem, method, sopts = problems.load_config(args.config)
-    elif args.problem == "manufactured":
-        problem = problems.manufactured_convection()
-    elif args.problem == "cavity":
-        problem = problems.cavity(args.ra)
-    elif args.problem is None:
-        raise ValueError("provide --config or --problem")
-    else:
-        raise ValueError("unknown problem %r; built-ins are "
-                         "'manufactured' and 'cavity'" % args.problem)
     if args.degree is not None:
         method["degree"] = args.degree
     if args.variant is not None:
@@ -154,8 +149,33 @@ def _print_convergence_table(meshes, reports):
         prev = rep
 
 
+def _solve_mesh(cells, problem, params, sopts):
+    """Build the nx x ny mesh of `cells`, solve on it and check the
+    invariants.  Returns (fields, state, ok, div_h, lines): state is the
+    final stage's, ok whether it converged and the invariants hold, and
+    lines the solve's verdict and the invariants' line, which each command
+    prints in its own form."""
+    nx, ny = cells
+    mesh = build_structured_mesh(nx, ny, problem.domain, problem.fluid_rect)
+    fields, states = _solve_case(mesh, params, problem, sopts)
+    state = states[-1]
+    inv_ok, msg, div_h = _check_invariants(fields)
+    verdict = ("%s in %d iterations"
+               % ("converged" if state.converged else "NOT converged",
+                  state.iterations))
+    return fields, state, state.converged and inv_ok, div_h, (verdict, msg)
+
+
+def _write_solve(outdir, fields, state):
+    """trace.csv and fields.vtk of one solve in outdir; returns the path of
+    fields.vtk."""
+    solver.write_trace_csv(state.trace, os.path.join(outdir, "trace.csv"))
+    return postproc.export_fields(fields, os.path.join(outdir, "fields.vtk"))
+
+
 def cmd_converge(args):
-    problem, params, sopts = _load_problem(args)
+    problem, params, sopts = _load_problem(
+        args, None if args.config else problems.manufactured_convection())
     if problem.exact is None:
         raise ValueError("a convergence study needs a problem with an "
                          "exact solution; the config defines none")
@@ -164,16 +184,11 @@ def cmd_converge(args):
 
     reports = []
     ok = True
-    for nx, ny in meshes:
-        mesh = build_structured_mesh(nx, ny, problem.domain,
-                                     problem.fluid_rect)
-        fields, states = _solve_case(mesh, params, problem, sopts)
-        state = states[-1]
-        inv_ok, msg, div_h = _check_invariants(fields)
-        print("%dx%d: %s in %d iterations; %s"
-              % (nx, ny, "converged" if state.converged else "NOT converged",
-                 state.iterations, msg))
-        ok = ok and state.converged and inv_ok
+    for cells in meshes:
+        fields, _, mesh_ok, div_h, lines = _solve_mesh(cells, problem,
+                                                       params, sopts)
+        print("%dx%d: %s; %s" % (cells + lines))
+        ok = ok and mesh_ok
         reports.append(postproc.error_report(fields, problem.exact,
                                              div_h=div_h))
 
@@ -186,50 +201,34 @@ def cmd_converge(args):
 
 
 def cmd_cavity(args):
-    args.problem = "cavity"
-    args.config = None
-    problem, params, sopts = _load_problem(args)
-    nx, ny = _parse_mesh(args.mesh)
-    mesh = build_structured_mesh(nx, ny, problem.domain, problem.fluid_rect)
+    problem, params, sopts = _load_problem(args, problems.cavity(args.ra))
+    cells = _parse_mesh(args.mesh)
     os.makedirs(args.outdir, exist_ok=True)
 
-    fields, (state,) = _solve_case(mesh, params, problem, sopts)
-    print("Ra=%g: %s in %d iterations"
-          % (problem.ra, "converged" if state.converged else "NOT converged",
-             state.iterations))
-
-    inv_ok, msg, _ = _check_invariants(fields)
-    print(msg)
+    fields, state, ok, _, lines = _solve_mesh(cells, problem, params, sopts)
+    print("Ra=%g: %s\n%s" % ((problem.ra,) + lines))
     rep = postproc.cavity_report(fields)
     for name in ("u1_max", "u2_max", "nu_bar", "nu_max", "nu_min",
                  "nu_volume"):
         print("%-10s %.5g" % (name, getattr(rep, name)))
 
-    label = "ra%g-%s-k%d-%dx%d" % (problem.ra, params.variant,
-                                   params.degree, nx, ny)
-    postproc.write_cavity_csv([(label, rep)],
-                              os.path.join(args.outdir, "cavity.csv"))
-    solver.write_trace_csv(state.trace,
-                           os.path.join(args.outdir, "trace.csv"))
-    postproc.export_fields(fields, os.path.join(args.outdir, "fields.vtk"))
-    print("wrote %s" % os.path.join(args.outdir, "cavity.csv"))
-    return 0 if state.converged and inv_ok else 1
+    label = "ra%g-%s-k%d-%dx%d" % ((problem.ra, params.variant,
+                                    params.degree) + cells)
+    csv = os.path.join(args.outdir, "cavity.csv")
+    postproc.write_cavity_csv([(label, rep)], csv)
+    _write_solve(args.outdir, fields, state)
+    print("wrote %s" % csv)
+    return 0 if ok else 1
 
 
 def cmd_solve(args):
     problem, params, sopts = _load_problem(args)
-    nx, ny = _parse_mesh(args.mesh)
-    mesh = build_structured_mesh(nx, ny, problem.domain, problem.fluid_rect)
+    cells = _parse_mesh(args.mesh)
     os.makedirs(args.outdir, exist_ok=True)
 
-    fields, states = _solve_case(mesh, params, problem, sopts)
-    state = states[-1]
-    print("%s in %d iterations"
-          % ("converged" if state.converged else "NOT converged",
-             state.iterations))
-    inv_ok, msg, div_h = _check_invariants(fields)
-    print(msg)
-
+    fields, state, ok, div_h, lines = _solve_mesh(cells, problem, params,
+                                                  sopts)
+    print("%s\n%s" % lines)
     if problem.exact is not None:
         rep = postproc.error_report(fields, problem.exact, div_h=div_h)
         for name in postproc.ErrorReport.FIELDS:
@@ -237,12 +236,8 @@ def cmd_solve(args):
         postproc.write_convergence_csv(
             [rep], os.path.join(args.outdir, "errors.csv"))
 
-    solver.write_trace_csv(state.trace,
-                           os.path.join(args.outdir, "trace.csv"))
-    path = postproc.export_fields(fields,
-                                  os.path.join(args.outdir, "fields.vtk"))
-    print("wrote %s" % path)
-    return 0 if state.converged and inv_ok else 1
+    print("wrote %s" % _write_solve(args.outdir, fields, state))
+    return 0 if ok else 1
 
 
 def _add_common(sub):
@@ -270,10 +265,9 @@ def build_parser():
     conv = sub.add_parser("converge",
                           help="error table over a halving mesh sequence")
     _add_common(conv)
-    conv.add_argument("--problem", default="manufactured",
-                      help="built-in problem name (default: manufactured)")
     conv.add_argument("--config", default=None,
-                      help="problem config file (must define exact fields)")
+                      help="problem config file with an [exact] section "
+                           "(default: the built-in manufactured problem)")
     conv.add_argument("--meshes", default="8x4,16x8,32x16,64x32",
                       help="comma-separated cell counts, e.g. 8x4,16x8")
     conv.set_defaults(func=cmd_converge)
@@ -287,11 +281,7 @@ def build_parser():
 
     sol = sub.add_parser("solve", help="one solve from a problem config")
     _add_common(sol)
-    sol.add_argument("--problem", default=None,
-                     help="built-in problem name (manufactured or cavity)")
-    sol.add_argument("--config", default=None, help="problem config file")
-    sol.add_argument("--ra", type=float, default=1e3,
-                     help="Rayleigh number for --problem cavity")
+    sol.add_argument("--config", required=True, help="problem config file")
     sol.add_argument("--mesh", default="16x8", help="cell counts, NxM")
     sol.set_defaults(func=cmd_solve)
     return ap

@@ -138,35 +138,25 @@ def _norm_elems(mesh, kind):
 
 
 def norm_matrices(mesh, params, kind):
-    """The weak-gradient and face-projection matrices of the `kind` triple
-    norm.  They depend only on the geometry, so the two velocity
-    components share them, and a caller that takes many norms on one mesh
-    builds them once and passes them to triple_norm."""
-    elems = _norm_elems(mesh, kind)
-    k, l, m = params.degree, params.trace_degree, params.grad_degree
-    return (wo.gradient_matrix(mesh, elems, k, l, m),
-            forms.face_projection_matrix(mesh, elems, k, l))
+    """The (E, ns, ns) energy blocks of the `kind` triple norm: the
+    scheme's scalar diffusion form (forms.scalar_laplacian_blocks) on the
+    norm's elements.  They depend only on the geometry, so the two
+    velocity components share them, and a caller that takes many norms on
+    one mesh builds them once and passes them to triple_norm."""
+    return forms.scalar_laplacian_blocks(mesh, _norm_elems(mesh, kind),
+                                         params)
 
 
 def triple_norm(fields, kind, matrices=None):
     """Discrete energy norm of the velocity (fluid zone) or temperature
     (whole domain) part of a WgFields solution: weak-gradient energy plus
-    scaled trace jumps, summed over the components.  matrices is the
-    norm_matrices(mesh, params, kind) pair, built here when None."""
-    mesh, params = fields.mesh, fields.params
-    elems = _norm_elems(mesh, kind)
+    scaled trace jumps, summed over the components.  matrices is
+    norm_matrices(mesh, params, kind), built here when None."""
+    mesh = fields.mesh
     if matrices is None:
-        matrices = norm_matrices(mesh, params, kind)
-    G, P = matrices
-    vec = fields._local_vectors(elems, kind)               # (E, c, ns)
-    nk = params.interior_dim
-    g = np.einsum("eis,ecs->eci", G, vec)
-    total = np.einsum("e,eci,eci->", mesh.det_b[elems], g, g)
-    traces = vec[..., nk:].reshape(vec.shape[:2] + (3, -1))
-    jump = np.einsum("elgb,ecb->eclg", P, vec[..., :nk]) - traces
-    fac = mesh.elem_face_len[elems] / mesh.h_K[elems][:, None]
-    total += np.einsum("el,eclg,eclg->", fac, jump, jump)
-    return np.sqrt(total)
+        matrices = norm_matrices(mesh, fields.params, kind)
+    vec = fields._local_vectors(_norm_elems(mesh, kind), kind)  # (E, c, ns)
+    return np.sqrt(np.einsum("ecs,est,ect->", vec, matrices, vec))
 
 
 def pressure_l2(fields):

@@ -229,12 +229,14 @@ class ProblemSpec:
 
     def __init__(self, pr, ra, kappa, domain, fluid_rect, temp_bc,
                  exact=None):
-        if not pr > 0:
-            raise ValueError("Pr must be positive")
-        if not kappa > 0:
-            raise ValueError("kappa must be positive")
-        if ra < 0:
-            raise ValueError("Ra must be nonnegative")
+        if not 0 < pr < np.inf:
+            raise ValueError("Pr must be positive and finite, got %r" % (pr,))
+        if not 0 < kappa < np.inf:
+            raise ValueError("kappa must be positive and finite, got %r"
+                             % (kappa,))
+        if not 0 <= ra < np.inf:
+            raise ValueError("Ra must be nonnegative and finite, got %r"
+                             % (ra,))
         missing = [w for w in WALLS if w not in temp_bc]
         if missing:
             raise ValueError("missing temperature condition on wall(s): %s"

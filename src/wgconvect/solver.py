@@ -133,8 +133,8 @@ def oseen_solve(mesh, params, problem, tol=1e-9, max_iter=100,
     not yet converged costs one assembly and one application of the step
     per step length tried, for ||F||.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite, got %r" % (tol,))
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     if relaxation not in (None, "aitken"):

@@ -1,3 +1,4 @@
+import argparse
 import pathlib
 import re
 
@@ -101,8 +102,8 @@ def test_divergence_is_diagnosed_once_per_mesh(tmp_path, monkeypatch):
                 tmp_path / "conv"]) == 0
     assert calls == [16, 64]
     calls.clear()
-    assert run(["solve", "--problem", "manufactured", "--mesh", "4x2",
-                "-o", tmp_path / "solve"]) == 0
+    assert run(["solve", "--config", manufactured_config(tmp_path),
+                "--mesh", "4x2", "-o", tmp_path / "solve"]) == 0
     assert calls == [16]
 
 
@@ -162,20 +163,68 @@ def test_cavity_has_no_ramp_flag(tmp_path, capsys):
 
 def test_solve_cavity_above_1e3_takes_newton_steps(tmp_path, capsys):
     # plain Picard stalls here and stops unconverged after 100 steps; the
-    # solve command takes the relaxed solve, as cavity does
-    assert run(["solve", "--problem", "cavity", "--ra", "1e4", "--mesh",
-                "8x8", "-o", tmp_path / "out"]) == 0
+    # solve command takes the relaxed solve, as cavity does, and a config
+    # of the cavity at Ra = 1e4 solves to the cavity command's fields
+    path = tmp_path / "cavity.ini"
+    path.write_text(CAVITY_INI.replace("ra = 1000.0", "ra = 1e4"))
+    assert run(["solve", "--config", path, "--mesh", "8x8",
+                "-o", tmp_path / "solve"]) == 0
     assert "converged in 7 iterations" in capsys.readouterr().out
+    assert run(["cavity", "--ra", "1e4", "--mesh", "8x8",
+                "-o", tmp_path / "cavity"]) == 0
+    assert ((tmp_path / "solve" / "fields.vtk").read_bytes()
+            == (tmp_path / "cavity" / "fields.vtk").read_bytes())
 
 
 def test_solve_requires_a_problem_source(tmp_path, capsys):
-    assert run(["solve", "--mesh", "4x2", "-o", tmp_path / "out"]) == 2
-    assert "provide --config or --problem" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_:
+        run(["solve", "--mesh", "4x2", "-o", tmp_path / "out"])
+    assert exit_.value.code == 2
+    assert ("the following arguments are required: --config"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
 
 
-def test_solve_rejects_unknown_problem(tmp_path):
-    assert run(["solve", "--problem", "vortex",
+def test_solve_rejects_unknown_problem(tmp_path, capsys):
+    # a config file is the one way to name the problem of a solve
+    with pytest.raises(SystemExit) as exit_:
+        run(["solve", "--config", manufactured_config(tmp_path),
+             "--problem", "vortex", "-o", tmp_path / "out"])
+    assert exit_.value.code == 2
+    assert ("unrecognized arguments: --problem vortex"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["converge", "--problem", "cavity", "--meshes", "4x2,8x4"],
+     "--problem cavity"),
+    (["solve", "--config", "{config}", "--ra", "1e5", "--mesh", "4x2"],
+     "--ra 1e5"),
+])
+def test_commands_reject_flags_their_problem_does_not_take(
+        tmp_path, capsys, argv, flag):
+    # converge solves the built-in manufactured problem or a --config,
+    # and a solve's Ra is its config's: neither flag may be ignored
+    config = manufactured_config(tmp_path)
+    with pytest.raises(SystemExit) as exit_:
+        run([a.format(config=config) for a in argv]
+            + ["-o", tmp_path / "out"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: %s" % flag in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag,value,named", [
+    ("--tol", "nan", "tol"), ("--tol", "inf", "tol"),
+    ("--ra", "nan", "Ra"), ("--ra", "inf", "Ra"),
+])
+def test_cavity_rejects_non_finite_numbers(tmp_path, capsys, flag, value,
+                                           named):
+    assert run(["cavity", flag, value, "--mesh", "4x4",
                 "-o", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s must be " % named)
+    assert "finite, got %s" % value in err
 
 
 def test_solve_rejects_nonpositive_prandtl(tmp_path, capsys):
@@ -289,8 +338,8 @@ def test_solve_rejects_multistage_ramp_with_exact_section(tmp_path, capsys):
 
 
 def test_solve_reports_nonconvergence_with_exit_one(tmp_path):
-    assert run(["solve", "--problem", "manufactured", "--mesh", "4x2",
-                "--tol", "1e-14", "--max-iter", "1",
+    assert run(["solve", "--config", manufactured_config(tmp_path),
+                "--mesh", "4x2", "--tol", "1e-14", "--max-iter", "1",
                 "-o", tmp_path / "out"]) == 1
 
 
@@ -309,8 +358,9 @@ def test_solve_matches_converge_single_mesh_row(tmp_path):
 
 def test_reruns_are_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
+    config = manufactured_config(tmp_path)
     for out in (a, b):
-        assert run(["solve", "--problem", "manufactured", "--mesh", "4x2",
+        assert run(["solve", "--config", config, "--mesh", "4x2",
                     "-o", out]) == 0
     assert (a / "errors.csv").read_bytes() == (b / "errors.csv").read_bytes()
     assert (a / "fields.vtk").read_bytes() == (b / "fields.vtk").read_bytes()
@@ -326,3 +376,16 @@ def test_readme_names_every_config_key():
         assert "`[%s]`" % name in section
         for key in keys:
             assert key.lower() in named, (name, key)
+
+
+def test_readme_names_every_command_line_flag():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"--[a-z][-a-z]*", section))
+    (commands,) = [action.choices for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    for command, parser in commands.items():
+        for action in parser._actions:
+            for flag in action.option_strings:
+                if flag.startswith("--") and flag != "--help":
+                    assert flag in named, (command, flag)

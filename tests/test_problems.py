@@ -253,6 +253,17 @@ def test_problem_validation():
         pr.ProblemSpec(1.0, -1.0, 1.0, unit, unit, bc)
     with pytest.raises(ValueError, match="kappa"):
         pr.ProblemSpec(1.0, 1.0, 0.0, unit, unit, bc)
+    # a non-finite number is no physics: inf and nan stop here, not as a
+    # nan residual of the first block solve
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="Pr must be positive and finite"):
+            pr.ProblemSpec(bad, 1.0, 1.0, unit, unit, bc)
+        with pytest.raises(ValueError, match="Ra must be nonnegative and "
+                           "finite"):
+            pr.ProblemSpec(1.0, bad, 1.0, unit, unit, bc)
+        with pytest.raises(ValueError,
+                           match="kappa must be positive and finite"):
+            pr.ProblemSpec(1.0, 1.0, bad, unit, unit, bc)
     with pytest.raises(ValueError, match="wall"):
         pr.ProblemSpec(1.0, 1.0, 1.0, unit, unit,
                        {"left": ("dirichlet", "0")})

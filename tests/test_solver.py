@@ -99,8 +99,10 @@ def test_interpolant_warm_start_does_not_iterate_longer():
 
 def test_bad_arguments_rejected():
     prob, mesh, params = manufactured_setup(4, 2)
-    with pytest.raises(ValueError):
-        solver.oseen_solve(mesh, params, prob, tol=0.0)
+    for tol in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="tol must be positive and "
+                           "finite"):
+            solver.oseen_solve(mesh, params, prob, tol=tol)
     with pytest.raises(ValueError):
         solver.oseen_solve(mesh, params, prob, max_iter=0)
     with pytest.raises(ValueError):
