@@ -132,21 +132,20 @@ def _solve_case(mesh, params, problem, sopts):
 
 def _print_convergence_table(meshes, reports):
     names = postproc.ErrorReport.FIELDS
+    orders = [postproc.observed_order([getattr(rep, n) for rep in reports])
+              for n in names]
     head = "mesh      " + "".join("%-18s" % n for n in names) + "div_h"
     print(head)
-    prev = None
-    for (nx, ny), rep in zip(meshes, reports):
+    for i, ((nx, ny), rep) in enumerate(zip(meshes, reports)):
         cells = []
-        for n in names:
+        for n, order in zip(names, orders):
             err = getattr(rep, n)
-            if prev is None:
+            if i == 0:
                 cells.append("%.4E (-)   " % err)
             else:
-                order = np.log2(getattr(prev, n) / err)
-                cells.append("%.4E (%.2f)" % (err, order))
+                cells.append("%.4E (%.2f)" % (err, order[i - 1]))
         print("%-10s%s %.1E" % ("%dx%d" % (nx, ny), " ".join(cells),
                                 rep.div_h))
-        prev = rep
 
 
 def _solve_mesh(cells, problem, params, sopts):
@@ -166,11 +165,19 @@ def _solve_mesh(cells, problem, params, sopts):
     return fields, state, state.converged and inv_ok, div_h, (verdict, msg)
 
 
+def _out(outdir, name):
+    """The path of file `name` in outdir, which is made here, by the first
+    file a command writes: a command that stops before it leaves no
+    directory behind."""
+    os.makedirs(outdir, exist_ok=True)
+    return os.path.join(outdir, name)
+
+
 def _write_solve(outdir, fields, state):
     """trace.csv and fields.vtk of one solve in outdir; returns the path of
     fields.vtk."""
-    solver.write_trace_csv(state.trace, os.path.join(outdir, "trace.csv"))
-    return postproc.export_fields(fields, os.path.join(outdir, "fields.vtk"))
+    solver.write_trace_csv(state.trace, _out(outdir, "trace.csv"))
+    return postproc.export_fields(fields, _out(outdir, "fields.vtk"))
 
 
 def cmd_converge(args):
@@ -180,7 +187,6 @@ def cmd_converge(args):
         raise ValueError("a convergence study needs a problem with an "
                          "exact solution; the config defines none")
     meshes = _parse_mesh_sequence(args.meshes)
-    os.makedirs(args.outdir, exist_ok=True)
 
     reports = []
     ok = True
@@ -194,7 +200,7 @@ def cmd_converge(args):
 
     print()
     _print_convergence_table(meshes, reports)
-    csv = os.path.join(args.outdir, "convergence.csv")
+    csv = _out(args.outdir, "convergence.csv")
     postproc.write_convergence_csv(reports, csv)
     print("\nwrote %s" % csv)
     return 0 if ok else 1
@@ -203,7 +209,6 @@ def cmd_converge(args):
 def cmd_cavity(args):
     problem, params, sopts = _load_problem(args, problems.cavity(args.ra))
     cells = _parse_mesh(args.mesh)
-    os.makedirs(args.outdir, exist_ok=True)
 
     fields, state, ok, _, lines = _solve_mesh(cells, problem, params, sopts)
     print("Ra=%g: %s\n%s" % ((problem.ra,) + lines))
@@ -214,7 +219,7 @@ def cmd_cavity(args):
 
     label = "ra%g-%s-k%d-%dx%d" % ((problem.ra, params.variant,
                                     params.degree) + cells)
-    csv = os.path.join(args.outdir, "cavity.csv")
+    csv = _out(args.outdir, "cavity.csv")
     postproc.write_cavity_csv([(label, rep)], csv)
     _write_solve(args.outdir, fields, state)
     print("wrote %s" % csv)
@@ -224,7 +229,6 @@ def cmd_cavity(args):
 def cmd_solve(args):
     problem, params, sopts = _load_problem(args)
     cells = _parse_mesh(args.mesh)
-    os.makedirs(args.outdir, exist_ok=True)
 
     fields, state, ok, div_h, lines = _solve_mesh(cells, problem, params,
                                                   sopts)
@@ -234,7 +238,7 @@ def cmd_solve(args):
         for name in postproc.ErrorReport.FIELDS:
             print("%-10s %.5g" % (name, getattr(rep, name)))
         postproc.write_convergence_csv(
-            [rep], os.path.join(args.outdir, "errors.csv"))
+            [rep], _out(args.outdir, "errors.csv"))
 
     print("wrote %s" % _write_solve(args.outdir, fields, state))
     return 0 if ok else 1

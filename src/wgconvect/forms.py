@@ -120,28 +120,31 @@ def face_projection_matrix(mesh, elems, interior_degree, trace_degree):
     elems = np.atleast_1d(np.asarray(elems, dtype=np.int64))
     E = wo.edge_table(interior_degree, trace_degree)       # (3, dim_k, l+1)
     FS = wo.face_signs(mesh, elems, trace_degree)
-    return np.einsum("elg,lbg->elgb", FS, E)
+    return FS[..., None] * E.transpose(0, 2, 1)
 
 
 def scalar_laplacian_blocks(mesh, elems, params):
     """Weak-gradient mass plus h^-1 jump stabilization, (E, ns, ns)."""
     elems = np.atleast_1d(np.asarray(elems, dtype=np.int64))
     k, l, m = params.degree, params.trace_degree, params.grad_degree
-    G = wo.gradient_matrix(mesh, elems, k, l, m)
-    S = np.einsum("e,eia,eib->eab", mesh.det_b[elems], G, G)
-
-    P = face_projection_matrix(mesh, elems, k, l)
+    ne = len(elems)
     nk = params.interior_dim
-    nt = params.trace_dim
-    fac = mesh.elem_face_len[elems] / mesh.h_K[elems][:, None]   # (E, 3)
-    # interior-interior, interior-trace, trace-trace pieces of the jump form
-    S[:, :nk, :nk] += np.einsum("el,elga,elgb->eab", fac, P, P)
-    for lf in range(3):
-        c0 = nk + lf * nt
-        cross = np.einsum("e,ega->eag", fac[:, lf], P[:, lf])
-        S[:, :nk, c0:c0 + nt] -= cross
-        S[:, c0:c0 + nt, :nk] -= np.swapaxes(cross, 1, 2)
-        S[:, c0:c0 + nt, c0:c0 + nt] += fac[:, lf][:, None, None] * np.eye(nt)
+    nf = 3 * params.trace_dim
+    G = wo.gradient_matrix(mesh, elems, k, l, m)
+    S = (mesh.det_b[elems][:, None, None] * G).swapaxes(1, 2) @ G
+
+    # the jump of face trace row f is (P v0 - vb)[f], weighted by w[f] =
+    # |e| / h_K of its face: interior-interior P^T W P, interior-trace
+    # -W P and its transpose, trace-trace W
+    P = face_projection_matrix(mesh, elems, k, l).reshape(ne, nf, nk)
+    w = np.repeat(mesh.elem_face_len[elems] / mesh.h_K[elems][:, None],
+                  params.trace_dim, axis=1)                    # (E, nf)
+    WP = w[:, :, None] * P
+    S[:, :nk, :nk] += WP.swapaxes(1, 2) @ P
+    S[:, nk:, :nk] -= WP
+    S[:, :nk, nk:] -= WP.swapaxes(1, 2)
+    diag = np.arange(nk, nk + nf)
+    S[:, diag, diag] += w
     return S
 
 
@@ -202,20 +205,24 @@ def skew_convection_blocks(mesh, elems, params, w_interior, w_traces):
     ne = len(elems)
 
     T = wo.conv_volume_table(k)                            # (a, b, g, p)
-    W1 = np.einsum("edg,edp->epg", w_interior, mesh.inv_bt[elems])
+    # volume: B[a, b] = -sum_(p, g) W1[p, g] T[a, b, g, p], with
+    # W1[p, g] = det sum_d inv_bt[d, p] w0[d, g]
+    W1 = mesh.det_b[elems][:, None, None] * (
+        mesh.inv_bt[elems].swapaxes(1, 2) @ w_interior)
     B = np.zeros((ne, ns, ns))
-    B[:, :nk, :nk] = -np.einsum("e,epg,abgp->eab",
-                                mesh.det_b[elems], W1, T)
+    B[:, :nk, :nk] = -(W1.reshape(ne, -1)
+                       @ T.transpose(3, 2, 0, 1).reshape(2 * nk, -1)
+                       ).reshape(ne, nk, nk)
 
+    # face lf rows: B[(lf, a), b] = FS_a sum_g c[lf, g] F[lf, a, b, g],
+    # with c = |e| (w . n) FS
     F = wo.conv_face_table(k, l)                           # (lf, ap, b, gp)
     FS = wo.face_signs(mesh, elems, l)
-    wn = np.einsum("eld,eldg->elg", mesh.elem_face_normal[elems], w_traces)
-    for lf in range(3):
-        r0 = nk + lf * nt
-        rows = np.einsum("e,eg,ea,abg->eab",
-                         mesh.elem_face_len[elems, lf],
-                         wn[:, lf] * FS[:, lf], FS[:, lf], F[lf])
-        B[:, r0:r0 + nt, :nk] = rows
+    wn = (mesh.elem_face_normal[elems][:, :, None] @ w_traces)[:, :, 0]
+    c = mesh.elem_face_len[elems][:, :, None] * wn * FS    # (E, 3, l+1)
+    rows = c.transpose(1, 0, 2) @ F.transpose(0, 3, 1, 2).reshape(3, nt, -1)
+    B[:, nk:, :nk] = (rows.reshape(3, ne, nt, nk).transpose(1, 0, 2, 3)
+                      * FS[..., None]).reshape(ne, 3 * nt, nk)
     return 0.5 * (np.swapaxes(B, 1, 2) - B)
 
 

@@ -156,7 +156,7 @@ def triple_norm(fields, kind, matrices=None):
     if matrices is None:
         matrices = norm_matrices(mesh, fields.params, kind)
     vec = fields._local_vectors(_norm_elems(mesh, kind), kind)  # (E, c, ns)
-    return np.sqrt(np.einsum("ecs,est,ect->", vec, matrices, vec))
+    return np.sqrt(np.sum((vec @ matrices) * vec))
 
 
 def pressure_l2(fields):
@@ -539,18 +539,17 @@ def export_fields(fields, path):
 def write_convergence_csv(reports, path):
     """CSV of error reports plus observed orders, one row per mesh."""
     cols = ErrorReport.FIELDS
+    errors = np.array([[getattr(rep, c) for c in cols] for rep in reports])
+    # one row of orders per mesh after the first
+    orders = (np.array([observed_order(e) for e in errors.T]).T
+              if len(reports) > 1 else None)
     with open(path, "w") as fh:
         fh.write("h," + ",".join(cols) + ","
                  + ",".join("order_" + c for c in cols) + ",div_h\n")
         for i, rep in enumerate(reports):
-            row = ["%.17g" % rep.h]
-            row += ["%.17g" % getattr(rep, c) for c in cols]
-            for c in cols:
-                if i == 0:
-                    row.append("")
-                else:
-                    prev = getattr(reports[i - 1], c)
-                    row.append("%.3f" % np.log2(prev / getattr(rep, c)))
+            row = ["%.17g" % rep.h] + ["%.17g" % e for e in errors[i]]
+            row += (["%.3f" % o for o in orders[i - 1]] if i
+                    else [""] * len(cols))
             row.append("%.3e" % rep.div_h)
             fh.write(",".join(row) + "\n")
     return path

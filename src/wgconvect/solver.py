@@ -150,8 +150,10 @@ def oseen_solve(mesh, params, problem, tol=1e-9, max_iter=100,
     # Newton steps start; the factors, like the norm matrices, live only
     # as long as this call
     held = {}
-    norm_mats = {kind: postproc.norm_matrices(mesh, params, kind)
-                 for kind in ("velocity", "temperature")}
+    # both norms take the one diffusion form, built once: the velocity
+    # norm's blocks are the fluid rows of the temperature norm's
+    blocks = postproc.norm_matrices(mesh, params, "temperature")
+    norm_mats = {"temperature": blocks, "velocity": blocks[mesh.fluid_elems]}
 
     def norm(f, kind):
         return postproc.triple_norm(f, kind, matrices=norm_mats[kind])

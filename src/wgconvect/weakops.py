@@ -118,20 +118,20 @@ def gradient_matrix(mesh, elems, interior_degree, trace_degree,
     g[d * dim_r + a] = sum_s G[d * dim_r + a, s] v[s].
     """
     elems = np.atleast_1d(np.asarray(elems, dtype=np.int64))
-    D = deriv_table(target_degree, interior_degree)
-    E = edge_table(target_degree, trace_degree)
-    M_int = -np.einsum("edp,pab->edab", mesh.inv_bt[elems], D)
-    fac = mesh.elem_face_len[elems] / mesh.det_b[elems][:, None]   # (E, 3)
-    FS = face_signs(mesh, elems, trace_degree)
-    M_face = np.einsum("el,eld,lag,elg->eldag", fac,
-                       mesh.elem_face_normal[elems], E, FS)
+    D = deriv_table(target_degree, interior_degree)      # (2, dim_r, dim_k)
+    E = edge_table(target_degree, trace_degree)          # (3, dim_r, l+1)
     ne = len(elems)
-    dim_r = pb.tri_dim(target_degree)
-    dim_k = pb.tri_dim(interior_degree)
+    dim_r, dim_k = D.shape[1:]
     nt = trace_degree + 1
-    G = np.zeros((ne, 2 * dim_r, dim_k + 3 * nt))
-    G[:, :, :dim_k] = M_int.reshape(ne, 2 * dim_r, dim_k)
-    for lf in range(3):
-        c0 = dim_k + lf * nt
-        G[:, :, c0:c0 + nt] = M_face[:, lf].reshape(ne, 2 * dim_r, nt)
-    return G
+    # interior columns: -sum_p inv_bt[e, d, p] D[p, a, b], one product
+    M_int = -(mesh.inv_bt[elems].reshape(-1, 2) @ D.reshape(2, -1))
+    # face columns: M_face[e, lf, d, a, g] = |e_lf| / det n_d E[lf, a, g]
+    # FS[e, lf, g]
+    fac = mesh.elem_face_len[elems] / mesh.det_b[elems][:, None]   # (E, 3)
+    fn = fac[:, :, None] * mesh.elem_face_normal[elems]          # (E, 3, 2)
+    FS = face_signs(mesh, elems, trace_degree)
+    M_face = fn[:, :, :, None, None] * E[:, None] * FS[:, :, None, None]
+    return np.concatenate(
+        [M_int.reshape(ne, 2 * dim_r, dim_k),
+         M_face.transpose(0, 2, 3, 1, 4).reshape(ne, 2 * dim_r, 3 * nt)],
+        axis=2)

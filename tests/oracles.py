@@ -7,6 +7,8 @@
 * the WG interpolant of a closed-form solution;
 * the pointwise evaluators of a solution and the affine element maps,
   written as per-element einsum contractions;
+* the element kernels of the weak gradient, the diffusion and transport
+  forms and the triple norm, written as einsum contractions;
 * the structured mesh with its cell diagonals alternating;
 * a triplet (COO) assembler of one linearized step, and of the coupling
   a Newton step adds to it, from unit advecting fields;
@@ -443,6 +445,86 @@ def divergence_diagnostic(fields):
         jump[f] += sign * np.einsum("fqd,fd->fq", u, mesh.normals[ff[f]])
     per_face = mesh.h_e[ff] * (np.abs(jump) @ eq.weights)
     return div_h, float(np.max(per_face)) if len(ff) else 0.0
+
+
+# ----------------------------------------------------------------------
+# element kernels by einsum
+
+
+def gradient_matrix(mesh, elems, interior_degree, trace_degree,
+                    target_degree):
+    """weakops.gradient_matrix, each product an einsum."""
+    elems = np.atleast_1d(np.asarray(elems, dtype=np.int64))
+    D = wo.deriv_table(target_degree, interior_degree)
+    E = wo.edge_table(target_degree, trace_degree)
+    M_int = -np.einsum("edp,pab->edab", mesh.inv_bt[elems], D)
+    fac = mesh.elem_face_len[elems] / mesh.det_b[elems][:, None]
+    FS = wo.face_signs(mesh, elems, trace_degree)
+    M_face = np.einsum("el,eld,lag,elg->eldag", fac,
+                       mesh.elem_face_normal[elems], E, FS)
+    ne, dim_r, dim_k = len(elems), D.shape[1], D.shape[2]
+    nt = trace_degree + 1
+    G = np.zeros((ne, 2 * dim_r, dim_k + 3 * nt))
+    G[:, :, :dim_k] = M_int.reshape(ne, 2 * dim_r, dim_k)
+    for lf in range(3):
+        c0 = dim_k + lf * nt
+        G[:, :, c0:c0 + nt] = M_face[:, lf].reshape(ne, 2 * dim_r, nt)
+    return G
+
+
+def face_projection_matrix(mesh, elems, interior_degree, trace_degree):
+    """forms.face_projection_matrix by einsum."""
+    elems = np.atleast_1d(np.asarray(elems, dtype=np.int64))
+    E = wo.edge_table(interior_degree, trace_degree)
+    FS = wo.face_signs(mesh, elems, trace_degree)
+    return np.einsum("elg,lbg->elgb", FS, E)
+
+
+def scalar_laplacian_blocks(mesh, elems, params):
+    """forms.scalar_laplacian_blocks by einsum, face by face."""
+    elems = np.atleast_1d(np.asarray(elems, dtype=np.int64))
+    k, l, m = params.degree, params.trace_degree, params.grad_degree
+    G = gradient_matrix(mesh, elems, k, l, m)
+    S = np.einsum("e,eia,eib->eab", mesh.det_b[elems], G, G)
+    P = face_projection_matrix(mesh, elems, k, l)
+    nk, nt = params.interior_dim, params.trace_dim
+    fac = mesh.elem_face_len[elems] / mesh.h_K[elems][:, None]
+    S[:, :nk, :nk] += np.einsum("el,elga,elgb->eab", fac, P, P)
+    for lf in range(3):
+        c0 = nk + lf * nt
+        cross = np.einsum("e,ega->eag", fac[:, lf], P[:, lf])
+        S[:, :nk, c0:c0 + nt] -= cross
+        S[:, c0:c0 + nt, :nk] -= np.swapaxes(cross, 1, 2)
+        S[:, c0:c0 + nt, c0:c0 + nt] += fac[:, lf][:, None, None] * np.eye(nt)
+    return S
+
+
+def skew_convection_blocks(mesh, elems, params, w_interior, w_traces):
+    """forms.skew_convection_blocks by einsum, face by face."""
+    elems = np.atleast_1d(np.asarray(elems, dtype=np.int64))
+    k, l = params.degree, params.trace_degree
+    nk, nt, ns = params.interior_dim, params.trace_dim, params.scalar_size
+    T = wo.conv_volume_table(k)
+    W1 = np.einsum("edg,edp->epg", w_interior, mesh.inv_bt[elems])
+    B = np.zeros((len(elems), ns, ns))
+    B[:, :nk, :nk] = -np.einsum("e,epg,abgp->eab", mesh.det_b[elems], W1, T)
+    F = wo.conv_face_table(k, l)
+    FS = wo.face_signs(mesh, elems, l)
+    wn = np.einsum("eld,eldg->elg", mesh.elem_face_normal[elems], w_traces)
+    for lf in range(3):
+        r0 = nk + lf * nt
+        B[:, r0:r0 + nt, :nk] = np.einsum(
+            "e,eg,ea,abg->eab", mesh.elem_face_len[elems, lf],
+            wn[:, lf] * FS[:, lf], FS[:, lf], F[lf])
+    return 0.5 * (np.swapaxes(B, 1, 2) - B)
+
+
+def triple_norm(fields, kind, matrices):
+    """postproc.triple_norm with its norm matrices, by einsum."""
+    elems = (fields.mesh.fluid_elems if kind == "velocity"
+             else np.arange(fields.mesh.n_elems))
+    vec = fields._local_vectors(elems, kind)
+    return np.sqrt(np.einsum("ecs,est,ect->", vec, matrices, vec))
 
 
 # ----------------------------------------------------------------------

@@ -227,6 +227,23 @@ def test_cavity_rejects_non_finite_numbers(tmp_path, capsys, flag, value,
     assert "finite, got %s" % value in err
 
 
+@pytest.mark.parametrize("command", ["converge", "cavity", "solve"])
+@pytest.mark.parametrize("flag,value", [("--tol", "nan"),
+                                        ("--max-iter", "0")])
+def test_rejected_solver_value_leaves_no_output_directory(tmp_path, capsys,
+                                                          command, flag,
+                                                          value):
+    # tol and max_iter are checked by the solver, after the command's own
+    # checks; the output directory is made only by the first file written
+    extra = {"converge": ["--meshes", "2x1,4x2"],
+             "cavity": ["--mesh", "4x4"],
+             "solve": ["--config", manufactured_config(tmp_path),
+                       "--mesh", "4x2"]}[command]
+    assert run([command, flag, value, "-o", tmp_path / "out"] + extra) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_solve_rejects_nonpositive_prandtl(tmp_path, capsys):
     path = tmp_path / "bad.ini"
     path.write_text("[physics]\npr = -1\nra = 10\n"
