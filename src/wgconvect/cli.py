@@ -131,19 +131,14 @@ def _solve_case(mesh, params, problem, sopts):
 
 
 def _print_convergence_table(meshes, reports):
+    """The errors and orders of postproc.convergence_table, an undefined
+    order printed as (-)."""
     names = postproc.ErrorReport.FIELDS
-    orders = [postproc.observed_order([getattr(rep, n) for rep in reports])
-              for n in names]
-    head = "mesh      " + "".join("%-18s" % n for n in names) + "div_h"
-    print(head)
-    for i, ((nx, ny), rep) in enumerate(zip(meshes, reports)):
-        cells = []
-        for n, order in zip(names, orders):
-            err = getattr(rep, n)
-            if i == 0:
-                cells.append("%.4E (-)   " % err)
-            else:
-                cells.append("%.4E (%.2f)" % (err, order[i - 1]))
+    errors, orders = postproc.convergence_table(reports)
+    print("mesh      " + "".join("%-18s" % n for n in names) + "div_h")
+    for (nx, ny), rep, errs, ords in zip(meshes, reports, errors, orders):
+        cells = ["%.4E %s" % (e, "(-)   " if np.isnan(o) else "(%.2f)" % o)
+                 for e, o in zip(errs, ords)]
         print("%-10s%s %.1E" % ("%dx%d" % (nx, ny), " ".join(cells),
                                 rep.div_h))
 
@@ -213,9 +208,8 @@ def cmd_cavity(args):
     fields, state, ok, _, lines = _solve_mesh(cells, problem, params, sopts)
     print("Ra=%g: %s\n%s" % ((problem.ra,) + lines))
     rep = postproc.cavity_report(fields)
-    for name in ("u1_max", "u2_max", "nu_bar", "nu_max", "nu_min",
-                 "nu_volume"):
-        print("%-10s %.5g" % (name, getattr(rep, name)))
+    for name, value in zip(rep._fields, rep):
+        print("%-10s %.5g" % (name, value))
 
     label = "ra%g-%s-k%d-%dx%d" % ((problem.ra, params.variant,
                                     params.degree) + cells)

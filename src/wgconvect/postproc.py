@@ -9,6 +9,8 @@ export) is evaluated through WgFields; the rest of this module is a pure
 function of (fields, mesh, params).
 """
 
+from collections import namedtuple
+
 import numpy as np
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
@@ -170,34 +172,24 @@ def pressure_l2(fields):
 # error measurement
 
 
-class ErrorReport:
+class ErrorReport(namedtuple("ErrorReport", "grad_u l2_u l2_p grad_t l2_t "
+                             "div_h h grad_u_rec grad_t_rec",
+                             defaults=(None, None))):
     """Relative errors of one solve against a closed-form solution.
 
     grad_u and grad_t measure the broken gradient of the interior
     polynomials; grad_u_rec and grad_t_rec measure the reconstructed weak
     gradient, which can converge at a different rate when the gradient
-    space is smaller than the interior space.
+    space is smaller than the interior space.  FIELDS are the columns of
+    the convergence tables.
     """
 
+    __slots__ = ()
     FIELDS = ("grad_u", "l2_u", "l2_p", "grad_t", "l2_t")
-
-    def __init__(self, grad_u, l2_u, l2_p, grad_t, l2_t, div_h, h,
-                 grad_u_rec=None, grad_t_rec=None):
-        self.grad_u = grad_u
-        self.l2_u = l2_u
-        self.l2_p = l2_p
-        self.grad_t = grad_t
-        self.l2_t = l2_t
-        self.div_h = div_h
-        self.h = h
-        self.grad_u_rec = grad_u_rec
-        self.grad_t_rec = grad_t_rec
 
     def __repr__(self):
         return ("ErrorReport(grad_u=%.4e, l2_u=%.4e, l2_p=%.4e, "
-                "grad_t=%.4e, l2_t=%.4e, div_h=%.2e)"
-                % (self.grad_u, self.l2_u, self.l2_p, self.grad_t,
-                   self.l2_t, self.div_h))
+                "grad_t=%.4e, l2_t=%.4e, div_h=%.2e)" % self[:6])
 
 
 def error_report(fields, exact, div_h=None):
@@ -210,61 +202,60 @@ def error_report(fields, exact, div_h=None):
     qr = pb.quad_rule(max(2 * fields.params.degree + 4, 16), "triangle")
     fe = mesh.fluid_elems
     all_e = np.arange(mesh.n_elems)
+    xf, yf = np.moveaxis(mesh.map_points(fe, qr.points), -1, 0)
+    xa, ya = np.moveaxis(mesh.map_points(all_e, qr.points), -1, 0)
 
-    def integ(elems, values_sq):
-        return np.sum(mesh.det_b[elems][:, None] * qr.weights * values_sq)
+    def rel(elems, got, want):
+        """The L2 error of got against want (values at qr's points of
+        elems, summed over their components), relative to want's norm
+        where that is not zero."""
+        w = mesh.det_b[elems][:, None] * qr.weights
+        axes = tuple(range(2, want.ndim))
+        err = np.sum(w * np.sum((got - want) ** 2, axis=axes))
+        ref = np.sum(w * np.sum(want ** 2, axis=axes))
+        return float(np.sqrt(err / ref)) if ref > 0 else float(np.sqrt(err))
 
-    pts_f = mesh.map_points(fe, qr.points)
-    xf, yf = pts_f[..., 0], pts_f[..., 1]
-    pts_a = mesh.map_points(all_e, qr.points)
-    xa, ya = pts_a[..., 0], pts_a[..., 1]
-
-    ue = exact.u(xf, yf)
-    ge = exact.grad_u(xf, yf)
-    pe = exact.p(xf, yf)
-    te = exact.T(xa, ya)
-    gte = exact.grad_T(xa, ya)
-
-    uh = fields.velocity_at(fe, qr.points)
-    gh = fields.velocity_gradient_at(fe, qr.points)
-    ph = fields.pressure_at(fe, qr.points)
-    th = fields.temperature_at(all_e, qr.points)
-    gth = fields.temperature_gradient_at(all_e, qr.points)
-
-    gh_rec = fields.velocity_weak_gradient_at(fe, qr.points)
-    gth_rec = fields.temperature_weak_gradient_at(all_e, qr.points)
-
-    def rel(err_sq, ref_sq):
-        return float(np.sqrt(err_sq / ref_sq)) if ref_sq > 0 else \
-            float(np.sqrt(err_sq))
-
-    gu_ref = integ(fe, np.sum(ge ** 2, axis=(-2, -1)))
-    gt_ref = integ(all_e, np.sum(gte ** 2, axis=-1))
-    grad_u = rel(integ(fe, np.sum((gh - ge) ** 2, axis=(-2, -1))), gu_ref)
-    l2_u = rel(integ(fe, np.sum((uh - ue) ** 2, axis=-1)),
-               integ(fe, np.sum(ue ** 2, axis=-1)))
-    l2_p = rel(integ(fe, (ph - pe) ** 2), integ(fe, pe ** 2))
-    grad_t = rel(integ(all_e, np.sum((gth - gte) ** 2, axis=-1)), gt_ref)
-    l2_t = rel(integ(all_e, (th - te) ** 2), integ(all_e, te ** 2))
-    grad_u_rec = rel(integ(fe, np.sum((gh_rec - ge) ** 2, axis=(-2, -1))),
-                     gu_ref)
-    grad_t_rec = rel(integ(all_e, np.sum((gth_rec - gte) ** 2, axis=-1)),
-                     gt_ref)
+    ge, gte = exact.grad_u(xf, yf), exact.grad_T(xa, ya)
     if div_h is None:
         div_h, _ = divergence_diagnostic(fields)
-    return ErrorReport(grad_u, l2_u, l2_p, grad_t, l2_t, div_h,
-                       mesh_size(mesh), grad_u_rec=grad_u_rec,
-                       grad_t_rec=grad_t_rec)
+    return ErrorReport(
+        rel(fe, fields.velocity_gradient_at(fe, qr.points), ge),
+        rel(fe, fields.velocity_at(fe, qr.points), exact.u(xf, yf)),
+        rel(fe, fields.pressure_at(fe, qr.points), exact.p(xf, yf)),
+        rel(all_e, fields.temperature_gradient_at(all_e, qr.points), gte),
+        rel(all_e, fields.temperature_at(all_e, qr.points), exact.T(xa, ya)),
+        div_h, mesh_size(mesh),
+        rel(fe, fields.velocity_weak_gradient_at(fe, qr.points), ge),
+        rel(all_e, fields.temperature_weak_gradient_at(all_e, qr.points),
+            gte))
 
 
 def observed_order(errors):
-    """Convergence rates log2(e_i / e_{i+1}) for errors on halving meshes."""
+    """Convergence rates log2(e_i / e_{i+1}) for errors on halving meshes;
+    NaN for a pair that holds a zero error, whose rate is undefined."""
     errors = np.asarray(errors, dtype=float)
     if errors.ndim != 1 or len(errors) < 2:
         raise ValueError("need at least two error values")
-    if np.any(errors <= 0):
-        raise ValueError("errors must be positive to take rates")
-    return np.log2(errors[:-1] / errors[1:])
+    if np.any(errors < 0):
+        raise ValueError("errors must be nonnegative to take rates")
+    coarse, fine = errors[:-1], errors[1:]
+    defined = (coarse > 0) & (fine > 0)
+    orders = np.full(len(coarse), np.nan)
+    orders[defined] = np.log2(coarse[defined] / fine[defined])
+    return orders
+
+
+def convergence_table(reports):
+    """(errors, orders), both (n, len(ErrorReport.FIELDS)): the FIELDS
+    columns of the n reports on halving meshes, and each row's observed
+    orders against the row before; NaN where no order is defined, on the
+    first row and where an error of the pair is zero."""
+    errors = np.array([[getattr(rep, c) for c in ErrorReport.FIELDS]
+                       for rep in reports])
+    orders = np.full(errors.shape, np.nan)
+    if len(reports) > 1:
+        orders[1:] = np.array([observed_order(e) for e in errors.T]).T
+    return errors, orders
 
 
 def divergence_diagnostic(fields):
@@ -305,22 +296,15 @@ def divergence_diagnostic(fields):
 # cavity benchmark quantities
 
 
-class CavityReport:
+class CavityReport(namedtuple("CavityReport", "u1_max u2_max nu_bar nu_max "
+                              "nu_min nu_volume")):
     """Benchmark numbers for the differentially heated cavity."""
 
-    def __init__(self, u1_max, u2_max, nu_bar, nu_max, nu_min, nu_volume):
-        self.u1_max = u1_max
-        self.u2_max = u2_max
-        self.nu_bar = nu_bar
-        self.nu_max = nu_max
-        self.nu_min = nu_min
-        self.nu_volume = nu_volume
+    __slots__ = ()
 
     def __repr__(self):
         return ("CavityReport(u1_max=%.4f, u2_max=%.4f, nu_bar=%.4f, "
-                "nu_max=%.4f, nu_min=%.4f)" % (
-                    self.u1_max, self.u2_max, self.nu_bar, self.nu_max,
-                    self.nu_min))
+                "nu_max=%.4f, nu_min=%.4f)" % self[:5])
 
 
 def _segment_in_triangle(verts, axis, value):
@@ -381,16 +365,16 @@ def _wall_nusselt(fields, faces, t):
     return -fields.temperature_gradient_at(e, ref)[..., 0]   # (F, q)
 
 
-def cavity_report(fields, quad_degree=None):
+def cavity_report(fields):
     """Mid-plane velocity extrema and hot-wall Nusselt numbers.
 
     nu_bar integrates the local wall Nusselt over the hot wall; nu_volume
     is the cavity-average alternative (u1*T - dT/dx integrated over the
-    fluid zone), reported alongside.
+    fluid zone), reported alongside.  Both integrals take rules of degree
+    2k + 4, exact for u1*T (degree 2k).
     """
-    mesh, params = fields.mesh, fields.params
-    if quad_degree is None:
-        quad_degree = 2 * params.degree + 4
+    mesh = fields.mesh
+    quad_degree = 2 * fields.params.degree + 4
     x0, x1, y0, y1 = mesh.fluid_rect
     u1_max = _midplane_extremum(fields, 0, 0.5 * (x0 + x1), 0)
     u2_max = _midplane_extremum(fields, 1, 0.5 * (y0 + y1), 1)
@@ -477,32 +461,19 @@ def _vertex_averages(fields):
     adjacent fluid elements (0 where none), T over all adjacent elements.
     """
     mesh = fields.mesh
-    nv = mesh.n_vertices
-    ref_corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    sums = {name: np.zeros(nv) for name in ("u1", "u2", "p", "T")}
-    cnt_f = np.zeros(nv)
-    cnt_a = np.zeros(nv)
+    corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    fe, all_e = mesh.fluid_elems, np.arange(mesh.n_elems)
 
-    all_e = np.arange(mesh.n_elems)
-    tvals = fields.temperature_at(all_e, ref_corners)      # (E, 3)
-    np.add.at(sums["T"], mesh.triangles.ravel(), tvals.ravel())
-    np.add.at(cnt_a, mesh.triangles.ravel(), 1.0)
+    def average(elems, values):
+        ids = mesh.triangles[elems].ravel()
+        count = np.bincount(ids, minlength=mesh.n_vertices)
+        return (np.bincount(ids, values.ravel(), minlength=mesh.n_vertices)
+                / np.maximum(count, 1.0))
 
-    fe = mesh.fluid_elems
-    if len(fe):
-        uvals = fields.velocity_at(fe, ref_corners)        # (Ef, 3, 2)
-        pvals = fields.pressure_at(fe, ref_corners)
-        ids = mesh.triangles[fe].ravel()
-        np.add.at(sums["u1"], ids, uvals[..., 0].ravel())
-        np.add.at(sums["u2"], ids, uvals[..., 1].ravel())
-        np.add.at(sums["p"], ids, pvals.ravel())
-        np.add.at(cnt_f, ids, 1.0)
-
-    out = {}
-    out["T"] = sums["T"] / np.maximum(cnt_a, 1.0)
-    for name in ("u1", "u2", "p"):
-        out[name] = sums[name] / np.maximum(cnt_f, 1.0)
-    return out
+    u = fields.velocity_at(fe, corners)                     # (Ef, 3, 2)
+    return {"u1": average(fe, u[..., 0]), "u2": average(fe, u[..., 1]),
+            "p": average(fe, fields.pressure_at(fe, corners)),
+            "T": average(all_e, fields.temperature_at(all_e, corners))}
 
 
 def _lines(fmt, rows):
@@ -537,20 +508,17 @@ def export_fields(fields, path):
 
 
 def write_convergence_csv(reports, path):
-    """CSV of error reports plus observed orders, one row per mesh."""
+    """CSV of error reports plus observed orders, one row per mesh; an
+    undefined order is an empty cell."""
     cols = ErrorReport.FIELDS
-    errors = np.array([[getattr(rep, c) for c in cols] for rep in reports])
-    # one row of orders per mesh after the first
-    orders = (np.array([observed_order(e) for e in errors.T]).T
-              if len(reports) > 1 else None)
+    errors, orders = convergence_table(reports)
     with open(path, "w") as fh:
         fh.write("h," + ",".join(cols) + ","
                  + ",".join("order_" + c for c in cols) + ",div_h\n")
-        for i, rep in enumerate(reports):
-            row = ["%.17g" % rep.h] + ["%.17g" % e for e in errors[i]]
-            row += (["%.3f" % o for o in orders[i - 1]] if i
-                    else [""] * len(cols))
-            row.append("%.3e" % rep.div_h)
+        for rep, errs, ords in zip(reports, errors, orders):
+            row = (["%.17g" % rep.h] + ["%.17g" % e for e in errs]
+                   + ["" if np.isnan(o) else "%.3f" % o for o in ords]
+                   + ["%.3e" % rep.div_h])
             fh.write(",".join(row) + "\n")
     return path
 
@@ -558,9 +526,8 @@ def write_convergence_csv(reports, path):
 def write_cavity_csv(entries, path):
     """CSV of cavity reports; entries are (label, CavityReport) pairs."""
     with open(path, "w") as fh:
-        fh.write("case,u1_max,u2_max,nu_bar,nu_max,nu_min,nu_volume\n")
+        fh.write(",".join(("case",) + CavityReport._fields) + "\n")
         for label, rep in entries:
-            fh.write("%s,%.10g,%.10g,%.10g,%.10g,%.10g,%.10g\n"
-                     % (label, rep.u1_max, rep.u2_max, rep.nu_bar,
-                        rep.nu_max, rep.nu_min, rep.nu_volume))
+            fh.write(",".join([str(label)] + ["%.10g" % v for v in rep])
+                     + "\n")
     return path

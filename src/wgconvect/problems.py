@@ -106,6 +106,30 @@ def _degree(c):
     return max((int(i + j) for i, j in zip(*np.nonzero(c))), default=0)
 
 
+def _bound(c, rect):
+    """A bound on |c| over rect = (x0, x1, y0, y1): the sum of
+    |c[i, j]| max|x|^i max|y|^j over the coefficients of c."""
+    x0, x1, y0, y1 = np.abs(rect)
+    i, j = np.indices(c.shape)
+    return float(np.sum(np.abs(c) * max(x0, x1) ** i * max(y0, y1) ** j))
+
+
+# each side of a rectangle (x0, x1, y0, y1): the axis its line fixes, and
+# the index of that coordinate in the rectangle
+_SIDES = {"left": (0, 0), "right": (0, 1), "bottom": (1, 2), "top": (1, 3)}
+
+
+def _vanishes_on(c, rect, side):
+    """Whether the polynomial c is zero along `side` of rect, up to
+    rounding: c is restricted to the side's line, a polynomial in the
+    other variable, whose _bound must not exceed 1e-12 max(1, _bound of c
+    over rect)."""
+    axis, at = _SIDES[side]
+    powers = rect[at] ** np.arange(c.shape[axis], dtype=float)
+    line = np.expand_dims(np.tensordot(powers, c, axes=(0, axis)), axis)
+    return _bound(line, rect) <= 1e-12 * max(1.0, _bound(c, rect))
+
+
 def _horner(c):
     """Numpy evaluator of the polynomial with coefficient array c, with the
     broadcast shape of its arguments: Horner's rule in x, whose
@@ -139,8 +163,9 @@ class ExactSolution:
     Expressions must be polynomials in x and y (see _polynomial).  The
     forcing is kept as the coefficient arrays
     `forcing["f1" | "f2" | "g_fluid" | "g_solid"]`, c[i, j] that of x^i y^j,
-    whose degree sets the forcing quadrature; every field and forcing is
-    evaluated by Horner's rule.
+    whose degree sets the forcing quadrature, and the fields that boundary
+    conditions constrain as `coeffs["u1" | "u2" | "T"]`; every field and
+    forcing is evaluated by Horner's rule.
     """
 
     def __init__(self, u1, u2, p, T, pr, ra, kappa, fluid_rect):
@@ -158,6 +183,7 @@ class ExactSolution:
         }
         self.forcing_degree = max(map(_degree, self.forcing.values()))
         self._div = _add(dx(u1), dy(u2))
+        self.coeffs = {"u1": u1, "u2": u2, "T": T}
 
         self._u1, self._u2, self._p, self._T = map(_horner, (u1, u2, p, T))
         self._du = [[_horner(_diff(w, a)) for a in (0, 1)] for w in (u1, u2)]
@@ -197,12 +223,8 @@ class ExactSolution:
     # -- consistency check ----------------------------------------------
 
     def divergence_residual(self):
-        """A bound on |div u| over the fluid rectangle: the sum of
-        |c[i, j]| max|x|^i max|y|^j over the coefficients c of div u."""
-        x0, x1, y0, y1 = np.abs(self.fluid_rect)
-        i, j = np.indices(self._div.shape)
-        return float(np.sum(np.abs(self._div) * max(x0, x1) ** i
-                            * max(y0, y1) ** j))
+        """A bound on |div u| over the fluid rectangle (see _bound)."""
+        return _bound(self._div, self.fluid_rect)
 
 
 def _zero_vector(x, y):
@@ -224,7 +246,11 @@ class ProblemSpec:
     wall to the degree of its data.  The forcings f (momentum, (..., 2)
     values) and g (heat) are exact's, and zero without one; forcing_degree
     is likewise exact's (0 without one).  Velocity is zero-Dirichlet on
-    the whole fluid boundary; the scheme supports nothing else.
+    the whole fluid boundary; the scheme supports nothing else.  An exact
+    solution must meet these conditions: its velocity divergence free and
+    zero on every side of fluid_rect, its T equal to each Dirichlet wall's
+    data along that wall, and its dT/dn zero along each insulated wall;
+    otherwise ValueError names the field and the wall.
     """
 
     def __init__(self, pr, ra, kappa, domain, fluid_rect, temp_bc,
@@ -265,6 +291,27 @@ class ProblemSpec:
             if div > 1e-12:
                 raise ValueError("exact velocity is not divergence-free "
                                  "(residual %.2e)" % div)
+            self._check_walls(exact.coeffs, walls)
+
+    def _check_walls(self, coeffs, walls):
+        """Raise unless the exact fields `coeffs` meet the boundary
+        conditions; walls maps each Dirichlet wall to its data's
+        coefficient array."""
+        T = coeffs["T"]
+        for wall in WALLS:
+            for name in ("u1", "u2"):
+                if not _vanishes_on(coeffs[name], self.fluid_rect, wall):
+                    raise ValueError("exact %s is not zero on the %s side "
+                                     "of the fluid zone" % (name, wall))
+            if wall in walls:
+                if not _vanishes_on(_add(T, -walls[wall]), self.domain,
+                                    wall):
+                    raise ValueError("exact T differs from the data of "
+                                     "Dirichlet wall %s" % wall)
+            elif not _vanishes_on(_diff(T, _SIDES[wall][0]), self.domain,
+                                  wall):
+                raise ValueError("exact dT/dn is not zero on insulated "
+                                 "wall %s" % wall)
 
     def with_rayleigh(self, ra):
         """Copy of this problem at a different Rayleigh number, or the

@@ -130,6 +130,36 @@ def test_converge_rejects_non_halving_sequence(tmp_path):
                 "-o", tmp_path / "out"]) == 2
 
 
+def test_converge_leaves_orders_undefined_where_an_error_vanishes(
+        tmp_path, capsys):
+    # Ra = 0 and a flow at rest, which the scheme reproduces exactly: the
+    # three flow errors are zero on every mesh and have no order
+    config = tmp_path / "rest.ini"
+    text = ("[physics]\npr = 1\nra = 0\n[domain]\nrect = 0 1 0 1\n"
+            "[exact]\nu1 = 0\nu2 = 0\np = 0\nT = %s\n")
+    out = tmp_path / "out"
+    argv = ["converge", "--config", config, "--meshes", "4x4,8x8", "-o", out]
+    # x(x-1)y is not zero on the top wall, whose data is the default 0
+    config.write_text(text % "x*(x-1)*y")
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "wall top" in err
+    assert not out.exists()
+
+    config.write_text(text % "x*(x-1)*y*(y-1)")
+    assert run(argv) == 0
+    row = [line for line in capsys.readouterr().out.splitlines()
+           if line.startswith("8x8 ")][0].split()
+    assert row[1:7] == ["0.0000E+00", "(-)"] * 3
+    assert "(-)" not in row[7:]
+    lines = (out / "convergence.csv").read_text().splitlines()
+    cells = dict(zip(lines[0].split(","), lines[2].split(",")))
+    assert [cells["order_" + c] for c in ("grad_u", "l2_u", "l2_p")] \
+        == ["", "", ""]
+    assert float(cells["order_grad_t"]) > 0.9
+    assert float(cells["order_l2_t"]) > 1.9
+
+
 def test_cavity_pure_conduction_gives_unit_nusselt(tmp_path):
     out = tmp_path / "out"
     assert run(["cavity", "--ra", "0", "--mesh", "6x6", "-o", out]) == 0

@@ -305,10 +305,13 @@ def test_divergence_diagnostic_of_interior_face_jumps():
 def test_observed_order_values_and_rejections():
     orders = postproc.observed_order([1.0, 0.5, 0.25])
     assert np.allclose(orders, [1.0, 1.0])
+    # a pair that holds a zero error has no rate
+    orders = postproc.observed_order([1.0, 0.0, 0.0, 0.5, 0.25])
+    assert np.isnan(orders[:3]).all() and orders[3] == 1.0
     with pytest.raises(ValueError):
         postproc.observed_order([1.0])
     with pytest.raises(ValueError):
-        postproc.observed_order([1.0, 0.0])
+        postproc.observed_order([1.0, -0.5])
     with pytest.raises(ValueError):
         postproc.observed_order(np.ones((2, 2)))
 
@@ -379,15 +382,27 @@ def test_cavity_midplane_extrema_of_quadratic_profile():
 
 
 def test_cavity_nusselt_stable_under_quadrature_refinement():
+    # the report's Nusselt integrals against the same integrals taken with
+    # degree-12 rules, on random fields
     mesh = build_structured_mesh(5, 5, UNIT, UNIT)
     params = forms.MethodParams.from_variant("wg1", 1)
     rng = np.random.default_rng(7)
     dm = linsys.DofMap(mesh, params)
     fields = postproc.WgFields(dm, rng.standard_normal(dm.n_dofs))
-    a = postproc.cavity_report(fields, quad_degree=6)
-    b = postproc.cavity_report(fields, quad_degree=12)
-    assert a.nu_bar == pytest.approx(b.nu_bar, abs=1e-12)
-    assert a.nu_volume == pytest.approx(b.nu_volume, abs=1e-12)
+    rep = postproc.cavity_report(fields)
+
+    faces = postproc._hot_wall_faces(mesh)
+    wall = pb.quad_rule(12, "edge")
+    nu_q = postproc._wall_nusselt(fields, faces, wall.points)
+    nu_bar = np.sum(mesh.h_e[faces][:, None] * wall.weights * nu_q)
+    qr = pb.quad_rule(12, "triangle")
+    fe = mesh.fluid_elems
+    dens = (fields.velocity_at(fe, qr.points)[..., 0]
+            * fields.temperature_at(fe, qr.points)
+            - fields.temperature_gradient_at(fe, qr.points)[..., 0])
+    nu_volume = np.sum(mesh.det_b[fe][:, None] * qr.weights * dens)
+    assert rep.nu_bar == pytest.approx(nu_bar, abs=1e-12)
+    assert rep.nu_volume == pytest.approx(nu_volume, abs=1e-12)
 
 
 def test_midplane_extremum_outside_fluid_zone_raises():
@@ -470,6 +485,40 @@ def test_export_fields_vtk_structure(tmp_path):
         got = np.array([float(v) for v in text[start:start + nv]])
         assert np.array_equal(got, expect[name]), name
         assert np.any(got != 0.0), name
+
+
+def test_vertex_averages_match_a_loop_over_elements():
+    # on the conjugate mesh u1, u2 and p average over the fluid elements at
+    # a vertex and T over all of them; summed in the same order, so equal
+    # bit for bit
+    prob, mesh, params = manufactured_setup(4, 2, degree=2)
+    dm = linsys.DofMap(mesh, params)
+    fields = postproc.WgFields(
+        dm, np.random.default_rng(3).standard_normal(dm.n_dofs))
+    corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    nv = mesh.n_vertices
+    sums = {name: np.zeros(nv) for name in ("u1", "u2", "p", "T")}
+    count_fluid, count_all = np.zeros(nv), np.zeros(nv)
+    for e in range(mesh.n_elems):
+        t = fields.temperature_at([e], corners)[0]
+        for i, v in enumerate(mesh.triangles[e]):
+            sums["T"][v] += t[i]
+            count_all[v] += 1.0
+        if not mesh.is_fluid[e]:
+            continue
+        u = fields.velocity_at([e], corners)[0]
+        p = fields.pressure_at([e], corners)[0]
+        for i, v in enumerate(mesh.triangles[e]):
+            sums["u1"][v] += u[i, 0]
+            sums["u2"][v] += u[i, 1]
+            sums["p"][v] += p[i]
+            count_fluid[v] += 1.0
+    got = postproc._vertex_averages(fields)
+    assert np.array_equal(got["T"], sums["T"] / count_all)
+    for name in ("u1", "u2", "p"):
+        assert np.array_equal(got[name],
+                              sums[name] / np.maximum(count_fluid, 1.0)), name
+    assert np.any(count_fluid == 0) and np.any(got["u1"] != 0)
 
 
 def test_export_fields_bad_path_raises():

@@ -275,13 +275,32 @@ def test_problem_validation():
 
 
 def test_inconsistent_exact_fields_rejected():
-    # u = (x, y) is not divergence-free
-    with pytest.raises(ValueError, match="divergence"):
-        ex = pr.ExactSolution("x", "y", "0", "0", 1.0, 1.0, 1.0,
-                              (0.0, 1.0, 0.0, 1.0))
-        bc = {w: ("dirichlet", "0") for w in ("left", "right", "bottom", "top")}
-        pr.ProblemSpec(1.0, 1.0, 1.0, (0, 1, 0, 1), (0, 1, 0, 1), bc,
-                       exact=ex)
+    unit = (0.0, 1.0, 0.0, 1.0)
+    zero = {w: ("dirichlet", "0") for w in pr.WALLS}
+    insulated_top = dict(zero, top=("insulated", None))
+
+    def spec(u1, u2, T, bc):
+        ex = pr.ExactSolution(u1, u2, "0", T, 1.0, 1.0, 1.0, unit)
+        return pr.ProblemSpec(1.0, 1.0, 1.0, unit, unit, bc, exact=ex)
+
+    for u1, u2, T, bc, match in [
+            # u = (x, y) is not divergence-free
+            ("x", "y", "0", zero, "divergence"),
+            # u = (y(y-1), 0) is, but does not vanish at x = 0 or 1
+            ("y*(y-1)", "0", "0", zero, "exact u1 is not zero on the left "
+             "side of the fluid zone"),
+            # T = x(x-1)y is 0 on three walls, but x(x-1) on top
+            ("0", "0", "x*(x-1)*y", zero, "exact T differs from the data "
+             "of Dirichlet wall top"),
+            # T = x(x-1)y(y-1) has dT/dy = x(x-1) on top
+            ("0", "0", "x*(x-1)*y*(y-1)", insulated_top,
+             "exact dT/dn is not zero on insulated wall top")]:
+        with pytest.raises(ValueError, match=match):
+            spec(u1, u2, T, bc)
+    # T = x(x-1)(y-1)^2 is x(x-1) on the bottom, 0 on the sides, and has
+    # dT/dy = 0 on top
+    bc = dict(insulated_top, bottom=("dirichlet", "x*(x-1)"))
+    assert spec("0", "0", "x*(x-1)*(y-1)**2", bc).exact is not None
 
 
 @pytest.mark.parametrize("fields, named", [
